@@ -8,9 +8,9 @@ confusion matrix. All stages are deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,28 @@ from .svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 _KERNEL_NAMES = {"poly": "polynomial", "linear": "linear", "rbf": "rbf"}
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+def _int_from(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _float_from(low: float, inclusive: bool):
+    """argparse type: a finite float above low, or equal to it if inclusive."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < low or (value == low and not inclusive):
+            sign = ">=" if inclusive else ">"
+            raise argparse.ArgumentTypeError(
+                f"must be {sign} {low:g}, got {text}")
+        return value
+    return number
 
 
 def _warn(message: str) -> None:
@@ -92,7 +107,7 @@ def cmd_preprocess(args) -> int:
               str(Path(args.out_dir) / p.relative_to(in_dir).with_suffix(".pgm")),
               args.sigma, args.polarity)
              for p in files]
-    results = _parallel_map(_preprocess_one, tasks, args.jobs)
+    results = dataset.parallel_map(_preprocess_one, tasks, args.jobs)
     successes = 0
     for path, ok, message in results:
         if ok:
@@ -105,8 +120,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_extract(args) -> int:
     manifest = dataset.scan_dataset(args.in_dir)
-    results = _parallel_map(_extract_one,
-                            [str(p) for p, _ in manifest.entries], args.jobs)
+    results = dataset.parallel_map(_extract_one,
+                                   [str(p) for p, _ in manifest.entries],
+                                   args.jobs)
     labels, rows = [], []
     for (path, label), (ok, feats, message) in zip(manifest.entries, results):
         if ok:
@@ -217,15 +233,18 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="classifier to train (default: svm)")
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         default="poly", help="SVM kernel (default: poly)")
-    parser.add_argument("--degree", type=int, default=3,
+    parser.add_argument("--degree", type=_int_from(1), default=3,
                         help="polynomial kernel degree (default: 3)")
-    parser.add_argument("--gamma", type=float, default=None,
+    parser.add_argument("--gamma", type=_float_from(0, inclusive=False),
+                        default=None,
                         help="kernel gamma (default: 1/n_features)")
-    parser.add_argument("--coef0", type=float, default=1.0,
+    parser.add_argument("--coef0", type=_float_from(-math.inf, inclusive=False),
+                        default=1.0,
                         help="polynomial kernel offset (default: 1)")
-    parser.add_argument("--C", type=float, default=1.0,
+    parser.add_argument("--C", type=_float_from(0, inclusive=False),
+                        default=1.0,
                         help="soft-margin penalty (default: 1)")
-    parser.add_argument("--k", type=int, default=3,
+    parser.add_argument("--k", type=_int_from(1), default=3,
                         help="k-NN neighbor count (default: 3)")
     parser.add_argument("--no-scale", action="store_true",
                         help="skip z-scoring of features")
@@ -244,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalize raw digit scans to 64x64 binary images")
     p.add_argument("in_dir", help="directory of PGM/BMP digit scans")
     p.add_argument("out_dir", help="destination for normalized PGM images")
-    p.add_argument("--sigma", type=float, default=1.0,
+    p.add_argument("--sigma", type=_float_from(0, inclusive=True),
+                   default=1.0,
                    help="Gaussian smoothing strength (default: 1.0)")
     p.add_argument("--polarity", choices=(DARK_INK, LIGHT_INK),
                    default=DARK_INK,
@@ -281,16 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", help="feature file to evaluate on")
     p.add_argument("out_dir", help="directory for report artifacts")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--cv", type=int, default=None,
+    mode.add_argument("--cv", type=_int_from(2), default=None,
                       help="stratified fold count")
-    mode.add_argument("--holdout", type=int, default=None,
+    mode.add_argument("--holdout", type=_int_from(0), default=None,
                       help="training samples per class; the rest is tested")
     _add_classifier_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate the synthetic digit corpus")
     p.add_argument("out_dir", help="directory for class subdirectories 0..9")
-    p.add_argument("--per-class", type=int, default=100,
+    p.add_argument("--per-class", type=_int_from(1), default=100,
                    help="images per digit class (default: 100)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default: 0)")

@@ -26,6 +26,19 @@ CANVAS = 64
 _CENTER = (CANVAS - 1) / 2.0
 
 
+def parallel_map(fn, items, jobs: int) -> list:
+    """`[fn(item) for item in items]`, spread over `jobs` worker processes."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    # imported here so that commands which never fan out skip loading
+    # multiprocessing (about 14 ms of start-up)
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(items) // (jobs * 4))
+        return list(pool.map(fn, items, chunksize=chunk))
+
+
 @dataclass
 class Manifest:
     """Ordered (path, label) entries of a digit image tree."""
@@ -161,13 +174,7 @@ def synth_generate(seed: int, per_class: int, out_dir, jobs: int = 1) -> Manifes
             path = class_dir / f"{index:04d}.pgm"
             tasks.append((seed & 0xFFFFFFFF, label, index, str(path)))
             entries.append((path, label))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_render_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
-    else:
-        for task in tasks:
-            _render_task(task)
+    parallel_map(_render_task, tasks, jobs)
     manifest = Manifest(entries)
     write_manifest_csv(out_dir / "manifest.csv", manifest, relative_to=out_dir)
     return manifest

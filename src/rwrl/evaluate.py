@@ -276,17 +276,26 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, "r", newline="", encoding="ascii", errors="replace") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise UnknownLabelError(f"unreadable confusion CSV: {exc}") from None
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
-    classes = [int(c) for c in rows[0][1:]]
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    if len(rows) != len(classes) + 1:
-        raise UnknownLabelError("confusion matrix CSV has wrong row count")
-    for k, row in enumerate(rows[1:]):
-        if int(row[0]) != classes[k] or len(row) != len(classes) + 1:
-            raise UnknownLabelError("confusion matrix CSV rows disagree "
-                                    "with the header")
-        counts[k] = [int(v) for v in row[1:]]
+    try:
+        classes = [int(c) for c in rows[0][1:]]
+        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        if len(rows) != len(classes) + 1:
+            raise UnknownLabelError("confusion matrix CSV has wrong row count")
+        for k, row in enumerate(rows[1:]):
+            if len(row) != len(classes) + 1 or int(row[0]) != classes[k]:
+                raise UnknownLabelError("confusion matrix CSV rows disagree "
+                                        "with the header")
+            counts[k] = [int(v) for v in row[1:]]
+    except (ValueError, OverflowError):
+        raise UnknownLabelError("confusion matrix CSV holds a non-integer "
+                                "class or count") from None
+    if (counts < 0).any():
+        raise UnknownLabelError("confusion matrix CSV holds a negative count")
     return ConfusionMatrix(classes, counts)

@@ -225,7 +225,8 @@ def _fmt(v) -> str:
 
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a feature file back into (labels, feature matrix)."""
-    with open(path, "r", encoding="ascii") as fh:
+    # non-ASCII bytes decode to U+FFFD, which no numeric field accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().strip()
         if not header.startswith(FEATURE_FILE_VERSION):
             raise FeatureFileError(f"missing {FEATURE_FILE_VERSION} header")
@@ -233,6 +234,8 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
             dim = int(header.split("dim=", 1)[1])
         except (IndexError, ValueError):
             raise FeatureFileError("header lacks a dim= declaration") from None
+        if dim < 1:
+            raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
         labels, rows = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -243,10 +246,14 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
                 raise FeatureFileError(
                     f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")
             try:
-                labels.append(int(parts[0]))
+                labels.append(np.int64(int(parts[0])))
                 rows.append([float(p) for p in parts[1:]])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise FeatureFileError(f"line {lineno}: non-numeric field") from None
     if not rows:
         return np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=np.float64)
-    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)
+    X = np.array(rows, dtype=np.float64)
+    if not np.isfinite(X).all():
+        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
+        raise FeatureFileError(f"sample {bad + 1}: non-finite feature value")
+    return np.array(labels, dtype=np.int64), X

@@ -24,54 +24,60 @@ def _floats(values) -> str:
 
 def _parse_floats(fields, what: str) -> np.ndarray:
     try:
-        return np.array([float(f) for f in fields], dtype=np.float64)
+        values = np.array([float(f) for f in fields], dtype=np.float64)
     except ValueError:
         raise CorruptModelError(f"non-numeric {what}") from None
+    if not np.isfinite(values).all():
+        raise CorruptModelError(f"non-finite {what}")
+    return values
+
+
+def _parse_ints(fields) -> list[int]:
+    try:
+        return np.array([int(f) for f in fields], dtype=np.int64).tolist()
+    except (ValueError, OverflowError):
+        raise CorruptModelError("non-integer field") from None
 
 
 def model_save(model) -> bytes:
     """Serialize an SvmModel or KnnModel to bytes."""
     if isinstance(model, SvmModel):
-        return _save_svm(model)
-    if isinstance(model, KnnModel):
-        return _save_knn(model)
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+        lines = _svm_lines(model)
+    elif isinstance(model, KnnModel):
+        lines = _knn_lines(model)
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    return ("\n".join(lines + [_END]) + "\n").encode("ascii")
 
 
-def _save_svm(model: SvmModel) -> bytes:
+def _header_lines(model) -> list[str]:
+    """Class list and scaling statistics, shared by both formats."""
+    return ["classes " + " ".join(str(c) for c in model.classes),
+            f"dim {model.dim}",
+            "mean " + _floats(model.mean),
+            "std " + _floats(model.std)]
+
+
+def _svm_lines(model: SvmModel) -> list[str]:
     p = model.params
-    lines = [
-        SVM_VERSION,
-        f"kernel {p.kind} degree={int(p.degree)} gamma={float(p.gamma)!r} "
-        f"coef0={float(p.coef0)!r} C={float(p.C)!r}",
-        "classes " + " ".join(str(c) for c in model.classes),
-        f"dim {model.dim}",
-        "mean " + _floats(model.mean),
-        "std " + _floats(model.std),
-    ]
+    lines = [SVM_VERSION,
+             f"kernel {p.kind} degree={int(p.degree)} gamma={float(p.gamma)!r} "
+             f"coef0={float(p.coef0)!r} C={float(p.C)!r}",
+             *_header_lines(model)]
     for m in model.machines:
         lines.append(f"machine {m.first} {m.second} nsv={len(m.coefficients)} "
                      f"bias={float(m.bias)!r}")
-        for coef, sv in zip(m.coefficients, m.support_vectors):
-            lines.append(repr(float(coef)) + " " + _floats(sv))
-    lines.append(_END)
-    return ("\n".join(lines) + "\n").encode("ascii")
+        lines.extend(repr(float(coef)) + " " + _floats(sv)
+                     for coef, sv in zip(m.coefficients, m.support_vectors))
+    return lines
 
 
-def _save_knn(model: KnnModel) -> bytes:
-    lines = [
-        KNN_VERSION,
-        f"k {model.k}",
-        "classes " + " ".join(str(c) for c in model.classes),
-        f"dim {model.dim}",
-        "mean " + _floats(model.mean),
-        "std " + _floats(model.std),
-        f"samples {len(model.samples)}",
-    ]
-    for label, row in zip(model.labels, model.samples):
-        lines.append(f"{int(label)} " + _floats(row))
-    lines.append(_END)
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _knn_lines(model: KnnModel) -> list[str]:
+    lines = [KNN_VERSION, f"k {model.k}", *_header_lines(model),
+             f"samples {len(model.samples)}"]
+    lines.extend(f"{int(label)} " + _floats(row)
+                 for label, row in zip(model.labels, model.samples))
+    return lines
 
 
 class _Reader:
@@ -94,6 +100,48 @@ class _Reader:
         if not fields or fields[0] != key:
             raise CorruptModelError(f"expected {key!r} record")
         return fields[1:]
+
+    def integer(self, key: str) -> int:
+        """The value of a one-integer record such as `dim 196`."""
+        fields = self.expect(key)
+        try:
+            return int(fields[0])
+        except (IndexError, ValueError):
+            raise CorruptModelError(f"bad {key} record") from None
+
+    def header(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Class list, mean and std, checked against the declared dim."""
+        classes = _parse_ints(self.expect("classes"))
+        if not classes or classes != sorted(set(classes)):
+            raise CorruptModelError("class list is empty or not ascending")
+        dim = self.integer("dim")
+        mean = _parse_floats(self.expect("mean"), "mean")
+        std = _parse_floats(self.expect("std"), "std")
+        if len(mean) != dim or len(std) != dim:
+            raise CorruptModelError("scaling statistics disagree with dim")
+        if (std < 0).any():
+            raise CorruptModelError("negative std")
+        return classes, mean, std
+
+    def rows(self, count: int, dim: int) -> tuple[list[str], np.ndarray]:
+        """`count` rows of one leading field followed by `dim` floats."""
+        if count < 0:
+            raise CorruptModelError(f"negative row count {count}")
+        if count > len(self.lines) - self.pos:
+            raise CorruptModelError("model file ends prematurely")
+        leading, values = [], np.empty((count, dim))
+        for row in range(count):
+            fields = self.next().split()
+            if len(fields) != dim + 1:
+                raise CorruptModelError(
+                    f"row has {len(fields)} fields, expected {dim + 1}")
+            leading.append(fields[0])
+            values[row] = _parse_floats(fields[1:], "row")
+        return leading, values
+
+    def end(self) -> None:
+        if self.next().strip() != _END:
+            raise CorruptModelError("missing end marker")
 
 
 def model_load(data: bytes):
@@ -129,85 +177,40 @@ def _load_svm(reader: _Reader) -> SvmModel:
     if not fields:
         raise CorruptModelError("kernel record lacks a kind")
     kv = _parse_kv(fields[1:], ("degree", "gamma", "coef0", "C"))
+    degree = _parse_ints([kv["degree"]])[0]
+    gamma, coef0, C = _parse_floats([kv["gamma"], kv["coef0"], kv["C"]],
+                                    "kernel parameters")
     try:
-        params = KernelParams(fields[0], int(kv["degree"]), float(kv["gamma"]),
-                              float(kv["coef0"]), float(kv["C"]))
+        params = KernelParams(fields[0], degree, gamma, coef0, C)
     except ValueError as exc:
         raise CorruptModelError(f"bad kernel parameters: {exc}") from None
-    classes = _parse_ints(reader.expect("classes"))
-    dim = _parse_dim(reader)
-    mean = _parse_floats(reader.expect("mean"), "mean")
-    std = _parse_floats(reader.expect("std"), "std")
-    if len(mean) != dim or len(std) != dim:
-        raise CorruptModelError("scaling statistics disagree with dim")
-
+    classes, mean, std = reader.header()
     model = SvmModel(classes, params, mean, std)
-    expected_pairs = len(classes) * (len(classes) - 1) // 2
-    for _ in range(expected_pairs):
+    for _ in range(len(classes) * (len(classes) - 1) // 2):
         head = reader.expect("machine")
         if len(head) != 4:
             raise CorruptModelError("bad machine record")
         first, second = _parse_ints(head[:2])
+        if first not in classes or second not in classes:
+            raise CorruptModelError("machine class outside the class list")
         kv = _parse_kv(head[2:], ("nsv", "bias"))
-        try:
-            nsv, bias = int(kv["nsv"]), float(kv["bias"])
-        except ValueError:
-            raise CorruptModelError("bad machine parameters") from None
-        coefs = np.empty(nsv)
-        svs = np.empty((nsv, dim))
-        for row in range(nsv):
-            fields = reader.next().split()
-            if len(fields) != dim + 1:
-                raise CorruptModelError(
-                    f"support vector row has {len(fields)} fields, "
-                    f"expected {dim + 1}")
-            values = _parse_floats(fields, "support vector")
-            coefs[row] = values[0]
-            svs[row] = values[1:]
-        model.machines.append(BinaryMachine(first, second, svs, coefs, bias))
-    if reader.next().strip() != _END:
-        raise CorruptModelError("missing end marker")
+        nsv = _parse_ints([kv["nsv"]])[0]
+        bias = float(_parse_floats([kv["bias"]], "bias")[0])
+        coefs, svs = reader.rows(nsv, model.dim)
+        model.machines.append(BinaryMachine(
+            first, second, svs, _parse_floats(coefs, "coefficient"), bias))
+    reader.end()
     return model
 
 
 def _load_knn(reader: _Reader) -> KnnModel:
-    fields = reader.expect("k")
-    try:
-        k = int(fields[0])
-    except (IndexError, ValueError):
-        raise CorruptModelError("bad k record") from None
-    classes = _parse_ints(reader.expect("classes"))
-    dim = _parse_dim(reader)
-    mean = _parse_floats(reader.expect("mean"), "mean")
-    std = _parse_floats(reader.expect("std"), "std")
-    fields = reader.expect("samples")
-    try:
-        count = int(fields[0])
-    except (IndexError, ValueError):
-        raise CorruptModelError("bad samples record") from None
-    labels = np.empty(count, dtype=np.int64)
-    rows = np.empty((count, dim))
-    for row in range(count):
-        fields = reader.next().split()
-        if len(fields) != dim + 1:
-            raise CorruptModelError("bad sample row")
-        labels[row] = _parse_ints(fields[:1])[0]
-        rows[row] = _parse_floats(fields[1:], "sample")
-    if reader.next().strip() != _END:
-        raise CorruptModelError("missing end marker")
+    k = reader.integer("k")
+    classes, mean, std = reader.header()
+    labels, rows = reader.rows(reader.integer("samples"), len(mean))
+    labels = np.array(_parse_ints(labels), dtype=np.int64)
+    if not 1 <= k <= len(labels):
+        raise CorruptModelError(f"k={k} outside 1..{len(labels)}")
+    if not set(labels.tolist()) <= set(classes):
+        raise CorruptModelError("sample label outside the class list")
+    reader.end()
     return KnnModel(k, classes, mean, std, rows, labels)
-
-
-def _parse_ints(fields) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise CorruptModelError("non-integer field") from None
-
-
-def _parse_dim(reader: _Reader) -> int:
-    fields = reader.expect("dim")
-    try:
-        return int(fields[0])
-    except (IndexError, ValueError):
-        raise CorruptModelError("bad dim record") from None

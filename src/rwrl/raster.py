@@ -109,6 +109,8 @@ def _decode_pgm(data: bytes) -> np.ndarray:
             raise TruncatedDataError(
                 f"expected {n} pixel bytes, found {len(raster)}")
         pixels = np.frombuffer(raster, dtype=np.uint8, count=n)
+        if pixels.max(initial=0) > maxval:
+            raise MalformedHeaderError("sample value exceeds declared maxval")
     else:  # P2
         values = []
         while len(values) < n:
@@ -121,9 +123,9 @@ def _decode_pgm(data: bytes) -> np.ndarray:
                 values.append(int(tok))
             except ValueError:
                 raise MalformedHeaderError(f"non-numeric sample {tok!r}") from None
+        if min(values) < 0 or max(values) > maxval:
+            raise MalformedHeaderError("sample value outside 0..maxval")
         pixels = np.array(values, dtype=np.int64)
-    if pixels.max(initial=0) > maxval:
-        raise MalformedHeaderError("sample value exceeds declared maxval")
     return pixels.astype(np.uint8).reshape(height, width)
 
 
@@ -146,6 +148,8 @@ def _decode_bmp(data: bytes) -> np.ndarray:
         raise UnsupportedFormatError("compressed bitmaps are not supported")
 
     clr_used, = struct.unpack_from("<I", data, 46)
+    if clr_used > 256:
+        raise MalformedHeaderError(f"8-bit palette with {clr_used} colors")
     n_colors = clr_used or 256
     pal_start = 14 + dib_size
     pal_end = pal_start + 4 * n_colors

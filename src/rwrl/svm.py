@@ -236,9 +236,6 @@ def svm_train(features, labels, params: KernelParams | None = None,
 def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarray]:
     """Votes (n, K) and summed winning decision magnitudes (n, K)."""
     X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"model expects {model.dim} features, got {X.shape[1]}")
@@ -261,13 +258,11 @@ def svm_predict_batch(model: SvmModel, features) -> np.ndarray:
     """Predicted labels for a feature matrix."""
     votes, magnitude = svm_decision_table(model, np.atleast_2d(
         np.asarray(features, dtype=np.float64)))
-    out = np.empty(len(votes), dtype=np.int64)
-    for row in range(len(votes)):
-        best = max(range(len(model.classes)),
-                   key=lambda k: (votes[row, k], magnitude[row, k],
-                                  -model.classes[k]))
-        out[row] = model.classes[best]
-    return out
+    classes = np.array(model.classes, dtype=np.int64)
+    # most votes, then largest magnitude, then the smaller label
+    order = np.lexsort((np.broadcast_to(-classes, votes.shape), magnitude,
+                        votes), axis=-1)
+    return classes[order[:, -1]]
 
 
 def svm_predict(model: SvmModel, vector) -> tuple[int, dict[int, int]]:
@@ -275,8 +270,6 @@ def svm_predict(model: SvmModel, vector) -> tuple[int, dict[int, int]]:
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatchError("svm_predict expects a single vector")
-    votes, magnitude = svm_decision_table(model, v)
-    best = max(range(len(model.classes)),
-               key=lambda k: (votes[0, k], magnitude[0, k], -model.classes[k]))
+    votes, _ = svm_decision_table(model, v[None, :])
     counts = {c: int(votes[0, k]) for k, c in enumerate(model.classes)}
-    return model.classes[best], counts
+    return int(svm_predict_batch(model, v)[0]), counts

@@ -5,6 +5,8 @@ from rwrl.cli import build_parser, main
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.raster import encode_pgm
 
+from test_raster import make_bmp
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -169,3 +171,58 @@ def test_parser_documents_flags():
     parser = build_parser()
     text = parser.format_help()
     assert "preprocess" in text and "extract" in text and "eval" in text
+
+
+def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
+    ink = np.full((20, 20), 255, dtype=np.uint8)
+    ink[5:15, 5:15] = 0
+    palette = [(v % 256,) * 3 for v in range(300)]
+    (tmp_path / "bad.bmp").write_bytes(make_bmp(ink, palette_rgb=palette))
+    (tmp_path / "ok.bmp").write_bytes(make_bmp(ink))
+    (tmp_path / "ok.pgm").write_bytes(encode_pgm(ink))
+    assert main(["preprocess", str(tmp_path), str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "bad.bmp: MalformedHeaderError" in captured.err
+    assert "preprocessed 2/3 images" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "f.txt", "out", "--cv", "1"],
+    ["eval", "f.txt", "out", "--holdout", "-1"],
+    ["train", "f.txt", "m.txt", "--k", "0"],
+    ["train", "f.txt", "m.txt", "--gamma", "-1"],
+    ["train", "f.txt", "m.txt", "--gamma", "nan"],
+    ["train", "f.txt", "m.txt", "--C", "0"],
+    ["train", "f.txt", "m.txt", "--coef0", "nan"],
+    ["train", "f.txt", "m.txt", "--degree", "0"],
+    ["preprocess", "in", "out", "--sigma", "-1"],
+    ["preprocess", "in", "out", "--sigma", "inf"],
+    ["synth", "out", "--per-class", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_exit2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("f.txt", "#rwrl-v1,dim=2\n0,1,nan\n1,2,3\n", ["train", "f.txt", "m"]),
+    ("f.txt", FEATURES, ["train", "f.txt", "m", "--classifier", "knn",
+                         "--k", "3"]),
+    ("c.csv", "class,0,1\n0,1,x\n1,0,2\n", ["report", "c.csv", "out"]),
+    ("m.txt", "#rwrl-knn-v1\nk 1\nclasses 0\ndim 2\nmean 0.0\n"
+              "std 1.0 1.0\nsamples 1\n0 1.0 2.0\nend\n",
+     ["predict", "m.txt", "f.txt", "p.csv"]),
+], ids=["nan-feature", "k-above-n", "non-integer-cell", "short-mean"])
+def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
+                               argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text(FEATURES)
+    (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err

@@ -259,3 +259,18 @@ class TestReports:
         path.write_text("nope\n1,2\n")
         with pytest.raises(UnknownLabelError):
             read_confusion_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "class,0,1\n0,1,x\n1,0,2\n",
+        "class,0,one\n0,1,0\n1,0,2\n",
+        "class,0,1\n0,1.5,0\n1,0,2\n",
+        "class,0,1\n0,1,-2\n1,0,2\n",
+        "class,0,1\n\n0,1,0\n",
+        "class,0,1\n0,1,0\n1,0," + "9" * 200_000 + "\n",
+    ], ids=["cell", "class", "fraction", "negative", "blank-row",
+            "oversized-field"])
+    def test_malformed_confusion_csv(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(UnknownLabelError):
+            read_confusion_csv(path)

@@ -242,3 +242,19 @@ class TestFeatureFile:
         path.write_text("#rwrl-v1,dim=2\n1,x,3\n")
         with pytest.raises(FeatureFileError):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("data", [
+        b"#rwrl-v1,dim=2\n0,1,2\n1,nan,3\n",
+        b"#rwrl-v1,dim=2\n0,1,2\n1,inf,3\n",
+        b"#rwrl-v1,dim=2\n0,1,2\n1,2,-inf\n",
+        b"#rwrl-v1,dim=2\n0,1,2\n99999999999999999999,2,3\n",
+        b"#rwrl-v1,dim=2\n0,1,2\n1,2,\xb53\n",
+        b"#rwrl-v1,dim=0\n0\n1\n",
+        b"#rwrl-v1,dim=-1\n",
+    ], ids=["nan", "inf", "-inf", "huge-label", "non-ascii", "dim-0",
+            "dim-negative"])
+    def test_bad_contents_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(FeatureFileError):
+            read_feature_file(path)

@@ -1,0 +1,96 @@
+"""Golden bytes: artifacts of a fixed seeded run must not change.
+
+The digests below are SHA-256 sums of the artifacts a fixed run produces:
+a `synth --jobs 2` tree, the feature file that `preprocess`/`extract` at
+`--jobs 2` derive from it, SVM and k-NN model files trained on those
+features, and the predictions of both classifiers on those rows, on
+midpoints of two rows, and on tie-heavy integer data. Any change that
+alters one output byte of these paths fails here. The digests were recorded on x86-64 with numpy's
+bundled OpenBLAS; float rounding in BLAS kernels may differ elsewhere.
+"""
+
+import hashlib
+
+import numpy as np
+
+from rwrl.cli import main
+from rwrl.evaluate import holdout_split
+from rwrl.features import read_feature_file
+from rwrl.knn import knn_predict_batch, knn_train
+from rwrl.model_io import model_save
+from rwrl.svm import KernelParams, svm_predict_batch, svm_train
+
+GOLDEN = {
+    "synth_tree":
+        "534e24e0303245ccb497563511ccdff986bdefbb0c149a98b93329d646dfb78c",
+    "features":
+        "60ef3e511800e7a3af777dba52fd172bfdcb1510c49c811172069a7475e1a8cd",
+    "svm_model":
+        "ad255015e46cebc35fb05aa4439ff115a55c1ad77ee5e268970ee3e464988c24",
+    "svm_predict":
+        "f5faf11846431f0dd15813fabf9731ede75425f69e57545acb44a8b1785f15c8",
+    "knn_model":
+        "2469223527779fe8dab6a2c9658c21f3eef47e2b586f689395b84028735b89f8",
+    "knn_predict":
+        "9e7ec7d4c7d0464497dbc0c5e265e3152f561e95c6f487a16ff11563c1a61e0f",
+    "knn_ties":
+        "00c0324c26e50edc8d9dee95e0f52dafc5babd2eb9e3eabfeb53fdc72ef57c9d",
+    "svm_ties":
+        "2c1ca56d45d92e49e93960157204694cd844791fa07d561a23e159e93ad01104",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(_sha(path.read_bytes()).encode())
+    return h.hexdigest()
+
+
+def _predictions(labels) -> str:
+    return _sha(np.asarray(labels, dtype=np.int64).tobytes())
+
+
+def golden_digests(tmp_path) -> dict[str, str]:
+    raw, norm, feats = tmp_path / "raw", tmp_path / "norm", tmp_path / "f.txt"
+    assert main(["synth", str(raw), "--per-class", "8", "--seed", "11",
+                 "--jobs", "2"]) == 0
+    assert main(["preprocess", str(raw), str(norm), "--jobs", "2"]) == 0
+    assert main(["extract", str(norm), str(feats), "--jobs", "2"]) == 0
+    y, X = read_feature_file(feats)
+    train, _ = holdout_split(y, 5, seed=2)
+
+    svm = svm_train(X[train], y[train], KernelParams("polynomial"), seed=3)
+    knn = knn_train(X[train], y[train], k=3)
+
+    # small integer features put many neighbors at equal distances and
+    # split the one-vs-one votes evenly
+    rng = np.random.default_rng(13)
+    tie_X = rng.integers(0, 3, size=(40, 4))
+    tie_y = rng.integers(0, 5, size=40)
+    probes = rng.integers(0, 3, size=(200, 4))
+    ties = [knn_predict_batch(knn_train(tie_X, tie_y, k=k, scale=False),
+                              probes) for k in (1, 2, 4, 7)]
+    tie_svm = svm_train(tie_X, tie_y, KernelParams("linear"), seed=3)
+    # midpoints of two digits are ambiguous for both classifiers
+    rows = np.vstack([X, (X + X[rng.permutation(len(X))]) / 2])
+    return {
+        "synth_tree": _tree_digest(raw),
+        "features": _sha(feats.read_bytes()),
+        "svm_model": _sha(model_save(svm)),
+        "svm_predict": _predictions(svm_predict_batch(svm, rows)),
+        "knn_model": _sha(model_save(knn)),
+        "knn_predict": _predictions(knn_predict_batch(knn, rows)),
+        "knn_ties": _predictions(np.concatenate(ties)),
+        "svm_ties": _predictions(svm_predict_batch(tie_svm, probes)),
+    }
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    assert golden_digests(tmp_path) == GOLDEN
+    capsys.readouterr()

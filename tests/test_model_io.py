@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,37 @@ def test_non_text_is_corrupt():
 def test_unexpected_type_rejected():
     with pytest.raises(TypeError):
         model_save({"not": "a model"})
+
+
+def _knn_bytes():
+    X, y = small_problem(seed=2)
+    return model_save(knn_train(X, y, k=3))
+
+
+def _svm_bytes():
+    X, y = small_problem(seed=2)
+    return model_save(svm_train(X, y, KernelParams("linear"), seed=0))
+
+
+@pytest.mark.parametrize("make, pattern, new", [
+    (_knn_bytes, rb"\nmean \S+ ", b"\nmean "),
+    (_svm_bytes, rb"\nstd \S+", b"\nstd -1.0"),
+    (_svm_bytes, rb"\nmean \S+", b"\nmean nan"),
+    (_knn_bytes, rb"\nclasses 0 1", b"\nclasses 1 0"),
+    (_knn_bytes, rb"\nk 3", b"\nk 0"),
+    (_knn_bytes, rb"\nk 3", b"\nk 33"),
+    (_knn_bytes, rb"\nsamples 32", b"\nsamples -1"),
+    (_knn_bytes, rb"\nsamples 32", b"\nsamples 999999999"),
+    (_knn_bytes, rb"\n0 ", b"\n9 "),
+    (_svm_bytes, rb"nsv=\d+", b"nsv=-1"),
+    (_svm_bytes, rb"machine 0 1 ", b"machine 0 9 "),
+    (_svm_bytes, rb"bias=\S+", b"bias=inf"),
+], ids=["short-mean", "negative-std", "nan-mean", "classes-order", "k-zero",
+        "k-above-n", "negative-samples", "samples-past-end", "label-class",
+        "negative-nsv", "machine-class", "inf-bias"])
+def test_invalid_fields_are_corrupt(make, pattern, new):
+    data = make()
+    mutated = re.sub(pattern, new, data, count=1)
+    assert mutated != data
+    with pytest.raises(CorruptModelError):
+        model_load(mutated)

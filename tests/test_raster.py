@@ -90,6 +90,17 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError):
             decode_image(b"P2 1 1 100 101")
 
+    @pytest.mark.parametrize("sample", [b"-1", b"99999999999999999999"])
+    def test_ascii_sample_outside_range(self, sample):
+        with pytest.raises(MalformedHeaderError):
+            decode_image(b"P2 1 1 100 " + sample)
+
+    def test_bmp_oversized_palette_rejected(self):
+        pixels = np.zeros((2, 2), dtype=np.uint8)
+        palette = [(v % 256,) * 3 for v in range(300)]
+        with pytest.raises(MalformedHeaderError):
+            decode_image(make_bmp(pixels, palette_rgb=palette))
+
     def test_bmp_roundtrip(self):
         rng = np.random.default_rng(3)
         pixels = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
