@@ -249,7 +249,8 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-scale", action="store_true",
                         help="skip z-scoring of features")
     parser.add_argument("--seed", type=int, default=0,
-                        help="random seed (default: 0)")
+                        help="seed of the eval fold or holdout split; "
+                             "training makes no random choice (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", choices=(DARK_INK, LIGHT_INK),
                    default=DARK_INK,
                    help="which side of the threshold is ink (default: dark-ink)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
                    help="worker processes (default: logical CPUs)")
     p.set_defaults(func=cmd_preprocess)
 
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "images in class subdirectories 0..9")
     p.add_argument("in_dir", help="directory with class subdirectories 0..9")
     p.add_argument("out_file", help="feature file to write")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
                    help="worker processes (default: logical CPUs)")
     p.set_defaults(func=cmd_extract)
 
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="images per digit class (default: 100)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default: 0)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
                    help="worker processes (default: logical CPUs)")
     p.set_defaults(func=cmd_synth)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,15 +28,20 @@ _CENTER = (CANVAS - 1) / 2.0
 
 
 def parallel_map(fn, items, jobs: int) -> list:
-    """`[fn(item) for item in items]`, spread over `jobs` worker processes."""
+    """`[fn(item) for item in items]`, spread over worker processes.
+
+    At most `jobs` workers start, and never more than there are items or
+    logical CPUs.
+    """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     # imported here so that commands which never fan out skip loading
     # multiprocessing (about 14 ms of start-up)
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 4))
         return list(pool.map(fn, items, chunksize=chunk))
 
 

@@ -55,6 +55,10 @@ class DimensionMismatchError(RwrlError):
     """Feature dimension disagrees with the model."""
 
 
+class NonFiniteKernelError(RwrlError):
+    """A kernel matrix holds NaN or infinite values."""
+
+
 class EmptyModelError(RwrlError):
     """Nearest-neighbor model holds no samples."""
 

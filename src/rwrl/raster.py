@@ -14,6 +14,7 @@ producing a 64x64 binary digit image.
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
 NORMALIZED_SIZE = 64
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 DARK_INK = "dark-ink"
 LIGHT_INK = "light-ink"
@@ -112,17 +114,16 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         if pixels.max(initial=0) > maxval:
             raise MalformedHeaderError("sample value exceeds declared maxval")
     else:  # P2
-        values = []
-        while len(values) < n:
-            try:
-                tok, pos = _next_token(data, pos)
-            except MalformedHeaderError:
-                raise TruncatedDataError(
-                    f"expected {n} samples, found {len(values)}") from None
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise MalformedHeaderError(f"non-numeric sample {tok!r}") from None
+        # a comment runs to the end of its line and separates tokens
+        body = _COMMENT.sub(b" ", data[pos:])
+        tokens = body.split(None, n)[:n]
+        if len(tokens) < n:
+            raise TruncatedDataError(
+                f"expected {n} samples, found {len(tokens)}")
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:
+            raise MalformedHeaderError("non-numeric sample in raster") from None
         if min(values) < 0 or max(values) > maxval:
             raise MalformedHeaderError("sample value outside 0..maxval")
         pixels = np.array(values, dtype=np.int64)

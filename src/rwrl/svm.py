@@ -8,6 +8,7 @@ dense Gram matrix per binary problem.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,13 +16,14 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
+    NonFiniteKernelError,
     SingleClassError,
 )
 from .features import scale_features
 
-SMO_TOLERANCE = 1e-3      # KKT violation tolerance
-SMO_EPSILON = 1e-3        # minimal useful alpha step
-SMO_STALL_FACTOR = 10     # stop after 10*n examinations without progress
+SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
+SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
+SMO_MAX_ITER_FACTOR = 100   # give up after 100*n iterations
 
 
 @dataclass
@@ -82,118 +84,65 @@ class SvmModel:
         return len(self.mean)
 
 
-class _Smo:
-    """Platt-style SMO on one binary problem with a cached Gram matrix."""
+def _smo(K: np.ndarray, y: np.ndarray, C: float
+         ) -> tuple[np.ndarray, float, bool]:
+    """Solve one binary C-SVC dual; return alpha, bias and convergence.
 
-    def __init__(self, K, y, C, rng, tol=SMO_TOLERANCE, eps=SMO_EPSILON):
-        self.K = K
-        self.y = y.astype(np.float64)
-        self.C = float(C)
-        self.rng = rng
-        self.tol = tol
-        self.eps = eps
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.errors = -self.y.copy()   # f(x) = 0 initially, E = f - y
-        self.stall_limit = SMO_STALL_FACTOR * self.n
-        self.since_progress = 0
+    SMO with second-order working-set selection (Fan, Chen & Lin, JMLR
+    2005, as in LIBSVM). G is the gradient of 1/2 a'Qa - sum(a) with
+    Q = yy'K. Each step moves the pair (i, j) along a_i += y_i t,
+    a_j -= y_j t, which keeps sum(y a) = 0, so G changes by
+    t y (K_i - K_j).
+    """
+    n = len(y)
+    alpha = np.zeros(n)
+    G = -np.ones(n)
+    diag = np.diag(K)
+    converged = False
+    for _ in range(SMO_MAX_ITER_FACTOR * n):
+        score = -y * G
+        up = np.where(y > 0, alpha < C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gap = score[i] - np.min(score, where=low, initial=np.inf)
+        if gap < SMO_TOLERANCE:
+            converged = True
+            break
+        b = score[i] - score
+        a = diag[i] + diag - 2.0 * K[i]
+        a = np.where(a > 0, a, SMO_TAU)
+        j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+        # largest step that keeps both multipliers inside [0, C]
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        G += t * y * (K[i] - K[j])
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        if t == room_i:
+            alpha[i] = C if y[i] > 0 else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if y[j] > 0 else C
 
-    def solve(self) -> tuple[np.ndarray, float]:
-        examine_all = True
-        while self.since_progress < self.stall_limit:
-            if examine_all:
-                candidates = range(self.n)
-            else:
-                candidates = np.flatnonzero(
-                    (self.alpha > 0) & (self.alpha < self.C))
-            changed = 0
-            for i in candidates:
-                changed += self._examine(int(i))
-                if self.since_progress >= self.stall_limit:
-                    break
-            if examine_all:
-                if changed == 0:
-                    break           # full sweep satisfied KKT: converged
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        return self.alpha, self.b
-
-    def _examine(self, i: int) -> int:
-        r = self.errors[i] * self.y[i]
-        if not ((r < -self.tol and self.alpha[i] < self.C)
-                or (r > self.tol and self.alpha[i] > 0)):
-            self.since_progress += 1
-            return 0
-        non_bound = np.flatnonzero((self.alpha > 0) & (self.alpha < self.C))
-        if len(non_bound) > 1:
-            j = int(non_bound[np.argmax(np.abs(self.errors[i]
-                                               - self.errors[non_bound]))])
-            if self._step(i, j):
-                self.since_progress = 0
-                return 1
-        for pool in (non_bound, np.arange(self.n)):
-            if len(pool) == 0:
-                continue
-            start = int(self.rng.integers(len(pool)))
-            for j in np.roll(pool, -start):
-                if self._step(i, int(j)):
-                    self.since_progress = 0
-                    return 1
-        self.since_progress += 1
-        return 0
-
-    def _step(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        K, y, alpha, C = self.K, self.y, self.alpha, self.C
-        ai, aj = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            low, high = max(0.0, aj - ai), min(C, C + aj - ai)
-        else:
-            low, high = max(0.0, ai + aj - C), min(C, ai + aj)
-        if low >= high:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 0:
-            return False    # degenerate curvature; skip the pair
-        aj_new = aj + y[j] * (self.errors[i] - self.errors[j]) / eta
-        aj_new = min(high, max(low, aj_new))
-        if aj_new < 1e-8:
-            aj_new = 0.0
-        elif aj_new > C - 1e-8:
-            aj_new = C
-        if abs(aj_new - aj) < self.eps * (aj_new + aj + self.eps):
-            return False
-        ai_new = ai + y[i] * y[j] * (aj - aj_new)
-        ai_new = min(C, max(0.0, ai_new))
-
-        di = y[i] * (ai_new - ai)
-        dj = y[j] * (aj_new - aj)
-        b1 = self.b - self.errors[i] - di * K[i, i] - dj * K[i, j]
-        b2 = self.b - self.errors[j] - di * K[i, j] - dj * K[j, j]
-        if 0.0 < ai_new < C:
-            b_new = b1
-        elif 0.0 < aj_new < C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        self.errors += di * K[:, i] + dj * K[:, j] + (b_new - self.b)
-        alpha[i], alpha[j] = ai_new, aj_new
-        self.b = b_new
-        return True
-
-
-def _pair_rng(seed: int, a_idx: int, b_idx: int) -> np.random.Generator:
-    # independent, order-free stream per class pair
-    return np.random.default_rng([seed & 0xFFFFFFFF, a_idx, b_idx])
+    # rho as in LIBSVM: the mean of yG over free multipliers, else the
+    # midpoint of the bounds that the multipliers at 0 or C put on it
+    yG = y * G
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        rho = yG[free].mean()
+    else:
+        below = (alpha > 0) == (y > 0)
+        rho = 0.5 * (yG[~below].min() + yG[below].max())
+    return alpha, -float(rho), converged
 
 
 def svm_train(features, labels, params: KernelParams | None = None,
               seed: int = 0, scale: bool = True) -> SvmModel:
-    """Train a one-vs-one SVM; deterministic for a given seed."""
+    """Train a one-vs-one SVM; the result is fully deterministic.
+
+    `seed` has no effect: the solver makes no random choice. It is kept
+    so that callers passing one keep working.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
@@ -224,9 +173,18 @@ def svm_train(features, labels, params: KernelParams | None = None,
             mask = (y == a) | (y == b)
             sub = Xs[mask]
             sub_y = np.where(y[mask] == a, 1.0, -1.0)
-            gram = kernel_matrix(params, sub, sub)
-            smo = _Smo(gram, sub_y, params.C, _pair_rng(seed, a_idx, b_idx))
-            alpha, bias = smo.solve()
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = kernel_matrix(params, sub, sub)
+            if not np.isfinite(gram).all():
+                raise NonFiniteKernelError(
+                    f"kernel matrix of classes {a} and {b} is not finite "
+                    "(the kernel parameters overflow)")
+            alpha, bias, converged = _smo(gram, sub_y, params.C)
+            if not converged:
+                warnings.warn(
+                    f"SMO for classes {a} and {b} stopped at the iteration "
+                    f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
+                    "converging", RuntimeWarning, stacklevel=2)
             sv = alpha > 0
             model.machines.append(BinaryMachine(
                 a, b, sub[sv].copy(), (alpha[sv] * sub_y[sv]).copy(), bias))

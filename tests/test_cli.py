@@ -199,6 +199,9 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["preprocess", "in", "out", "--sigma", "-1"],
     ["preprocess", "in", "out", "--sigma", "inf"],
     ["synth", "out", "--per-class", "0"],
+    ["synth", "out", "--jobs", "0"],
+    ["preprocess", "in", "out", "--jobs", "-2"],
+    ["extract", "in", "out.txt", "--jobs", "0"],
 ], ids=" ".join)
 def test_out_of_range_flag_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -218,7 +221,9 @@ FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"
     ("m.txt", "#rwrl-knn-v1\nk 1\nclasses 0\ndim 2\nmean 0.0\n"
               "std 1.0 1.0\nsamples 1\n0 1.0 2.0\nend\n",
      ["predict", "m.txt", "f.txt", "p.csv"]),
-], ids=["nan-feature", "k-above-n", "non-integer-cell", "short-mean"])
+    ("f.txt", FEATURES, ["train", "f.txt", "m", "--coef0", "1e300"]),
+], ids=["nan-feature", "k-above-n", "non-integer-cell", "short-mean",
+        "kernel-overflow"])
 def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
                                argv):
     monkeypatch.chdir(tmp_path)

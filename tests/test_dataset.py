@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rwrl.contour import extract_contour
 from rwrl.dataset import (
     Manifest,
     glyph_template,
+    parallel_map,
     render_glyph,
     scan_dataset,
     synth_generate,
@@ -73,6 +76,37 @@ class TestSynth:
         parallel = synth_generate(7, 4, tmp_path / "parallel", jobs=2)
         for (p1, _), (p2, _) in zip(serial.entries, parallel.entries):
             assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("jobs, n_items, cpus, workers", [
+        (64, 10, 3, 3),
+        (64, 2, 8, 2),
+        (4, 100, 8, 4),
+        (2, 5, 1, None),
+        (8, 1, 8, None),
+    ])
+    def test_parallel_map_worker_bound(self, monkeypatch, jobs, n_items, cpus,
+                                       workers):
+        import concurrent.futures
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        items = list(range(n_items))
+        assert parallel_map(str, items, jobs) == [str(i) for i in items]
+        assert started == ([] if workers is None else [workers])
 
     def test_classes_pairwise_distinct(self, tmp_path):
         manifest = synth_generate(5, 1, tmp_path)

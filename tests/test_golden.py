@@ -26,7 +26,7 @@ GOLDEN = {
     "features":
         "60ef3e511800e7a3af777dba52fd172bfdcb1510c49c811172069a7475e1a8cd",
     "svm_model":
-        "ad255015e46cebc35fb05aa4439ff115a55c1ad77ee5e268970ee3e464988c24",
+        "84acfb399091832fda9c156f735d6afb0ba43381f691d7746e880063ca0be6e3",
     "svm_predict":
         "f5faf11846431f0dd15813fabf9731ede75425f69e57545acb44a8b1785f15c8",
     "knn_model":
@@ -36,7 +36,7 @@ GOLDEN = {
     "knn_ties":
         "00c0324c26e50edc8d9dee95e0f52dafc5babd2eb9e3eabfeb53fdc72ef57c9d",
     "svm_ties":
-        "2c1ca56d45d92e49e93960157204694cd844791fa07d561a23e159e93ad01104",
+        "6911e7a6add68c63dc23c20f220a83e1c8a85739c603fa82982553278b852190",
 }
 
 

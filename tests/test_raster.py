@@ -62,6 +62,28 @@ class TestDecode:
         img = decode_image(b"P2 # comment\n2 1 # another\n255\n7 9")
         assert img.tolist() == [[7, 9]]
 
+    @pytest.mark.parametrize("data", [
+        b"P2 2 1 255\n7 # comment 8\n9",     # comment inside the raster
+        b"P2 2 1 255\n7#c\n9",               # comment glued to a sample
+        b"P2 2 1 255#c\n7 9",                # comment glued to maxval
+        b"P2 2 1 255\n7\r\n# a\r# b\n\t9",   # CR ends a comment too
+        b"P2 2 1 255\n7 9 11 x # trailing",  # tokens past the raster
+    ])
+    def test_ascii_raster_tokens(self, data):
+        assert decode_image(data).tolist() == [[7, 9]]
+
+    @pytest.mark.parametrize("data", [
+        b"P2 2 1 255\n7 # 9",
+        b"P2 2 1 255\n7#9",
+    ])
+    def test_commented_out_sample_is_missing(self, data):
+        with pytest.raises(TruncatedDataError):
+            decode_image(data)
+
+    def test_non_numeric_ascii_sample(self):
+        with pytest.raises(MalformedHeaderError):
+            decode_image(b"P2 2 1 255\n7 x9")
+
     def test_empty_input(self):
         with pytest.raises(MalformedHeaderError):
             decode_image(b"")

@@ -4,10 +4,12 @@ import pytest
 from rwrl.errors import (
     DimensionMismatchError,
     EmptyDataError,
+    NonFiniteKernelError,
     SingleClassError,
 )
 from rwrl.features import scale_features
 from rwrl.svm import (
+    SMO_TOLERANCE,
     KernelParams,
     kernel_matrix,
     svm_predict,
@@ -80,7 +82,59 @@ class TestTraining:
         params = KernelParams("polynomial")
         a = model_save(svm_train(X, y, params, seed=7))
         b = model_save(svm_train(X, y, params, seed=7))
-        assert a == b
+        c = model_save(svm_train(X, y, params, seed=8))
+        assert a == b == c   # the solver makes no random choice
+
+    @pytest.mark.parametrize("params", [
+        KernelParams("linear", C=0.5),
+        KernelParams("polynomial", C=2.0),
+        KernelParams("rbf", gamma=0.3, C=1.0),
+        KernelParams("rbf", gamma=0.3, C=0.01),   # no multiplier is free
+    ], ids=["linear", "polynomial", "rbf", "rbf-small-C"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_saved_model_satisfies_kkt(self, params, seed):
+        """Every training row meets the C-SVC optimality conditions.
+
+        Only the loaded model and the training data are used: a row's
+        multiplier is |coefficient| of the support vector equal to it, or 0.
+        """
+        from rwrl.model_io import model_load, model_save
+        rng = np.random.default_rng(seed)
+        X = np.vstack([rng.normal(loc=c, size=(15, 4)) for c in (0.0, 1.0, 2.0)])
+        y = np.repeat([0, 1, 2], 15)
+        model = model_load(model_save(svm_train(X, y, params)))
+        Xs = scale_features(X, model.mean, model.std)
+        tol = SMO_TOLERANCE + 1e-9
+        C = model.params.C
+        for machine in model.machines:
+            mask = (y == machine.first) | (y == machine.second)
+            rows = Xs[mask]
+            sign = np.where(y[mask] == machine.first, 1.0, -1.0)
+            matches = (rows[:, None, :] == machine.support_vectors[None]).all(-1)
+            assert (matches.sum(axis=0) == 1).all()
+            alpha = np.abs(matches.astype(float) @ machine.coefficients)
+            margin = sign * machine.decision(model.params, rows)
+            at_zero, at_c = alpha == 0, alpha == C
+            free = ~at_zero & ~at_c
+            assert (margin[at_zero] >= 1 - tol).all()
+            assert (np.abs(margin[free] - 1) <= tol).all()
+            assert (margin[at_c] <= 1 + tol).all()
+
+    def test_iteration_cap_warns_and_keeps_model(self):
+        # a large C on overlapping classes needs more than 100 n SMO steps
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 6))
+        y = np.repeat([0, 1], 20)
+        with pytest.warns(RuntimeWarning, match="classes 0 and 1"):
+            model = svm_train(X, y, KernelParams("linear", C=100.0))
+        assert len(model.machines[0].coefficients) > 0
+        assert (svm_predict_batch(model, X) == y).mean() > 0.5
+
+    def test_non_finite_kernel_rejected(self):
+        X = np.vstack([np.eye(3), -np.eye(3)])
+        y = np.array([0, 0, 1, 1, 2, 2])
+        with pytest.raises(NonFiniteKernelError, match="classes 0 and 1"):
+            svm_train(X, y, KernelParams("polynomial", coef0=1e300))
 
     def test_duplicated_training_set_same_predictions(self):
         rng = np.random.default_rng(5)
