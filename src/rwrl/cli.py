@@ -49,16 +49,17 @@ def _int_from(low: int):
     return integer
 
 
-def _float_from(low: float, inclusive: bool):
-    """argparse type: a finite float above low, or equal to it if inclusive."""
+def _float_from(low: float, inclusive: bool, high: float = math.inf):
+    """argparse type: a finite float in (low, high], or [low, high] if inclusive."""
     def number(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < low or (value == low and not inclusive):
-            sign = ">=" if inclusive else ">"
             raise argparse.ArgumentTypeError(
-                f"must be {sign} {low:g}, got {text}")
+                f"must be {'>=' if inclusive else '>'} {low:g}, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high:g}, got {text}")
         return value
     return number
 
@@ -108,12 +109,10 @@ def cmd_preprocess(args) -> int:
               args.sigma, args.polarity)
              for p in files]
     results = dataset.parallel_map(_preprocess_one, tasks, args.jobs)
-    successes = 0
     for path, ok, message in results:
-        if ok:
-            successes += 1
-        else:
+        if not ok:
             _warn(f"skipped {path}: {message}")
+    successes = sum(ok for _, ok, _ in results)
     print(f"preprocessed {successes}/{len(files)} images -> {args.out_dir}")
     return 0 if successes else 2
 
@@ -264,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalize raw digit scans to 64x64 binary images")
     p.add_argument("in_dir", help="directory of PGM/BMP digit scans")
     p.add_argument("out_dir", help="destination for normalized PGM images")
-    p.add_argument("--sigma", type=_float_from(0, inclusive=True),
+    p.add_argument("--sigma", type=_float_from(0, inclusive=True, high=64),
                    default=1.0,
-                   help="Gaussian smoothing strength (default: 1.0)")
+                   help="Gaussian smoothing in px, 0-64: a wider blur flattens "
+                        "a 64 px digit, at 6 kernel taps per px (default: 1.0)")
     p.add_argument("--polarity", choices=(DARK_INK, LIGHT_INK),
                    default=DARK_INK,
                    help="which side of the threshold is ink (default: dark-ink)")

@@ -4,8 +4,10 @@ The generator renders ten fixed polyline glyph templates (one per digit
 class) onto a 64x64 grayscale canvas, dark ink on white. Each instance is
 perturbed by a seeded affine jitter (rotation within +/-10 degrees, scale
 0.85-1.15, translation within +/-3 px) and drawn with a stroke thickness
-between 2 and 4 px. The per-image random stream is derived from
-(seed, class, index), so generation is reproducible under any scheduling.
+between 2 and 4 px: a pixel is ink when its distance to a stroke segment is
+at most thickness/2, which is tested only inside that segment's bounding box
+(grown by thickness/2). The per-image random stream comes from (seed, class,
+index), so generation is reproducible under any scheduling.
 """
 
 from __future__ import annotations
@@ -130,29 +132,27 @@ def _jitter(strokes: list[np.ndarray], rng: np.random.Generator
     thickness = rng.uniform(2.0, 4.0)
     rot = np.array([[math.cos(angle), -math.sin(angle)],
                     [math.sin(angle), math.cos(angle)]])
-    center = np.array([_CENTER, _CENTER])
-    moved = [(pts - center) @ (scale * rot.T) + center + shift
-             for pts in strokes]
-    return moved, thickness
+    return [(pts - _CENTER) @ (scale * rot.T) + _CENTER + shift
+            for pts in strokes], thickness
 
 
 def render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
     """One jittered 64x64 grayscale instance: ink 0 on background 255."""
     strokes, thickness = _jitter(glyph_template(label), rng)
-    rows, cols = np.mgrid[0:CANVAS, 0:CANVAS].astype(np.float64)
-    grid = np.stack([rows, cols], axis=-1)
     ink = np.zeros((CANVAS, CANVAS), dtype=bool)
     limit = thickness / 2.0
     for pts in strokes:
-        for p0, p1 in zip(pts[:-1], pts[1:]):
+        boxes = np.hstack([np.floor(np.minimum(pts[:-1], pts[1:]) - limit),
+                           np.ceil(np.maximum(pts[:-1], pts[1:]) + limit) + 1])
+        for p0, p1, (r0, c0, r1, c1) in zip(
+                pts[:-1], pts[1:], np.clip(boxes, 0, CANVAS).astype(int).tolist()):
             seg = p1 - p0
             norm2 = float(seg @ seg)
-            rel = grid - p0
+            dr, dc = np.arange(r0, r1)[:, None] - p0[0], np.arange(c0, c1) - p0[1]
             if norm2 > 0:
-                t = np.clip((rel @ seg) / norm2, 0.0, 1.0)
-                rel = rel - t[..., None] * seg
-            dist = np.sqrt((rel * rel).sum(axis=-1))
-            ink |= dist <= limit
+                t = np.clip((dr * seg[0] + dc * seg[1]) / norm2, 0.0, 1.0)
+                dr, dc = dr - t * seg[0], dc - t * seg[1]
+            ink[r0:r1, c0:c1] |= np.sqrt(dr * dr + dc * dc) <= limit
     return np.where(ink, 0, 255).astype(np.uint8)
 
 

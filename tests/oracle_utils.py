@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's vectorized code paths: run lengths
 come from enumerating maximal runs along scan lines, convolution is done
-densely per pixel, and resampling walks destination pixels one by one.
+densely per pixel, resampling walks destination pixels one by one, and
+glyphs are rendered by measuring every segment against the whole canvas.
 """
 
 import math
 
 import numpy as np
 
+from rwrl import dataset
 from rwrl.features import Direction, region_of, region_weight
 
 
@@ -98,3 +100,23 @@ def reference_normalize(bin_img: np.ndarray) -> np.ndarray:
         for c in range(64):
             out[r, c] = square[r * side // 64, c * side // 64]
     return out
+
+
+def full_canvas_render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
+    """`render_glyph` with each segment's distance taken at every pixel."""
+    strokes, thickness = dataset._jitter(dataset.glyph_template(label), rng)
+    rows, cols = np.mgrid[0:dataset.CANVAS, 0:dataset.CANVAS].astype(np.float64)
+    grid = np.stack([rows, cols], axis=-1)
+    ink = np.zeros((dataset.CANVAS, dataset.CANVAS), dtype=bool)
+    limit = thickness / 2.0
+    for pts in strokes:
+        for p0, p1 in zip(pts[:-1], pts[1:]):
+            seg = p1 - p0
+            norm2 = float(seg @ seg)
+            rel = grid - p0
+            if norm2 > 0:
+                t = np.clip((rel @ seg) / norm2, 0.0, 1.0)
+                rel = rel - t[..., None] * seg
+            dist = np.sqrt((rel * rel).sum(axis=-1))
+            ink |= dist <= limit
+    return np.where(ink, 0, 255).astype(np.uint8)

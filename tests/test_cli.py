@@ -198,6 +198,8 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["train", "f.txt", "m.txt", "--degree", "0"],
     ["preprocess", "in", "out", "--sigma", "-1"],
     ["preprocess", "in", "out", "--sigma", "inf"],
+    ["preprocess", "in", "out", "--sigma", "64.5"],
+    ["preprocess", "in", "out", "--sigma", "1e300"],
     ["synth", "out", "--per-class", "0"],
     ["synth", "out", "--jobs", "0"],
     ["preprocess", "in", "out", "--jobs", "-2"],
@@ -208,6 +210,12 @@ def test_out_of_range_flag_exit2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_sigma_upper_bound_is_inclusive():
+    # parsed only: a large sigma is never run through gaussian_smooth
+    args = build_parser().parse_args(["preprocess", "in", "out", "--sigma", "64"])
+    assert args.sigma == 64.0
 
 
 FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from rwrl import dataset
 from rwrl.contour import extract_contour
 from rwrl.dataset import (
     Manifest,
@@ -16,6 +17,8 @@ from rwrl.errors import MissingClassDirError, NoImagesError
 from rwrl.features import extract_features
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.raster import binarize, decode_image, normalize_digit, otsu_threshold
+
+from oracle_utils import full_canvas_render_glyph
 
 
 def pipeline_features(path):
@@ -132,6 +135,36 @@ class TestSynth:
             img = render_glyph(label, np.random.default_rng([1, label, 0]))
             assert img.shape == (64, 64)
             assert (img == 0).any() and (img == 255).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_render_matches_full_canvas_reference(self, seed):
+        for label in range(10):
+            for index in range(0, 600, 12):
+                stream = [seed, label, index]
+                got = render_glyph(label, np.random.default_rng(stream))
+                want = full_canvas_render_glyph(label,
+                                                np.random.default_rng(stream))
+                assert got.tobytes() == want.tobytes(), stream
+
+    @pytest.mark.parametrize("thickness", [2.0, 3.37, 4.0])
+    def test_render_clips_segment_boxes_at_canvas_edge(self, monkeypatch,
+                                                       thickness):
+        strokes = [
+            np.array([[-5.3, 10.2], [20.7, -4.1], [70.2, 30.5]]),  # top, left, bottom
+            np.array([[30.0, 60.4], [35.5, 68.9]]),  # out through the right edge
+            np.array([[12.0, 40.0], [12.0, 40.0]]),  # zero length: a round dot
+            np.array([[-1.0, 63.0], [-1.0, 63.0]]),  # zero length, over a corner
+            np.array([[-30.0, -30.0], [-20.0, -25.0]]),  # off canvas, above left
+            np.array([[90.0, 80.0], [100.0, 95.0]]),  # off canvas, below right
+        ]
+        monkeypatch.setattr(dataset, "_jitter",
+                            lambda _strokes, _rng: (strokes, thickness))
+        got = render_glyph(0, None)
+        assert got.tobytes() == full_canvas_render_glyph(0, None).tobytes()
+        assert got[12, 40] == 0 and got[0, 63] == 0
+        monkeypatch.setattr(dataset, "_jitter",
+                            lambda _strokes, _rng: (strokes[4:], thickness))
+        assert (render_glyph(0, None) == 255).all()
 
     def test_pipeline_survives_all_classes(self, tmp_path):
         manifest = synth_generate(2, 3, tmp_path)
