@@ -27,6 +27,7 @@ from .knn import KnnModel, knn_predict_batch, knn_train
 from .raster import (
     DARK_INK,
     LIGHT_INK,
+    MAX_SIGMA,
     binarize,
     binary_to_gray,
     decode_image,
@@ -198,7 +199,7 @@ def cmd_eval(args) -> int:
     else:
         train_idx, test_idx = evaluate.holdout_split(y, args.holdout, args.seed)
         predicted = fit_predict(X[train_idx], y[train_idx], X[test_idx])
-        classes = sorted(int(c) for c in np.unique(y))
+        classes = sorted(set(y.tolist()))
         cm = evaluate.confusion(y[test_idx], predicted, classes)
     per_class = evaluate.class_metrics(cm)
     overall = evaluate.overall_metrics(cm)
@@ -263,10 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalize raw digit scans to 64x64 binary images")
     p.add_argument("in_dir", help="directory of PGM/BMP digit scans")
     p.add_argument("out_dir", help="destination for normalized PGM images")
-    p.add_argument("--sigma", type=_float_from(0, inclusive=True, high=64),
+    p.add_argument("--sigma", type=_float_from(0, inclusive=True, high=MAX_SIGMA),
                    default=1.0,
-                   help="Gaussian smoothing in px, 0-64: a wider blur flattens "
-                        "a 64 px digit, at 6 kernel taps per px (default: 1.0)")
+                   help=f"Gaussian smoothing in px, 0-{MAX_SIGMA}: a wider blur "
+                        "flattens a 64 px digit, at 6 kernel taps per px "
+                        "(default: 1.0)")
     p.add_argument("--polarity", choices=(DARK_INK, LIGHT_INK),
                    default=DARK_INK,
                    help="which side of the threshold is ink (default: dark-ink)")

@@ -35,7 +35,7 @@ def stratified_kfold(labels, k: int, seed: int = 0) -> list[np.ndarray]:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
         if len(idx) < k:
             raise TooFewSamplesError(
@@ -54,7 +54,7 @@ def holdout_split(labels, train_per_class: int,
         raise ValueError("train_per_class must be >= 0")
     rng = np.random.default_rng(seed)
     train, test = [], []
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
         if len(idx) <= train_per_class:
             raise TooFewSamplesError(
@@ -177,7 +177,7 @@ def cross_validate(features, labels, k: int, seed: int,
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     folds = stratified_kfold(y, k, seed)
-    classes = sorted(int(c) for c in np.unique(y))
+    classes = sorted(set(y.tolist()))
     pooled = ConfusionMatrix(classes, np.zeros((len(classes), len(classes)),
                                                dtype=np.int64))
     fold_acc = []

@@ -9,6 +9,10 @@ of the maximal foreground run through it, clipped at the window border;
 band sums are combined with weights 8/4/2/1 from the center outward.
 
 49 windows x 4 directions gives a 196-dimensional integer feature vector.
+It is computed from one table, built at import from `Direction.step`, of
+the 94 scan lines of a window (16 rows, 16 columns, 31 + 31 diagonals)
+padded with a background pixel: one run-length recurrence covers them all,
+with int8 bits and runs (<= 16), int16 weighted runs (<= 128), int64 sums.
 """
 
 from __future__ import annotations
@@ -119,42 +123,42 @@ def run_length_at(window, pixel: tuple[int, int], direction: Direction) -> int:
     return length
 
 
-def _runs_along_last_axis(bits: np.ndarray) -> np.ndarray:
-    """Per-pixel maximal-run lengths along the last axis (0 on background)."""
-    n = bits.shape[-1]
-    fwd = np.empty(bits.shape, dtype=np.int32)
-    acc = np.zeros(bits.shape[:-1], dtype=np.int32)
-    for j in range(n):
-        acc = (acc + 1) * bits[..., j]
-        fwd[..., j] = acc
-    bwd = np.empty(bits.shape, dtype=np.int32)
-    acc = np.zeros(bits.shape[:-1], dtype=np.int32)
-    for j in range(n - 1, -1, -1):
-        acc = (acc + 1) * bits[..., j]
-        bwd[..., j] = acc
-    return fwd + bwd - bits
+def _scan_lines() -> tuple[np.ndarray, np.ndarray]:
+    """The scan-line table and the first line of each direction in it.
+
+    Pixels with equal dc*r - dr*c form one line of step (dr, dc); row-major
+    order walks it from one end or the other, which leaves runs unchanged.
+    """
+    pad = WINDOW_SIZE * WINDOW_SIZE
+    table, starts = [], []
+    for dr, dc in (direction.step for direction in DIRECTIONS):
+        lines: dict[int, list[int]] = {}
+        for pixel, (r, c) in enumerate(np.ndindex(WINDOW_SIZE, WINDOW_SIZE)):
+            lines.setdefault(dc * r - dr * c, []).append(pixel)
+        starts.append(len(table))
+        table += [line + [pad] * (WINDOW_SIZE - len(line))
+                  for line in lines.values()]
+    return np.array(table), np.array(starts)
 
 
-def _run_length_map(batch: np.ndarray, direction: Direction) -> np.ndarray:
-    """Run-length maps for a (N, H, W) stack of binary windows."""
-    bits = (np.asarray(batch) != 0).astype(np.int32)
-    if direction is Direction.HORIZONTAL:
-        return _runs_along_last_axis(bits)
-    if direction is Direction.VERTICAL:
-        return _runs_along_last_axis(bits.swapaxes(1, 2)).swapaxes(1, 2)
+_LINES, _DIRECTION_STARTS = _scan_lines()
+_LINE_WEIGHTS = np.append(WEIGHT_MAP.ravel(), 0).astype(np.int16)[_LINES.T]
 
-    # Shear so that each diagonal becomes a row, run along it, shear back.
-    n, h, w = bits.shape
-    rows = np.arange(h)[:, None].repeat(w, axis=1)
-    cols = np.arange(w)[None, :].repeat(h, axis=0)
-    if direction is Direction.DIAG_MINUS45:      # step (1, 1): col-row constant
-        diag = cols - rows + h - 1
-    else:                                        # step (-1, 1): row+col constant
-        diag = rows + cols
-    sheared = np.zeros((n, h + w - 1, h), dtype=np.int32)
-    sheared[:, diag, rows] = bits
-    runs = _runs_along_last_axis(sheared)
-    return runs[:, diag, rows]
+
+def _features(windows: np.ndarray) -> np.ndarray:
+    """Weighted run-length sums, (n, 4), of an (n, 16, 16) window stack."""
+    n = len(windows)
+    flat = np.zeros((WINDOW_SIZE * WINDOW_SIZE + 1, n), dtype=np.int8)
+    flat[:-1] = (windows != 0).reshape(n, -1).T
+    bits = flat[_LINES.T]                      # (16 steps, 94 lines, n)
+    runs = -bits
+    for steps in (range(WINDOW_SIZE), range(WINDOW_SIZE - 1, -1, -1)):
+        acc = np.zeros(bits.shape[1:], dtype=np.int8)
+        for j in steps:
+            acc = (acc + 1) * bits[j]
+            runs[j] += acc
+    sums = (runs * _LINE_WEIGHTS[..., None]).sum(axis=0, dtype=np.int64)
+    return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0).T
 
 
 def window_feature(window, direction: Direction) -> int:
@@ -162,8 +166,7 @@ def window_feature(window, direction: Direction) -> int:
     bits = np.asarray(window)
     if bits.shape != (WINDOW_SIZE, WINDOW_SIZE):
         raise WrongDimensionsError(f"expected 16x16 window, got {bits.shape}")
-    runs = _run_length_map(bits[None], direction)[0]
-    return int((runs * WEIGHT_MAP).sum())
+    return int(_features(bits[None])[0, DIRECTIONS.index(direction)])
 
 
 def extract_features(contour_img) -> np.ndarray:
@@ -179,11 +182,7 @@ def extract_features(contour_img) -> np.ndarray:
     windows = sliding_window_view(bits, (WINDOW_SIZE, WINDOW_SIZE))
     windows = windows[::WINDOW_STRIDE, ::WINDOW_STRIDE]
     stack = windows.reshape(NUM_WINDOWS, WINDOW_SIZE, WINDOW_SIZE)
-    features = np.empty((NUM_WINDOWS, len(DIRECTIONS)), dtype=np.int64)
-    for k, direction in enumerate(DIRECTIONS):
-        runs = _run_length_map(stack, direction)
-        features[:, k] = (runs * WEIGHT_MAP).sum(axis=(1, 2))
-    return features.reshape(FEATURE_DIM)
+    return _features(stack).reshape(FEATURE_DIM)
 
 
 def scale_features(values, mean, std) -> np.ndarray:

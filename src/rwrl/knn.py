@@ -46,7 +46,7 @@ def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
         mean, std = X.mean(axis=0), X.std(axis=0)
     else:
         mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
-    classes = sorted(int(c) for c in np.unique(y))
+    classes = sorted(set(y.tolist()))
     return KnnModel(k, classes, mean, std, scale_features(X, mean, std), y)
 
 

@@ -28,9 +28,12 @@ from .errors import (
 )
 
 NORMALIZED_SIZE = 64
+MAX_SIGMA = 64  # px; smoothing time and memory grow with sigma
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
+# whitespace and comments, then one header token
+_HEADER_TOKEN = re.compile(
+    rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
 
 DARK_INK = "dark-ink"
 LIGHT_INK = "light-ink"
@@ -57,33 +60,13 @@ def _as_binary(img) -> np.ndarray:
 # decoding / encoding
 # ---------------------------------------------------------------------------
 
-def _skip_space_and_comments(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        c = data[pos]
-        if c == ord("#"):
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
-
-
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    pos = _skip_space_and_comments(data, pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    if pos == start:
-        raise MalformedHeaderError("unexpected end of header")
-    return data[start:pos], pos
-
-
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, pos = _next_token(data, pos)
+    match = _HEADER_TOKEN.match(data, pos)
+    tok = match.group(1)
+    if not tok:
+        raise MalformedHeaderError("unexpected end of header")
     try:
-        return int(tok), pos
+        return int(tok), match.end()
     except ValueError:
         raise MalformedHeaderError(f"non-numeric {what}: {tok!r}") from None
 
@@ -233,12 +216,12 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 def gaussian_smooth(img, sigma: float) -> np.ndarray:
     """Separable Gaussian blur; the image is reflected at its borders.
 
-    sigma=0 is the identity. Output values are rounded to the nearest
-    integer and stay inside [0, 255].
+    sigma=0 is the identity; sigma must lie in [0, MAX_SIGMA]. Output
+    values are rounded to the nearest integer and stay inside [0, 255].
     """
     arr = _as_gray(img)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma <= MAX_SIGMA:
+        raise ValueError(f"sigma must be in [0, {MAX_SIGMA}], got {sigma}")
     if sigma == 0:
         return arr.copy()
     k = gaussian_kernel(sigma)

@@ -150,7 +150,7 @@ def svm_train(features, labels, params: KernelParams | None = None,
     if len(X) != len(y):
         raise DimensionMismatchError(
             f"{len(X)} feature rows but {len(y)} labels")
-    classes = sorted(int(c) for c in np.unique(y))
+    classes = sorted(set(y.tolist()))
     if len(classes) < 2:
         raise SingleClassError("need at least two distinct labels")
 

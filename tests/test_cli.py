@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rwrl
 from rwrl.cli import build_parser, main
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.raster import encode_pgm
@@ -165,6 +171,29 @@ def test_report_from_confusion_csv(corpus, tmp_path, capsys):
     assert (again / "overall.csv").read_bytes() == \
         (out / "overall.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_commands_do_not_load_numpy_ma(corpus, tmp_path):
+    # np.unique imports numpy.ma on its first call, about 15 ms per process
+    script = """
+import sys
+from rwrl.cli import main
+features, out = sys.argv[1], sys.argv[2]
+for argv in (["train", features, out + "/svm.txt"],
+             ["train", features, out + "/knn.txt", "--classifier", "knn"],
+             ["predict", out + "/svm.txt", features, out + "/pred.csv"],
+             ["eval", features, out + "/holdout", "--holdout", "4"],
+             ["eval", features, out + "/cv", "--cv", "2"],
+             ["report", out + "/holdout/confusion.csv", out + "/again"]):
+    assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+    path = [str(Path(rwrl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", script,
+                             str(corpus / "features.txt"), str(tmp_path)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_parser_documents_flags():

@@ -179,6 +179,20 @@ class TestExtractFeatures:
             for k, d in enumerate(DIRECTIONS):
                 assert out[4 * n + k] == window_feature(patch, d)
 
+    def test_every_window_matches_brute_force(self):
+        rng = np.random.default_rng(109)
+        images = [(rng.random((64, 64)) < p).astype(np.uint8)
+                  for p in (0.05, 0.3, 0.7)]
+        images += [np.ones((64, 64), dtype=np.uint8),
+                    np.eye(64, dtype=np.uint8),
+                    np.fliplr(np.eye(64, dtype=np.uint8))]
+        for img in images:
+            out = extract_features(img)
+            for n, win in enumerate(window_grid()):
+                patch = img[win.row:win.row + 16, win.col:win.col + 16]
+                for k, d in enumerate(DIRECTIONS):
+                    assert out[4 * n + k] == brute_window_feature(patch, d)
+
     def test_translation_permutes_blocks(self):
         rng = np.random.default_rng(107)
         img = np.zeros((64, 64), dtype=np.uint8)

@@ -195,9 +195,11 @@ class TestGaussian:
             assert out.min() >= img.min()
             assert out.max() <= img.max()
 
-    def test_negative_sigma_rejected(self):
+    @pytest.mark.parametrize("sigma", [-1.0, 64.5, 1e300, float("inf"),
+                                       float("nan")])
+    def test_negative_sigma_rejected(self, sigma):
         with pytest.raises(ValueError):
-            gaussian_smooth(np.zeros((3, 3), dtype=np.uint8), -1.0)
+            gaussian_smooth(np.zeros((3, 3), dtype=np.uint8), sigma)
 
 
 class TestOtsu:
