@@ -23,17 +23,12 @@ from .features import (
     DIRECTIONS,
     FEATURE_DIM,
     Direction,
-    Window,
     extract_features,
     read_feature_file,
-    region_of,
-    run_length_at,
     scale_features,
-    window_feature,
-    window_grid,
     write_feature_file,
 )
-from .knn import KnnModel, knn_predict, knn_predict_batch, knn_train
+from .knn import KnnModel, knn_predict_batch, knn_train
 from .model_io import model_load, model_save
 from .raster import (
     binarize,
@@ -48,7 +43,6 @@ from .svm import (
     KernelParams,
     SvmModel,
     kernel_matrix,
-    svm_predict,
     svm_predict_batch,
     svm_train,
 )
@@ -67,7 +61,6 @@ __all__ = [
     "OverallMetrics",
     "RwrlError",
     "SvmModel",
-    "Window",
     "binarize",
     "class_metrics",
     "confusion",
@@ -79,7 +72,6 @@ __all__ = [
     "gaussian_smooth",
     "holdout_split",
     "kernel_matrix",
-    "knn_predict",
     "knn_predict_batch",
     "knn_train",
     "model_load",
@@ -89,17 +81,12 @@ __all__ = [
     "overall_metrics",
     "preprocess_image",
     "read_feature_file",
-    "region_of",
-    "run_length_at",
     "scale_features",
     "scan_dataset",
     "stratified_kfold",
-    "svm_predict",
     "svm_predict_batch",
     "svm_train",
     "synth_generate",
-    "window_feature",
-    "window_grid",
     "write_feature_file",
     "__version__",
 ]

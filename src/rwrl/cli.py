@@ -23,7 +23,7 @@ from .errors import (
     RwrlError,
 )
 from .features import extract_features, read_feature_file, write_feature_file
-from .knn import KnnModel, knn_predict_batch, knn_train
+from .knn import knn_predict_batch, knn_train
 from .raster import (
     DARK_INK,
     LIGHT_INK,
@@ -145,8 +145,7 @@ def _kernel_params(args) -> KernelParams:
 
 def _train_model(args, X, y):
     if args.classifier == "svm":
-        return svm_train(X, y, _kernel_params(args), seed=args.seed,
-                         scale=not args.no_scale)
+        return svm_train(X, y, _kernel_params(args), scale=not args.no_scale)
     return knn_train(X, y, k=args.k, scale=not args.no_scale)
 
 
@@ -161,9 +160,7 @@ def cmd_train(args) -> int:
 def _predict_with(model, X) -> np.ndarray:
     if isinstance(model, SvmModel):
         return svm_predict_batch(model, X)
-    if isinstance(model, KnnModel):
-        return knn_predict_batch(model, X)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return knn_predict_batch(model, X)
 
 
 def cmd_predict(args) -> int:
@@ -248,9 +245,6 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="k-NN neighbor count (default: 3)")
     parser.add_argument("--no-scale", action="store_true",
                         help="skip z-scoring of features")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the eval fold or holdout split; "
-                             "training makes no random choice (default: 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stratified fold count")
     mode.add_argument("--holdout", type=_int_from(0), default=None,
                       help="training samples per class; the rest is tested")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the fold or holdout split (default: 0)")
     _add_classifier_flags(p)
     p.set_defaults(func=cmd_eval)
 

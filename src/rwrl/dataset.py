@@ -56,15 +56,6 @@ class Manifest:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, label in self.entries:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
-    def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.entries], dtype=np.int64)
-
 
 def scan_dataset(root) -> Manifest:
     """Collect images from subdirectories `0`..`9`, sorted by (label, name)."""

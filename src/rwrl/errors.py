@@ -29,16 +29,12 @@ class WrongDimensionsError(RwrlError):
     """Image does not have the required dimensions."""
 
 
-class NotForegroundError(RwrlError):
-    """Queried pixel is background."""
-
-
 class LengthMismatchError(RwrlError):
     """Vector lengths disagree."""
 
 
 class FeatureFileError(RwrlError):
-    """Feature file is missing its header or is otherwise malformed."""
+    """Feature file is malformed, or its values overflow the arithmetic."""
 
 
 # --- classifiers ---
@@ -56,7 +52,7 @@ class DimensionMismatchError(RwrlError):
 
 
 class NonFiniteKernelError(RwrlError):
-    """A kernel matrix holds NaN or infinite values."""
+    """A kernel matrix or SVM decision holds NaN or infinite values."""
 
 
 class EmptyModelError(RwrlError):

@@ -81,11 +81,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.classes != other.classes:
-            raise UnknownLabelError("cannot merge: class lists differ")
-        return ConfusionMatrix(self.classes, self.counts + other.counts)
-
 
 @dataclass
 class ClassMetrics:
@@ -178,8 +173,7 @@ def cross_validate(features, labels, k: int, seed: int,
     y = np.asarray(labels, dtype=np.int64)
     folds = stratified_kfold(y, k, seed)
     classes = sorted(set(y.tolist()))
-    pooled = ConfusionMatrix(classes, np.zeros((len(classes), len(classes)),
-                                               dtype=np.int64))
+    pooled = ConfusionMatrix(classes, np.zeros((len(classes),) * 2, np.int64))
     fold_acc = []
     for held_out in folds:
         train_mask = np.ones(len(y), dtype=bool)
@@ -187,7 +181,7 @@ def cross_validate(features, labels, k: int, seed: int,
         pred = fit_predict(X[train_mask], y[train_mask], X[held_out])
         cm = confusion(y[held_out], pred, classes)
         fold_acc.append(float(np.trace(cm.counts)) / cm.total)
-        pooled = pooled.merged(cm)
+        pooled.counts += cm.counts
     return pooled, fold_acc
 
 
@@ -199,12 +193,8 @@ PER_CLASS_COLUMNS = ("TPR", "FPR", "precision", "recall", "F", "MCC", "AUC")
 OVERALL_COLUMNS = ("accuracy", "kappa", "MAE", "RMSE", "ci95")
 
 
-def _metric_row(m: ClassMetrics) -> list[float]:
-    return [m.tpr, m.fpr, m.precision, m.recall, m.f_measure, m.mcc, m.auc]
-
-
-def _overall_row(o: OverallMetrics) -> list[float]:
-    return [getattr(o, f.name) for f in fields(OverallMetrics)]
+def _row(metrics: ClassMetrics | OverallMetrics) -> list[float]:
+    return [getattr(metrics, f.name) for f in fields(metrics)]
 
 
 def render_report(cm: ConfusionMatrix,
@@ -226,15 +216,14 @@ def render_report(cm: ConfusionMatrix,
         out.write("\nPer-class metrics\n")
         out.write("class "
                   + "".join(f"{c:>11}" for c in PER_CLASS_COLUMNS) + "\n")
-        rows = [_metric_row(per_class[c]) for c in cm.classes
-                if c in per_class]
+        rows = [_row(per_class[c]) for c in cm.classes if c in per_class]
         for cls, row in zip(cm.classes, rows):
             out.write(f"{cls:>5} " + "".join(f"{v:>11.3f}" for v in row) + "\n")
         means = np.mean(rows, axis=0)
         out.write("  avg " + "".join(f"{v:>11.3f}" for v in means) + "\n")
     if overall is not None:
         out.write("\nOverall\n")
-        for name, value in zip(OVERALL_COLUMNS, _overall_row(overall)):
+        for name, value in zip(OVERALL_COLUMNS, _row(overall)):
             out.write(f"{name:>9}  {value:.3f}\n")
     return out.getvalue()
 
@@ -257,12 +246,11 @@ def write_reports(out_dir, cm: ConfusionMatrix,
         writer = csv.writer(fh)
         writer.writerow(("class",) + PER_CLASS_COLUMNS)
         for cls in cm.classes:
-            writer.writerow([cls] + [f"{v:.4f}" for v in
-                                     _metric_row(per_class[cls])])
+            writer.writerow([cls] + [f"{v:.4f}" for v in _row(per_class[cls])])
     with open(paths["overall"], "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(OVERALL_COLUMNS)
-        writer.writerow([f"{v:.4f}" for v in _overall_row(overall)])
+        writer.writerow([f"{v:.4f}" for v in _row(overall)])
     write_confusion_csv(paths["confusion"], cm)
     return {name: str(path) for name, path in paths.items()}
 

@@ -18,17 +18,11 @@ with int8 bits and runs (<= 16), int16 weighted runs (<= 128), int64 sums.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    FeatureFileError,
-    LengthMismatchError,
-    NotForegroundError,
-    WrongDimensionsError,
-)
+from .errors import FeatureFileError, LengthMismatchError, WrongDimensionsError
 from .raster import NORMALIZED_SIZE
 
 WINDOW_SIZE = 16
@@ -56,71 +50,10 @@ class Direction(enum.Enum):
 DIRECTIONS = tuple(Direction)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Top-left corner of one 16x16 mask on the 64x64 image."""
-
-    row: int
-    col: int
-
-
-def window_grid() -> list[Window]:
-    """The 49 window origins (8r, 8c), r,c in 0..6, row-major."""
-    return [Window(WINDOW_STRIDE * r, WINDOW_STRIDE * c)
-            for r in range(GRID_SIDE) for c in range(GRID_SIDE)]
-
-
-def region_of(local_row: int, local_col: int) -> int:
-    """Concentric band (1..4) of a window-local pixel, 1 being the center 4x4."""
-    if not (0 <= local_row < WINDOW_SIZE and 0 <= local_col < WINDOW_SIZE):
-        raise ValueError("coordinates must lie inside the 16x16 window")
-    if 6 <= local_row <= 9 and 6 <= local_col <= 9:
-        return 1
-    if 4 <= local_row <= 11 and 4 <= local_col <= 11:
-        return 2
-    if 2 <= local_row <= 13 and 2 <= local_col <= 13:
-        return 3
-    return 4
-
-
-def region_weight(region: int) -> int:
-    """Band weight 2**(4-i): 8 for the center down to 1 for the outer ring."""
-    if region not in (1, 2, 3, 4):
-        raise ValueError("region must be 1..4")
-    return 2 ** (4 - region)
-
-
-def _weight_map() -> np.ndarray:
-    w = np.empty((WINDOW_SIZE, WINDOW_SIZE), dtype=np.int32)
-    for r in range(WINDOW_SIZE):
-        for c in range(WINDOW_SIZE):
-            w[r, c] = region_weight(region_of(r, c))
-    return w
-
-
-WEIGHT_MAP = _weight_map()
-
-
-def run_length_at(window, pixel: tuple[int, int], direction: Direction) -> int:
-    """Length of the maximal foreground run through a pixel along a direction.
-
-    The run is clipped at the array border; the pixel itself must be
-    foreground.
-    """
-    bits = np.asarray(window)
-    r, c = pixel
-    if not bits[r, c]:
-        raise NotForegroundError(f"pixel {pixel} is background")
-    h, w = bits.shape
-    dr, dc = direction.step
-    length = 1
-    for sign in (1, -1):
-        rr, cc = r + sign * dr, c + sign * dc
-        while 0 <= rr < h and 0 <= cc < w and bits[rr, cc]:
-            length += 1
-            rr += sign * dr
-            cc += sign * dc
-    return length
+# band weight 8/4/2/1 from the central 4x4 outward: each band is two pixels
+# wide, so the weight doubles every two pixels of distance from the border
+_TO_EDGE = np.minimum(np.arange(WINDOW_SIZE), np.arange(WINDOW_SIZE)[::-1])
+WEIGHT_MAP = 2 ** (np.minimum.outer(_TO_EDGE, _TO_EDGE) // 2)
 
 
 def _scan_lines() -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +94,6 @@ def _features(windows: np.ndarray) -> np.ndarray:
     return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0).T
 
 
-def window_feature(window, direction: Direction) -> int:
-    """Weighted run-length sum of one 16x16 window for one direction."""
-    bits = np.asarray(window)
-    if bits.shape != (WINDOW_SIZE, WINDOW_SIZE):
-        raise WrongDimensionsError(f"expected 16x16 window, got {bits.shape}")
-    return int(_features(bits[None])[0, DIRECTIONS.index(direction)])
-
-
 def extract_features(contour_img) -> np.ndarray:
     """The 196-value feature vector of a 64x64 contour image.
 
@@ -199,6 +124,17 @@ def scale_features(values, mean, std) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (v - m) / s
     return np.where(s > 0, out, 0.0)
+
+
+def scaling_stats(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Training mean and std per dimension, or (0, 1) when not scaling."""
+    if not scale:
+        return np.zeros(X.shape[1]), np.ones(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise FeatureFileError("feature values overflow the scaling statistics")
+    return mean, std
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from .errors import (
     DimensionMismatchError,
     EmptyDataError,
     EmptyModelError,
+    FeatureFileError,
     TooFewSamplesError,
 )
-from .features import scale_features
+from .features import scale_features, scaling_stats
 
 CHUNK_BYTES = 1 << 20     # bound on the (rows, n, d) difference temporary
 
@@ -42,24 +43,14 @@ def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
         raise ValueError("k must be >= 1")
     if k > len(X):
         raise TooFewSamplesError(f"k={k} exceeds the {len(X)} training samples")
-    if scale:
-        mean, std = X.mean(axis=0), X.std(axis=0)
-    else:
-        mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
+    mean, std = scaling_stats(X, scale)
     classes = sorted(set(y.tolist()))
     return KnnModel(k, classes, mean, std, scale_features(X, mean, std), y)
 
 
-def knn_predict(model: KnnModel, vector) -> int:
-    """Predicted label for one feature vector; see knn_predict_batch."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatchError("knn_predict expects a single vector")
-    return int(knn_predict_batch(model, v)[0])
-
-
 def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
-    """Majority label among the k nearest neighbors by Euclidean distance.
+    """Majority label among the k nearest neighbors by Euclidean distance,
+    per row of a feature matrix; a single vector is one row.
 
     Vote ties go to the class of the nearest tied neighbor; equal distances
     rank the smaller label first.
@@ -77,7 +68,10 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     out = np.empty(len(X), dtype=np.int64)
     for start in range(0, len(X), step):
         rows = Xs[start:start + step, None, :]
-        dist = np.sqrt(((model.samples - rows) ** 2).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((model.samples - rows) ** 2).sum(axis=-1))
+        if not np.isfinite(dist).all():
+            raise FeatureFileError("feature values overflow the k-NN distance")
         order = np.lexsort((np.broadcast_to(model.labels, dist.shape), dist),
                            axis=-1)
         nearest = class_of[order[:, :model.k]]          # nearest first

@@ -42,15 +42,12 @@ LIGHT_INK = "light-ink"
 def _as_gray(img) -> np.ndarray:
     arr = np.asarray(img)
     if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("grayscale image must be a non-empty 2-D array")
+        raise ValueError("image must be a non-empty 2-D array")
     return arr.astype(np.uint8, copy=False)
 
 
 def _as_binary(img) -> np.ndarray:
-    arr = np.asarray(img)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("binary image must be a non-empty 2-D array")
-    arr = arr.astype(np.uint8, copy=False)
+    arr = _as_gray(img)
     if arr.max(initial=0) > 1:
         raise ValueError("binary image values must be 0 or 1")
     return arr
@@ -65,10 +62,9 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     tok = match.group(1)
     if not tok:
         raise MalformedHeaderError("unexpected end of header")
-    try:
-        return int(tok), match.end()
-    except ValueError:
-        raise MalformedHeaderError(f"non-numeric {what}: {tok!r}") from None
+    if not tok.isdigit():
+        raise MalformedHeaderError(f"non-numeric {what}: {tok!r}")
+    return int(tok), match.end()
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
@@ -103,12 +99,11 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         if len(tokens) < n:
             raise TruncatedDataError(
                 f"expected {n} samples, found {len(tokens)}")
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            raise MalformedHeaderError("non-numeric sample in raster") from None
-        if min(values) < 0 or max(values) > maxval:
-            raise MalformedHeaderError("sample value outside 0..maxval")
+        if not b"".join(tokens).isdigit():
+            raise MalformedHeaderError("non-numeric sample in raster")
+        values = [int(tok) for tok in tokens]
+        if max(values) > maxval:
+            raise MalformedHeaderError("sample value exceeds declared maxval")
         pixels = np.array(values, dtype=np.int64)
     return pixels.astype(np.uint8).reshape(height, width)
 
@@ -183,22 +178,17 @@ def decode_image(data: bytes) -> np.ndarray:
     raise MalformedHeaderError(f"unrecognized magic {magic!r}")
 
 
-def encode_pgm(img, ascii_format: bool = False) -> bytes:
-    """Encode a grayscale image as PGM (binary ``P5`` by default)."""
+def encode_pgm(img) -> bytes:
+    """Encode a grayscale image as binary ``P5`` PGM."""
     arr = _as_gray(img)
     h, w = arr.shape
-    if ascii_format:
-        lines = [f"P2\n{w} {h}\n255\n"]
-        for row in arr:
-            lines.append(" ".join(str(int(v)) for v in row) + "\n")
-        return "".join(lines).encode("ascii")
     return f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
 
 
-def binary_to_gray(bin_img, ink: int = 0, background: int = 255) -> np.ndarray:
-    """Render a binary image as grayscale (ink black on white by default)."""
+def binary_to_gray(bin_img) -> np.ndarray:
+    """Render a binary image as grayscale: ink 0 on background 255."""
     arr = _as_binary(bin_img)
-    return np.where(arr == 1, np.uint8(ink), np.uint8(background))
+    return np.where(arr == 1, np.uint8(0), np.uint8(255))
 
 
 # ---------------------------------------------------------------------------

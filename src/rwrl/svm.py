@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteKernelError,
     SingleClassError,
 )
-from .features import scale_features
+from .features import scale_features, scaling_stats
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
@@ -158,12 +158,7 @@ def svm_train(features, labels, params: KernelParams | None = None,
     if params.gamma is None:
         params = KernelParams(params.kind, params.degree,
                               1.0 / X.shape[1], params.coef0, params.C)
-    if scale:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-    else:
-        mean = np.zeros(X.shape[1])
-        std = np.ones(X.shape[1])
+    mean, std = scaling_stats(X, scale)
     Xs = scale_features(X, mean, std)
 
     model = SvmModel(classes, params, mean, std)
@@ -202,7 +197,12 @@ def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarra
     votes = np.zeros((len(X), len(model.classes)), dtype=np.int64)
     magnitude = np.zeros_like(votes, dtype=np.float64)
     for machine in model.machines:
-        f = machine.decision(model.params, Xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = machine.decision(model.params, Xs)
+        if not np.isfinite(f).all():
+            raise NonFiniteKernelError(
+                f"decision of classes {machine.first} and {machine.second} "
+                "is not finite (the feature values overflow the kernel)")
         win_first = f >= 0
         ka, kb = index[machine.first], index[machine.second]
         votes[win_first, ka] += 1
@@ -213,7 +213,7 @@ def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarra
 
 
 def svm_predict_batch(model: SvmModel, features) -> np.ndarray:
-    """Predicted labels for a feature matrix."""
+    """Predicted labels for a feature matrix; a single vector is one row."""
     votes, magnitude = svm_decision_table(model, np.atleast_2d(
         np.asarray(features, dtype=np.float64)))
     classes = np.array(model.classes, dtype=np.int64)
@@ -222,12 +222,3 @@ def svm_predict_batch(model: SvmModel, features) -> np.ndarray:
                         votes), axis=-1)
     return classes[order[:, -1]]
 
-
-def svm_predict(model: SvmModel, vector) -> tuple[int, dict[int, int]]:
-    """Predicted label and per-class vote counts for one feature vector."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatchError("svm_predict expects a single vector")
-    votes, _ = svm_decision_table(model, v[None, :])
-    counts = {c: int(votes[0, k]) for k, c in enumerate(model.classes)}
-    return int(svm_predict_batch(model, v)[0]), counts

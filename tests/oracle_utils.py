@@ -1,17 +1,89 @@
 """Independent brute-force reference implementations used by the tests.
 
-These deliberately avoid the library's vectorized code paths: run lengths
+These deliberately avoid the library's vectorized code paths: window
+geometry, bands and run lengths are defined per pixel, run lengths also
 come from enumerating maximal runs along scan lines, convolution is done
 densely per pixel, resampling walks destination pixels one by one, and
 glyphs are rendered by measuring every segment against the whole canvas.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from rwrl import dataset
-from rwrl.features import Direction, region_of, region_weight
+from rwrl.features import (
+    DIRECTIONS,
+    GRID_SIDE,
+    WINDOW_SIZE,
+    WINDOW_STRIDE,
+    Direction,
+    extract_features,
+)
+from rwrl.raster import NORMALIZED_SIZE
+
+
+class NotForegroundError(Exception):
+    """Queried pixel is background."""
+
+
+# top-left corner of one 16x16 mask on the 64x64 image
+Window = namedtuple("Window", "row col")
+
+
+def window_grid() -> list[Window]:
+    """The 49 window origins (8r, 8c), r,c in 0..6, row-major."""
+    return [Window(WINDOW_STRIDE * r, WINDOW_STRIDE * c)
+            for r in range(GRID_SIDE) for c in range(GRID_SIDE)]
+
+
+def region_of(local_row: int, local_col: int) -> int:
+    """Concentric band (1..4) of a window-local pixel, 1 being the center 4x4."""
+    if not (0 <= local_row < WINDOW_SIZE and 0 <= local_col < WINDOW_SIZE):
+        raise ValueError("coordinates must lie inside the 16x16 window")
+    if 6 <= local_row <= 9 and 6 <= local_col <= 9:
+        return 1
+    if 4 <= local_row <= 11 and 4 <= local_col <= 11:
+        return 2
+    if 2 <= local_row <= 13 and 2 <= local_col <= 13:
+        return 3
+    return 4
+
+
+def region_weight(region: int) -> int:
+    """Band weight 2**(4-i): 8 for the center down to 1 for the outer ring."""
+    if region not in (1, 2, 3, 4):
+        raise ValueError("region must be 1..4")
+    return 2 ** (4 - region)
+
+
+def run_length_at(window, pixel: tuple[int, int], direction: Direction) -> int:
+    """Length of the maximal foreground run through a foreground pixel along
+    a direction, clipped at the array border."""
+    bits = np.asarray(window)
+    if not bits[pixel]:
+        raise NotForegroundError(f"pixel {pixel} is background")
+    (h, w), (dr, dc) = bits.shape, direction.step
+    length = 1
+    for sign in (1, -1):
+        r, c = pixel[0] + sign * dr, pixel[1] + sign * dc
+        while 0 <= r < h and 0 <= c < w and bits[r, c]:
+            length, r, c = length + 1, r + sign * dr, c + sign * dc
+    return length
+
+
+def window_feature(window, direction: Direction) -> int:
+    """The library's feature of a 16x16 window: the first of a blank 64x64
+    image with the window at its top left (other shapes are rejected)."""
+    image = np.pad(np.asarray(window), (0, NORMALIZED_SIZE - WINDOW_SIZE))
+    return int(extract_features(image)[DIRECTIONS.index(direction)])
+
+
+def encode_pgm_ascii(img: np.ndarray) -> bytes:
+    """An 8-bit grayscale image as ASCII ``P2`` PGM, one raster row per line."""
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in img.tolist())
+    return f"P2\n{img.shape[1]} {img.shape[0]}\n255\n{rows}".encode("ascii")
 
 
 def enumerate_run_lengths(bits: np.ndarray, direction: Direction) -> np.ndarray:

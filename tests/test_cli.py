@@ -36,9 +36,12 @@ def test_help_exits_zero(capsys):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "out", "--bogus"])
-    assert exc.value.code == 2
+    # training makes no random choice, so train takes no --seed
+    for argv in (["synth", "out", "--bogus"],
+                 ["train", "f.txt", "m.txt", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -96,8 +99,7 @@ def test_extract_reparse_matches(corpus, tmp_path):
 def test_train_predict_roundtrip(corpus, tmp_path):
     model = tmp_path / "model.txt"
     out = tmp_path / "pred.csv"
-    assert main(["train", str(corpus / "features.txt"), str(model),
-                 "--seed", "1"]) == 0
+    assert main(["train", str(corpus / "features.txt"), str(model)]) == 0
     assert model.exists()
     assert main(["predict", str(model), str(corpus / "features.txt"),
                  str(out)]) == 0
@@ -119,8 +121,7 @@ def test_train_knn_and_predict(corpus, tmp_path):
 
 def test_predict_dimension_mismatch_exit3(corpus, tmp_path, capsys):
     model = tmp_path / "model.txt"
-    assert main(["train", str(corpus / "features.txt"), str(model),
-                 "--seed", "1"]) == 0
+    assert main(["train", str(corpus / "features.txt"), str(model)]) == 0
     small = tmp_path / "small.txt"
     write_feature_file(small, [0, 1], np.zeros((2, 5)))
     assert main(["predict", str(model), str(small),
@@ -196,6 +197,26 @@ assert "numpy.ma" not in sys.modules
     assert result.returncode == 0, result.stderr
 
 
+def test_runtime_imports_only_numpy():
+    # -S skips site-packages' .pth hooks, so every module loaded is one that
+    # the interpreter or `import rwrl.cli` asked for
+    script = """
+import sys
+import rwrl.cli
+foreign = {name.split(".")[0] for name in sys.modules}
+foreign -= sys.stdlib_module_names | {"__main__", "numpy", "rwrl"}
+assert not foreign, sorted(foreign)
+unresolved = [name for name in rwrl.__all__ if not hasattr(rwrl, name)]
+assert not unresolved, unresolved
+"""
+    path = [str(Path(rwrl.__file__).parents[1]),
+            str(Path(np.__file__).parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_parser_documents_flags():
     parser = build_parser()
     text = parser.format_help()
@@ -259,8 +280,19 @@ FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"
               "std 1.0 1.0\nsamples 1\n0 1.0 2.0\nend\n",
      ["predict", "m.txt", "f.txt", "p.csv"]),
     ("f.txt", FEATURES, ["train", "f.txt", "m", "--coef0", "1e300"]),
+    ("f.txt", "#rwrl-v1,dim=2\n0,1e308,0\n1,-1e308,1\n",
+     ["train", "f.txt", "m", "--classifier", "knn", "--k", "1"]),
+    # whichever row of class 0 is trained on, the other one scales past
+    # 1e307 and the polynomial kernel overflows
+    ("f.txt", "#rwrl-v1,dim=2\n0,0,1e153\n0,1e153,0\n1,1e-154,1e-154\n"
+              "1,1e-154,1e-154\n", ["eval", "f.txt", "out", "--holdout", "1"]),
+    ("f.txt", "#rwrl-v1,dim=2\n0,1e308,0\n0,-1e308,0\n1,1e308,1\n"
+              "1,-1e308,1\n", ["eval", "f.txt", "out", "--holdout", "1",
+                                "--classifier", "knn", "--k", "1",
+                                "--no-scale"]),
 ], ids=["nan-feature", "k-above-n", "non-integer-cell", "short-mean",
-        "kernel-overflow"])
+        "kernel-overflow", "std-overflow", "decision-overflow",
+        "distance-overflow"])
 def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
                                argv):
     monkeypatch.chdir(tmp_path)

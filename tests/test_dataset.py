@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ class TestScan:
                 (d / f"{i}.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
         manifest = scan_dataset(tmp_path)
         assert len(manifest) == 50
-        assert manifest.class_counts() == {c: 5 for c in range(10)}
-        labels = manifest.labels()
+        labels = np.array([label for _, label in manifest.entries])
+        assert Counter(labels.tolist()) == {c: 5 for c in range(10)}
         assert (np.diff(labels) >= 0).all()  # sorted by label
 
     def test_missing_class_dir(self, tmp_path):
@@ -72,7 +73,8 @@ class TestSynth:
     def test_per_class_one(self, tmp_path):
         manifest = synth_generate(0, 1, tmp_path)
         assert len(manifest) == 10
-        assert manifest.class_counts() == {c: 1 for c in range(10)}
+        assert Counter(label for _, label in manifest.entries) == {
+            c: 1 for c in range(10)}
 
     def test_parallel_generation_identical(self, tmp_path):
         serial = synth_generate(7, 4, tmp_path / "serial", jobs=1)

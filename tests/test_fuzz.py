@@ -18,6 +18,7 @@ from rwrl.model_io import model_load, model_save
 from rwrl.raster import decode_image, encode_pgm, preprocess_image
 from rwrl.svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 
+from oracle_utils import encode_pgm_ascii
 from test_raster import make_bmp
 
 CASES = 600
@@ -54,7 +55,7 @@ def image_inputs() -> dict[str, bytes]:
     gray4 = [(v, v, v) for v in (0, 85, 170, 255)]
     return {
         "pgm5": encode_pgm(digit()),
-        "pgm2": encode_pgm(digit(6), ascii_format=True),
+        "pgm2": encode_pgm_ascii(digit(6)),
         "bmp": make_bmp(digit(32)),
         "bmp4": make_bmp(digit() // 85, palette_rgb=gray4),
     }

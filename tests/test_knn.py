@@ -6,7 +6,7 @@ from rwrl.errors import (
     EmptyModelError,
     TooFewSamplesError,
 )
-from rwrl.knn import KnnModel, knn_predict, knn_predict_batch, knn_train
+from rwrl.knn import KnnModel, knn_predict_batch, knn_train
 
 
 def test_k1_returns_exact_match():
@@ -14,7 +14,7 @@ def test_k1_returns_exact_match():
     y = np.array([3, 7, 1])
     model = knn_train(X, y, k=1)
     for row, label in zip(X, y):
-        assert knn_predict(model, row) == label
+        assert knn_predict_batch(model, row)[0] == label
 
 
 def test_majority_beats_single_closer_neighbor():
@@ -22,7 +22,7 @@ def test_majority_beats_single_closer_neighbor():
     X = np.array([[1.0], [-1.0], [0.5]])
     y = np.array([0, 0, 1])
     model = knn_train(X, y, k=3, scale=False)
-    assert knn_predict(model, np.array([0.0])) == 0
+    assert knn_predict_batch(model, np.array([0.0]))[0] == 0
 
 
 def test_vote_tie_goes_to_nearest():
@@ -30,14 +30,14 @@ def test_vote_tie_goes_to_nearest():
     X = np.array([[1.0], [-0.5]])
     y = np.array([0, 1])
     model = knn_train(X, y, k=2, scale=False)
-    assert knn_predict(model, np.array([0.0])) == 1
+    assert knn_predict_batch(model, np.array([0.0]))[0] == 1
 
 
 def test_distance_tie_prefers_smaller_label():
     X = np.array([[1.0], [-1.0]])
     y = np.array([5, 2])
     model = knn_train(X, y, k=1, scale=False)
-    assert knn_predict(model, np.array([0.0])) == 2
+    assert knn_predict_batch(model, np.array([0.0]))[0] == 2
 
 
 def test_k1_training_accuracy_is_perfect():
@@ -52,7 +52,7 @@ def test_empty_model_rejected():
     model = KnnModel(1, [0], np.zeros(2), np.ones(2),
                      np.empty((0, 2)), np.empty(0, dtype=np.int64))
     with pytest.raises(EmptyModelError):
-        knn_predict(model, np.zeros(2))
+        knn_predict_batch(model, np.zeros(2))
 
 
 def test_k_bounds_checked():
@@ -67,7 +67,7 @@ def test_k_bounds_checked():
 def test_dimension_mismatch():
     model = knn_train(np.zeros((3, 2)), np.array([0, 1, 0]), k=1)
     with pytest.raises(DimensionMismatchError):
-        knn_predict(model, np.zeros(3))
+        knn_predict_batch(model, np.zeros(3))
 
 
 def reference_predict(model, vector) -> int:
@@ -90,4 +90,4 @@ def test_batch_matches_per_row_reference(seed):
         model = knn_train(X, y, k=k, scale=False)
         expected = [reference_predict(model, p) for p in probes]
         assert knn_predict_batch(model, probes).tolist() == expected
-        assert knn_predict(model, probes[0]) == expected[0]
+        assert knn_predict_batch(model, probes[0])[0] == expected[0]

@@ -22,6 +22,7 @@ from rwrl.raster import (
 
 from oracle_utils import (
     dense_gaussian_reference,
+    encode_pgm_ascii,
     reference_normalize,
     sweep_otsu_reference,
 )
@@ -81,8 +82,13 @@ class TestDecode:
             decode_image(data)
 
     def test_non_numeric_ascii_sample(self):
-        with pytest.raises(MalformedHeaderError):
-            decode_image(b"P2 2 1 255\n7 x9")
+        # int() accepts a sign or an underscore; PGM integers are ASCII digits
+        for data in (b"P2 2 1 255\n7 x9", b"P2\n2 1\n255\n+3 1_0",
+                     b"P2 2 1 255\n7 +9", b"P2 2 1 255\n7 1_0",
+                     b"P2 0_2 1 255\n7 9", b"P2 2 +1 255\n7 9",
+                     b"P2 2 1 2_55\n7 9", b"P5 +2 1 255\n\x07\x09"):
+            with pytest.raises(MalformedHeaderError):
+                decode_image(data)
 
     def test_empty_input(self):
         with pytest.raises(MalformedHeaderError):
@@ -158,7 +164,7 @@ class TestDecode:
         img = rng.integers(0, 256, size=(9, 6), dtype=np.uint8)
         assert np.array_equal(decode_image(encode_pgm(img)), img)
         assert np.array_equal(
-            decode_image(encode_pgm(img, ascii_format=True)), img)
+            decode_image(encode_pgm_ascii(img)), img)
 
 
 class TestGaussian:

@@ -12,7 +12,7 @@ from rwrl.svm import (
     SMO_TOLERANCE,
     KernelParams,
     kernel_matrix,
-    svm_predict,
+    svm_decision_table,
     svm_predict_batch,
     svm_train,
 )
@@ -157,15 +157,15 @@ class TestPrediction:
     def test_vote_counts_sum(self):
         X, y = ten_class_blobs(seed=8)
         model = svm_train(X, y, KernelParams("polynomial"), seed=0)
-        label, votes = svm_predict(model, X[17])
-        assert sum(votes.values()) == 45
-        assert label == y[17]
+        votes, _ = svm_decision_table(model, X[17:18])
+        assert votes[0].sum() == 45
+        assert svm_predict_batch(model, X[17])[0] == y[17]
 
     def test_dimension_mismatch(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
                           KernelParams("linear"), seed=0)
         with pytest.raises(DimensionMismatchError):
-            svm_predict(model, np.zeros(5))
+            svm_predict_batch(model, np.zeros(5))
 
 
 class TestKernels:
