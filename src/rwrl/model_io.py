@@ -1,8 +1,15 @@
 """Versioned line-oriented text serialization for trained models.
 
-SVM files start with ``#rwrl-svm-v1``, k-NN files with ``#rwrl-knn-v1``.
+SVM files start with ``#rwrl-svm-v2``, k-NN files with ``#rwrl-knn-v1``.
 Floats are written with repr(), which round-trips exactly, so a loaded
 model reproduces bit-identical predictions.
+
+An SVM file stores each distinct support vector once, in a pool of rows
+numbered in order of first appearance (``pool P`` and P rows of ``dim``
+floats); each class-pair machine then lists ``pool-index coefficient``
+rows, as LIBSVM's model shares its support vectors. The machines must be
+exactly the pairs ``svm_train`` builds, in its order. An SVM file of
+another version, such as ``#rwrl-svm-v1``, is a version mismatch.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from .errors import CorruptModelError, VersionMismatchError
 from .knn import KnnModel
 from .svm import BinaryMachine, KernelParams, SvmModel
 
-SVM_VERSION = "#rwrl-svm-v1"
+SVM_VERSION = "#rwrl-svm-v2"
 KNN_VERSION = "#rwrl-knn-v1"
 _END = "end"
 
 
 def _floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, values.tolist()))
 
 
 def _parse_floats(fields, what: str) -> np.ndarray:
@@ -64,12 +71,18 @@ def _svm_lines(model: SvmModel) -> list[str]:
              f"kernel {p.kind} degree={int(p.degree)} gamma={float(p.gamma)!r} "
              f"coef0={float(p.coef0)!r} C={float(p.C)!r}",
              *_header_lines(model)]
+    index: dict[bytes, int] = {}    # pool row bytes -> pool index
+    pool, machines = [], []
     for m in model.machines:
-        lines.append(f"machine {m.first} {m.second} nsv={len(m.coefficients)} "
-                     f"bias={float(m.bias)!r}")
-        lines.extend(repr(float(coef)) + " " + _floats(sv)
-                     for coef, sv in zip(m.coefficients, m.support_vectors))
-    return lines
+        machines.append(f"machine {m.first} {m.second} "
+                        f"nsv={len(m.coefficients)} bias={float(m.bias)!r}")
+        for coef, sv in zip(m.coefficients.tolist(), m.support_vectors):
+            key = sv.tobytes()
+            if key not in index:
+                index[key] = len(pool)
+                pool.append(_floats(sv))
+            machines.append(f"{index[key]} {coef!r}")
+    return lines + [f"pool {len(pool)}", *pool, *machines]
 
 
 def _knn_lines(model: KnnModel) -> list[str]:
@@ -115,6 +128,8 @@ class _Reader:
         if not classes or classes != sorted(set(classes)):
             raise CorruptModelError("class list is empty or not ascending")
         dim = self.integer("dim")
+        if dim < 1:
+            raise CorruptModelError(f"dim {dim} is below 1")
         mean = _parse_floats(self.expect("mean"), "mean")
         std = _parse_floats(self.expect("std"), "std")
         if len(mean) != dim or len(std) != dim:
@@ -123,21 +138,28 @@ class _Reader:
             raise CorruptModelError("negative std")
         return classes, mean, std
 
-    def rows(self, count: int, dim: int) -> tuple[list[str], np.ndarray]:
-        """`count` rows of one leading field followed by `dim` floats."""
+    def rows(self, count: int, dim: int, keyed: bool = True
+             ) -> tuple[list[str], np.ndarray]:
+        """`count` rows of `dim` floats, each after one key field if `keyed`.
+
+        Returns the key fields and the (count, dim) floats.
+        """
         if count < 0:
             raise CorruptModelError(f"negative row count {count}")
         if count > len(self.lines) - self.pos:
             raise CorruptModelError("model file ends prematurely")
-        leading, values = [], np.empty((count, dim))
-        for row in range(count):
-            fields = self.next().split()
-            if len(fields) != dim + 1:
+        width = dim + keyed
+        keys, values = [], []
+        for line in self.lines[self.pos:self.pos + count]:
+            fields = line.split()
+            if len(fields) != width:
                 raise CorruptModelError(
-                    f"row has {len(fields)} fields, expected {dim + 1}")
-            leading.append(fields[0])
-            values[row] = _parse_floats(fields[1:], "row")
-        return leading, values
+                    f"row has {len(fields)} fields, expected {width}")
+            if keyed:
+                keys.append(fields[0])
+            values.extend(fields[keyed:])
+        self.pos += count
+        return keys, _parse_floats(values, "row").reshape(count, dim)
 
     def end(self) -> None:
         if self.next().strip() != _END:
@@ -186,19 +208,23 @@ def _load_svm(reader: _Reader) -> SvmModel:
         raise CorruptModelError(f"bad kernel parameters: {exc}") from None
     classes, mean, std = reader.header()
     model = SvmModel(classes, params, mean, std)
-    for _ in range(len(classes) * (len(classes) - 1) // 2):
-        head = reader.expect("machine")
-        if len(head) != 4:
-            raise CorruptModelError("bad machine record")
-        first, second = _parse_ints(head[:2])
-        if first not in classes or second not in classes:
-            raise CorruptModelError("machine class outside the class list")
-        kv = _parse_kv(head[2:], ("nsv", "bias"))
-        nsv = _parse_ints([kv["nsv"]])[0]
-        bias = float(_parse_floats([kv["bias"]], "bias")[0])
-        coefs, svs = reader.rows(nsv, model.dim)
-        model.machines.append(BinaryMachine(
-            first, second, svs, _parse_floats(coefs, "coefficient"), bias))
+    _, pool = reader.rows(reader.integer("pool"), model.dim, keyed=False)
+    # one machine per class pair, in svm_train's order
+    for i, first in enumerate(classes):
+        for second in classes[i + 1:]:
+            head = reader.expect("machine")
+            if len(head) != 4 or _parse_ints(head[:2]) != [first, second]:
+                raise CorruptModelError(
+                    f"expected the machine of classes {first} and {second}")
+            kv = _parse_kv(head[2:], ("nsv", "bias"))
+            nsv = _parse_ints([kv["nsv"]])[0]
+            bias = float(_parse_floats([kv["bias"]], "bias")[0])
+            keys, coefs = reader.rows(nsv, 1)
+            index = np.array(_parse_ints(keys), dtype=np.int64)
+            if ((index < 0) | (index >= len(pool))).any():
+                raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
+            model.machines.append(BinaryMachine(
+                first, second, pool[index], coefs.ravel(), bias))
     reader.end()
     return model
 

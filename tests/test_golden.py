@@ -26,7 +26,7 @@ GOLDEN = {
     "features":
         "60ef3e511800e7a3af777dba52fd172bfdcb1510c49c811172069a7475e1a8cd",
     "svm_model":
-        "84acfb399091832fda9c156f735d6afb0ba43381f691d7746e880063ca0be6e3",
+        "cad8a97014e8ae669d80bc00f6b668eb69b2fb32c06a8c3899dd5c44217d515f",
     "svm_predict":
         "f5faf11846431f0dd15813fabf9731ede75425f69e57545acb44a8b1785f15c8",
     "knn_model":

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from rwrl.cli import main
 from rwrl.errors import CorruptModelError, VersionMismatchError
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
@@ -58,9 +59,51 @@ def test_missing_end_marker_is_corrupt():
 def test_wrong_version_tag():
     X, y = small_problem()
     data = model_save(svm_train(X, y, KernelParams("linear"), seed=0))
-    bumped = data.replace(b"#rwrl-svm-v1", b"#rwrl-svm-v9", 1)
+    bumped = data.replace(b"#rwrl-svm-v2", b"#rwrl-svm-v9", 1)
     with pytest.raises(VersionMismatchError):
         model_load(bumped)
+
+
+@pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+def test_svm_pool_roundtrip_is_exact(kind):
+    X, y = small_problem(seed=4)
+    model = svm_train(X, y, KernelParams(kind, C=2.0))
+    data = model_save(model)
+    restored = model_load(data)
+    assert len(restored.machines) == len(model.machines)
+    for trained, loaded in zip(model.machines, restored.machines):
+        assert (loaded.first, loaded.second) == (trained.first, trained.second)
+        assert np.array_equal(loaded.support_vectors, trained.support_vectors)
+        assert np.array_equal(loaded.coefficients, trained.coefficients)
+        assert loaded.bias == trained.bias
+    # each support vector is written once, however many machines share it
+    stored = np.vstack([m.support_vectors for m in model.machines])
+    pool = int(re.search(rb"\npool (\d+)\n", data).group(1))
+    assert pool == len(np.unique(stored, axis=0))
+
+
+# the v1 layout: each machine repeats its support vectors after a coefficient
+SVM_V1 = """#rwrl-svm-v1
+kernel linear degree=3 gamma=0.5 coef0=1.0 C=1.0
+classes 0 1
+dim 2
+mean 0.0 0.0
+std 1.0 1.0
+machine 0 1 nsv=2 bias=0.0
+1.0 1.0 0.0
+-1.0 -1.0 0.0
+end
+"""
+
+
+def test_v1_svm_file_is_a_version_mismatch(tmp_path, capsys):
+    with pytest.raises(VersionMismatchError):
+        model_load(SVM_V1.encode("ascii"))
+    (tmp_path / "m.txt").write_text(SVM_V1)
+    (tmp_path / "f.txt").write_text("#rwrl-v1,dim=2\n0,1,2\n1,2,3\n")
+    assert main(["predict", str(tmp_path / "m.txt"), str(tmp_path / "f.txt"),
+                 str(tmp_path / "p.csv")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_garbage_header_is_corrupt():
@@ -88,6 +131,16 @@ def _svm_bytes():
     return model_save(svm_train(X, y, KernelParams("linear"), seed=0))
 
 
+def _knn_dim_one():
+    return (b"#rwrl-knn-v1\nk 1\nclasses 0\ndim 1\nmean 0.0\nstd 1.0\n"
+            b"samples 1\n0 0.0\nend\n")
+
+
+def _pool_size_index(match):
+    """The first pair row's pool index replaced by the pool size."""
+    return match[1] + match[2] + b" "
+
+
 @pytest.mark.parametrize("make, pattern, new", [
     (_knn_bytes, rb"\nmean \S+ ", b"\nmean "),
     (_svm_bytes, rb"\nstd \S+", b"\nstd -1.0"),
@@ -100,10 +153,24 @@ def _svm_bytes():
     (_knn_bytes, rb"\n0 ", b"\n9 "),
     (_svm_bytes, rb"nsv=\d+", b"nsv=-1"),
     (_svm_bytes, rb"machine 0 1 ", b"machine 0 9 "),
+    (_svm_bytes, rb"machine 0 1 ", b"machine 1 1 "),
+    (_svm_bytes, rb"machine 0 1 ", b"machine 2 3 "),
+    (_svm_bytes, rb"machine 0 1 ", b"machine 2 0 "),
     (_svm_bytes, rb"bias=\S+", b"bias=inf"),
+    (_knn_dim_one, rb"dim 1\nmean 0.0\nstd 1.0\nsamples 1\n0 0.0",
+     b"dim 0\nmean\nstd\nsamples 1\n0"),
+    (_svm_bytes, rb"\npool \d+", b"\npool -1"),
+    (_svm_bytes, rb"\npool \d+", b"\npool 999999999"),
+    (_svm_bytes, rb"(\npool \d+\n)\S+ ", rb"\1"),
+    (_svm_bytes, rb"(bias=\S+\n)\d+ ", rb"\g<1>-1 "),
+    (_svm_bytes, rb"(?s)(\npool (\d+)\n.*?bias=\S+\n)\d+ ", _pool_size_index),
+    (_svm_bytes, rb"(bias=\S+\n)\d+ ", rb"\g<1>1.5 "),
 ], ids=["short-mean", "negative-std", "nan-mean", "classes-order", "k-zero",
         "k-above-n", "negative-samples", "samples-past-end", "label-class",
-        "negative-nsv", "machine-class", "inf-bias"])
+        "negative-nsv", "machine-class", "machine-same-class",
+        "machine-duplicate-pair", "machine-reversed", "inf-bias", "dim-zero",
+        "negative-pool", "pool-past-end", "pool-row-width",
+        "pool-index-negative", "pool-index-at-size", "pool-index-non-integer"])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()
     mutated = re.sub(pattern, new, data, count=1)
