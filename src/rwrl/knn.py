@@ -15,7 +15,13 @@ from .errors import (
 )
 from .features import scale_features, scaling_stats
 
-CHUNK_BYTES = 1 << 20     # bound on the (rows, n, d) difference temporary
+# Bound on a chunk's (rows, n) block, and separately on its refine slab.
+CHUNK_BYTES = 1 << 20
+# Bytes per (row, sample) pair of a chunk at its peak: when every pair is a
+# candidate, the ranking holds five 8-byte arrays of them (row, column,
+# distance, label and sort order); the filter's two float64 bounds, its
+# masks and its candidate list take less.
+PAIR_BYTES = 40
 
 
 @dataclass
@@ -53,7 +59,15 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     per row of a feature matrix; a single vector is one row.
 
     Vote ties go to the class of the nearest tied neighbor; equal distances
-    rank the smaller label first.
+    rank the smaller label first, then the earlier sample.
+
+    Exact filter and refine: per chunk of rows one matrix product gives
+    approximate squared distances |q|² + |s|² − 2 q·s (the GEMM form of
+    brute-force k-NN, Garcia, Debreuve & Barlaud, CVPR-W 2008), and a
+    rounding bound keeps every sample that could be among the k nearest or
+    tie with them. Only those candidates get the exact distance
+    ``sqrt(((s - q) ** 2).sum())``, so the labels are the ones a full
+    distance matrix would give.
     """
     if len(model.samples) == 0:
         raise EmptyModelError("model holds no samples")
@@ -64,19 +78,94 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     Xs = scale_features(X, model.mean, model.std)
     classes = np.asarray(model.classes, dtype=np.int64)
     class_of = np.searchsorted(classes, model.labels)
-    step = max(1, CHUNK_BYTES // (8 * max(model.samples.size, 1)))
+    S = model.samples
+    n = len(S)
+    k = min(model.k, n)
+    step = max(1, CHUNK_BYTES // (PAIR_BYTES * n))
     out = np.empty(len(X), dtype=np.int64)
-    for start in range(0, len(X), step):
-        rows = Xs[start:start + step, None, :]
-        with np.errstate(over="ignore"):
-            dist = np.sqrt(((model.samples - rows) ** 2).sum(axis=-1))
-        if not np.isfinite(dist).all():
-            raise FeatureFileError("feature values overflow the k-NN distance")
-        order = np.lexsort((np.broadcast_to(model.labels, dist.shape), dist),
-                           axis=-1)
-        nearest = class_of[order[:, :model.k]]          # nearest first
-        counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)
-        # argmax takes the nearest neighbor among those of a top-voted class
-        first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
-        out[start:start + step] = classes[nearest[np.arange(len(rows)), first]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_norms = np.einsum("ij,ij->i", S, S)
+        for start in range(0, len(X), step):
+            rows = Xs[start:start + step]
+            nearest = class_of[_k_nearest(rows, S, s_norms, model.labels, k)]
+            counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)
+            # argmax takes the nearest neighbor among those of a top-voted class
+            first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
+            out[start:start + step] = classes[nearest[np.arange(len(rows)), first]]
     return out
+
+
+def _k_nearest(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,
+               labels: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) indices of each query row's k nearest samples, nearest
+    first, equal distances by label and then by sample index.
+
+    Each candidate's distance is the reference expression
+    ``sqrt(((S[col] - Q[row]) ** 2).sum(-1))``, bit-identical to a full
+    distance matrix, computed in slabs whose two gathered rows per
+    candidate fill at most CHUNK_BYTES.
+    """
+    n, d = S.shape
+    flat = _candidates(Q, S, s_norms, k)
+    slab = max(1, CHUNK_BYTES // (16 * d))
+    dist = np.empty(len(flat))
+    for start in range(0, len(flat), slab):
+        row, col = np.divmod(flat[start:start + slab], n)
+        diff = S[col]
+        diff -= Q[row]
+        diff **= 2
+        dist[start:start + slab] = np.sqrt(diff.sum(axis=-1))
+    if not np.isfinite(dist).all():
+        raise FeatureFileError("feature values overflow the k-NN distance")
+    row, col = np.divmod(flat, n)
+    del flat, diff
+    order = np.lexsort((col, labels[col], dist, row))
+    per_row = np.bincount(row, minlength=len(Q))    # each at least k
+    return col[order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]]
+
+
+def _candidates(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,
+                k: int) -> np.ndarray:
+    """Flat indices ``row * n + col``, ascending, of every sample that a
+    rounding bound cannot rule out of the k nearest of query row ``row``."""
+    # With u = ε/2 the unit roundoff, N = |q|² + |s|² and η = 2^-1075 the
+    # largest error of an underflowing product, the approximation
+    # A = (−2 q·s + |q|²) + |s|² differs from the exact D = |s − q|² by at
+    # most 2γ_d·N + 4u·N + 4dη: the dot product, whatever its summation
+    # order or FMA use, is off by γ_d·|q|·|s| ≤ γ_d·N/2 plus dη (Higham,
+    # Accuracy and Stability of Numerical Algorithms, §3.1), each norm by
+    # γ_d times itself plus dη, and the two additions by u·2N each. The
+    # reference R = fl(sum((s − q)²)) differs from D by at most
+    # γ_{d+2}·D ≤ 2γ_{d+2}·N plus dη. Forming lower = A − tol and
+    # upper = lower + 2·tol costs 2u·|A| ≤ 4.1u·N more, and a further margin
+    # of 8.1u·N ≥ 4.01u·R makes upper_i < lower_j imply
+    # sqrt(R_i) < sqrt(R_j) after the square roots round, so a ruled-out
+    # sample cannot tie a kept one either. To first order in u that sums to
+    # (4d + 20.2)u·N + 5dη; tol = c·(|q|² + |s|²) + tiny with
+    # c = 2(d + 8)ε = (4d + 32)u and tiny = 16dη = d·2^-1071 covers it with
+    # room for the roundings of tol.
+    #
+    # The bounds hold whenever they are finite, since an overflow anywhere
+    # leaves an inf or NaN in the result. A sample is ruled out only when
+    # its bounds are finite and its lower bound exceeds the k-th smallest
+    # upper bound of its row, a non-finite one counted as +inf: at least k
+    # samples then have a strictly smaller reference distance, also after
+    # the square root rounds. Every other sample, such as one whose
+    # distance overflows, is a candidate.
+    d = S.shape[1]
+    q_norms = np.einsum("ij,ij->i", Q, Q)[:, None]
+    lower = Q @ S.T
+    lower *= -2.0
+    lower += q_norms
+    lower += s_norms
+    upper = np.add(q_norms, s_norms)
+    upper *= 2 * (d + 8) * np.finfo(np.float64).eps
+    upper += d * 2.0 ** -1071
+    lower -= upper
+    upper *= 2.0
+    upper += lower
+    unbounded = ~np.isfinite(upper)
+    upper[unbounded] = np.inf
+    lower[unbounded] = -np.inf
+    upper.partition(k - 1, axis=1)
+    return np.flatnonzero(lower <= upper[:, k - 1:k])

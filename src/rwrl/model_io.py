@@ -14,6 +14,8 @@ another version, such as ``#rwrl-svm-v1``, is a version mismatch.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import CorruptModelError, VersionMismatchError
@@ -23,6 +25,7 @@ from .svm import BinaryMachine, KernelParams, SvmModel
 SVM_VERSION = "#rwrl-svm-v2"
 KNN_VERSION = "#rwrl-knn-v1"
 _END = "end"
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _floats(values) -> str:
@@ -40,10 +43,13 @@ def _parse_floats(fields, what: str) -> np.ndarray:
 
 
 def _parse_ints(fields) -> list[int]:
+    """Decimal integers: ASCII digits after an optional minus sign."""
+    if not all(map(_INTEGER.fullmatch, fields)):
+        raise CorruptModelError("non-integer field")
     try:
         return np.array([int(f) for f in fields], dtype=np.int64).tolist()
-    except (ValueError, OverflowError):
-        raise CorruptModelError("non-integer field") from None
+    except OverflowError:
+        raise CorruptModelError("integer field out of range") from None
 
 
 def model_save(model) -> bytes:
@@ -117,10 +123,9 @@ class _Reader:
     def integer(self, key: str) -> int:
         """The value of a one-integer record such as `dim 196`."""
         fields = self.expect(key)
-        try:
-            return int(fields[0])
-        except (IndexError, ValueError):
-            raise CorruptModelError(f"bad {key} record") from None
+        if len(fields) != 1:
+            raise CorruptModelError(f"bad {key} record")
+        return _parse_ints(fields)[0]
 
     def header(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Class list, mean and std, checked against the declared dim."""
@@ -164,6 +169,8 @@ class _Reader:
     def end(self) -> None:
         if self.next().strip() != _END:
             raise CorruptModelError("missing end marker")
+        if self.pos != len(self.lines):
+            raise CorruptModelError("data after the end marker")
 
 
 def model_load(data: bytes):

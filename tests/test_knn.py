@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rwrl import knn
 from rwrl.errors import (
     DimensionMismatchError,
     EmptyModelError,
+    FeatureFileError,
     TooFewSamplesError,
 )
-from rwrl.knn import KnnModel, knn_predict_batch, knn_train
+from rwrl.knn import CHUNK_BYTES, KnnModel, knn_predict_batch, knn_train
 
 
 def test_k1_returns_exact_match():
@@ -91,3 +95,137 @@ def test_batch_matches_per_row_reference(seed):
         expected = [reference_predict(model, p) for p in probes]
         assert knn_predict_batch(model, probes).tolist() == expected
         assert knn_predict_batch(model, probes[0])[0] == expected[0]
+
+
+def assert_matches_reference(X, y, probes, k):
+    model = knn_train(X, y, k=k, scale=False)
+    expected = [reference_predict(model, p) for p in probes]
+    assert knn_predict_batch(model, probes).tolist() == expected
+
+
+def test_duplicate_samples_match_reference():
+    rng = np.random.default_rng(20)
+    base = rng.normal(size=(6, 5))
+    X = base[rng.integers(0, 6, size=40)]       # each row many times
+    y = rng.integers(0, 4, size=40)             # copies differ in label
+    probes = np.vstack([base, rng.normal(size=(30, 5))])
+    for k in (1, 3, 8, 40):
+        assert_matches_reference(X, y, probes, k)
+
+
+def test_equidistant_samples_on_a_sphere_match_reference():
+    # the axis points +-r e_i all lie at distance r from the probe
+    probe = np.array([3.0, -1.0, 0.5, 2.0])
+    X = probe + 1.5 * np.vstack([np.eye(4), -np.eye(4)])
+    y = np.array([4, 1, 3, 1, 0, 2, 4, 0])
+    for k in range(1, 9):
+        assert_matches_reference(X, y, probe[None, :], k)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_samples_a_few_ulp_apart_match_reference(scale):
+    # distances differ in the last bits only, far below the filter's bound
+    rng = np.random.default_rng(21)
+    probe = rng.normal(size=8) * scale
+    direction = rng.normal(size=8)
+    X = probe + direction * (1 + np.arange(-2, 3)[:, None] * 2.0 ** -52)
+    X = np.vstack([X, probe + (X - probe)[::-1] * (1 + 2.0 ** -52)])
+    y = rng.integers(0, 3, size=len(X))
+    probes = np.vstack([probe, probe + direction * 2.0 ** -51])
+    for k in (1, 2, 5, len(X)):
+        assert_matches_reference(X, y, probes, k)
+
+
+@pytest.mark.parametrize("regime", ["shell", "subnormal"])
+def test_near_ties_where_the_bound_decides_match_reference(regime):
+    # samples on a thin shell around a probe of large norm put the distance
+    # gaps near the rounding error of |q|² + |s|² − 2 q·s; small integers
+    # times 2^-540 or less make the squares underflow
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        d, n = int(rng.integers(1, 30)), int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        if regime == "shell":
+            probes = rng.normal(size=(1, d)) * 10.0 ** rng.integers(2, 6)
+            off = rng.normal(size=(n, d))
+            off /= np.linalg.norm(off, axis=1, keepdims=True)
+            gap = rng.integers(0, 50, size=(n, 1)) * 10.0 ** -rng.integers(6, 14)
+            X = probes + off * (1 + gap)
+        else:
+            unit = 2.0 ** -int(rng.integers(530, 545))
+            X = rng.integers(0, 40, size=(n, d)) * unit
+            probes = rng.integers(0, 40, size=(5, d)) * unit
+        assert_matches_reference(X, rng.integers(0, 3, size=n), probes, k)
+
+
+def test_k_equal_to_n_matches_reference():
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(25, 4))
+    y = rng.integers(0, 5, size=25)
+    assert_matches_reference(X, y, rng.normal(size=(40, 4)), 25)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_feature_shaped_rows_match_reference(seed):
+    # 196 non-negative integer cells around ten class prototypes
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(0, 20, size=(10, 196))
+    y = rng.integers(0, 10, size=150)
+    X = np.maximum(0, centers[y] + rng.integers(-6, 7, size=(150, 196)))
+    probes = np.maximum(0, centers[rng.integers(0, 10, size=120)]
+                        + rng.integers(-6, 7, size=(120, 196)))
+    probes[:20] = X[:20]
+    model = knn_train(X, y, k=3)
+    expected = [reference_predict(model, p) for p in probes]
+    assert knn_predict_batch(model, probes).tolist() == expected
+
+
+def test_chunk_and_slab_boundaries_match_reference(monkeypatch):
+    rng = np.random.default_rng(23)
+    X = rng.integers(0, 3, size=(30, 6)).astype(np.float64)
+    y = rng.integers(0, 4, size=30)
+    probes = rng.integers(0, 3, size=(50, 6))
+    # chunks of 7 rows; refine slabs of 87 candidates, fewer than the
+    # 210 (row, sample) pairs of a chunk, all candidates at k = n
+    monkeypatch.setattr(knn, "CHUNK_BYTES", 7 * knn.PAIR_BYTES * 30)
+    for k in (1, 4, 30):
+        assert_matches_reference(X, y, probes, k)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e153, 1e-160, 1e-310])
+def test_overflow_and_underflow_follow_the_reference(scale):
+    # the error is raised exactly when some reference distance is not finite
+    rng = np.random.default_rng(24)
+    X = rng.integers(0, 30, size=(60, 196)) * scale
+    y = rng.integers(0, 10, size=60)
+    probes = rng.integers(0, 30, size=(40, 196)) * scale
+    probes[:10] = X[:10]
+    model = knn_train(X, y, k=3, scale=False)
+    with np.errstate(over="ignore"):
+        finite = all(np.isfinite(np.sqrt(((X - p) ** 2).sum(axis=1))).all()
+                     for p in probes)
+    assert finite == (scale != 1e153)
+    if not finite:
+        with pytest.raises(FeatureFileError):
+            knn_predict_batch(model, probes)
+    else:
+        expected = [reference_predict(model, p) for p in probes]
+        assert knn_predict_batch(model, probes).tolist() == expected
+
+
+@pytest.mark.parametrize("spread", [20, 0], ids=["distinct", "all-equal"])
+@pytest.mark.parametrize("n", [150, 4000])
+def test_peak_memory_stays_within_two_chunks(n, spread):
+    # all-equal samples make every (row, sample) pair a candidate
+    rng = np.random.default_rng(n)
+    X = rng.integers(0, spread + 1, size=(n, 196)).astype(np.float64)
+    model = knn_train(X, rng.integers(0, 10, size=n), k=3, scale=False)
+    probes = rng.integers(0, 20, size=(250, 196)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        knn_predict_batch(model, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the scaled copy of the probes
+    assert peak - probes.nbytes <= 2 * CHUNK_BYTES

@@ -165,12 +165,20 @@ def _pool_size_index(match):
     (_svm_bytes, rb"(bias=\S+\n)\d+ ", rb"\g<1>-1 "),
     (_svm_bytes, rb"(?s)(\npool (\d+)\n.*?bias=\S+\n)\d+ ", _pool_size_index),
     (_svm_bytes, rb"(bias=\S+\n)\d+ ", rb"\g<1>1.5 "),
+    (_knn_bytes, rb"\nk 3", b"\nk 3 7"),
+    (_knn_bytes, rb"\ndim 6", b"\ndim 6 junk"),
+    (_knn_bytes, rb"\nsamples 32", b"\nsamples +32"),
+    (_knn_bytes, rb"\nsamples 32", b"\nsamples 3_2"),
+    (_knn_bytes, rb"\n0 ", b"\n+0 "),
+    (_knn_bytes, rb"\nend\n\Z", b"\nend\ngarbage\n"),
 ], ids=["short-mean", "negative-std", "nan-mean", "classes-order", "k-zero",
         "k-above-n", "negative-samples", "samples-past-end", "label-class",
         "negative-nsv", "machine-class", "machine-same-class",
         "machine-duplicate-pair", "machine-reversed", "inf-bias", "dim-zero",
         "negative-pool", "pool-past-end", "pool-row-width",
-        "pool-index-negative", "pool-index-at-size", "pool-index-non-integer"])
+        "pool-index-negative", "pool-index-at-size", "pool-index-non-integer",
+        "k-extra-field", "dim-extra-field", "samples-plus-sign",
+        "samples-underscore", "label-plus-sign", "data-after-end"])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()
     mutated = re.sub(pattern, new, data, count=1)
