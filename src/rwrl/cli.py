@@ -101,7 +101,8 @@ def _extract_one(path) -> tuple[bool, np.ndarray | None, str]:
 def cmd_preprocess(args) -> int:
     in_dir = Path(args.in_dir)
     files = sorted(p for p in in_dir.rglob("*")
-                   if p.suffix.lower() in dataset.IMAGE_SUFFIXES)
+                   if p.suffix.lower() in dataset.IMAGE_SUFFIXES
+                   and p.is_file())
     if not files:
         _warn(f"no input images under {in_dir}")
         return 2

@@ -58,7 +58,8 @@ class Manifest:
 
 
 def scan_dataset(root) -> Manifest:
-    """Collect images from subdirectories `0`..`9`, sorted by (label, name)."""
+    """Collect image files from subdirectories `0`..`9`, sorted by (label,
+    name); a directory named like an image is not one."""
     root = Path(root)
     entries: list[tuple[Path, int]] = []
     for label in CLASS_LABELS:
@@ -66,7 +67,7 @@ def scan_dataset(root) -> Manifest:
         if not class_dir.is_dir():
             raise MissingClassDirError(f"missing class directory {class_dir}")
         files = sorted(p for p in class_dir.iterdir()
-                       if p.suffix.lower() in IMAGE_SUFFIXES)
+                       if p.suffix.lower() in IMAGE_SUFFIXES and p.is_file())
         entries.extend((p, label) for p in files)
     if not entries:
         raise NoImagesError(f"no image files under {root}")

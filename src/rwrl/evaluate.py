@@ -22,6 +22,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownLabelError,
 )
+from .features import parse_ints
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +134,11 @@ def class_metrics(cm: ConfusionMatrix) -> dict[int, ClassMetrics]:
         precision = tp / (tp + fp) if tp + fp else 0.0
         f_measure = (2 * precision * tpr / (precision + tpr)
                      if precision + tpr else 0.0)
-        denom = math.sqrt(float((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)))
-        mcc = (float(tp * tn - fp * fn) / denom) if denom else 0.0
+        # in Python ints: the int64 product overflows from about 55000 samples
+        denom = math.sqrt(float(math.prod(
+            int(v) for v in (tp + fp, tp + fn, tn + fp, tn + fn))))
+        mcc = (float(int(tp) * int(tn) - int(fp) * int(fn)) / denom
+               if denom else 0.0)
         auc = (tpr + 1.0 - fpr) / 2.0
         out[cls] = ClassMetrics(tpr, fpr, precision, tpr, f_measure, mcc, auc)
     return out
@@ -146,7 +150,9 @@ def overall_metrics(cm: ConfusionMatrix) -> OverallMetrics:
     if n == 0:
         raise EmptyMatrixError("confusion matrix holds no counts")
     accuracy = float(np.trace(counts)) / n
-    p_e = float(counts.sum(axis=1) @ counts.sum(axis=0)) / (n * n)
+    # in Python ints: n * n overflows int64 from about 3e9 samples
+    rows, cols = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
+    p_e = float(sum(r * c for r, c in zip(rows, cols))) / float(int(n) ** 2)
     kappa = (accuracy - p_e) / (1.0 - p_e) if p_e < 1.0 else 1.0
     # hard one-hot predictions over K classes: an error contributes to
     # exactly two of the K per-class dimensions
@@ -271,19 +277,18 @@ def read_confusion_csv(path) -> ConfusionMatrix:
             raise UnknownLabelError(f"unreadable confusion CSV: {exc}") from None
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
-    try:
-        classes = [int(c) for c in rows[0][1:]]
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        if len(rows) != len(classes) + 1:
-            raise UnknownLabelError("confusion matrix CSV has wrong row count")
-        for k, row in enumerate(rows[1:]):
-            if len(row) != len(classes) + 1 or int(row[0]) != classes[k]:
-                raise UnknownLabelError("confusion matrix CSV rows disagree "
-                                        "with the header")
-            counts[k] = [int(v) for v in row[1:]]
-    except (ValueError, OverflowError):
-        raise UnknownLabelError("confusion matrix CSV holds a non-integer "
-                                "class or count") from None
+    classes = parse_ints(rows[0][1:], UnknownLabelError)
+    if len(rows) != len(classes) + 1:
+        raise UnknownLabelError("confusion matrix CSV has wrong row count")
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for k, row in enumerate(rows[1:]):
+        values = parse_ints(row, UnknownLabelError)
+        if len(values) != len(classes) + 1 or values[0] != classes[k]:
+            raise UnknownLabelError("confusion matrix CSV rows disagree "
+                                    "with the header")
+        counts[k] = values[1:]
     if (counts < 0).any():
         raise UnknownLabelError("confusion matrix CSV holds a negative count")
+    if sum(counts.ravel().tolist()) > np.iinfo(np.int64).max:
+        raise UnknownLabelError("confusion matrix CSV counts sum past int64")
     return ConfusionMatrix(classes, counts)

@@ -18,11 +18,18 @@ with int8 bits and runs (<= 16), int16 weighted runs (<= 128), int64 sums.
 from __future__ import annotations
 
 import enum
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FeatureFileError, LengthMismatchError, WrongDimensionsError
+from .errors import (
+    DimensionMismatchError,
+    EmptyDataError,
+    FeatureFileError,
+    LengthMismatchError,
+    WrongDimensionsError,
+)
 from .raster import NORMALIZED_SIZE
 
 WINDOW_SIZE = 16
@@ -32,6 +39,8 @@ NUM_WINDOWS = GRID_SIDE * GRID_SIDE
 FEATURE_DIM = NUM_WINDOWS * 4
 
 FEATURE_FILE_VERSION = "#rwrl-v1"
+_HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class Direction(enum.Enum):
@@ -122,19 +131,56 @@ def scale_features(values, mean, std) -> np.ndarray:
     if (s < 0).any():
         raise ValueError("std entries must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (v - m) / s
-    return np.where(s > 0, out, 0.0)
+        out = v - m
+        out /= s
+    np.copyto(out, 0.0, where=~(s > 0))
+    return out
 
 
-def scaling_stats(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Training mean and std per dimension, or (0, 1) when not scaling."""
-    if not scale:
-        return np.zeros(X.shape[1]), np.ones(X.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = X.mean(axis=0), X.std(axis=0)
-    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-        raise FeatureFileError("feature values overflow the scaling statistics")
-    return mean, std
+def training_rows(features, labels, scale: bool) -> tuple[
+        np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """A classifier's checked training input: the z-scored rows, the int64
+    labels, the sorted class list, and the training mean and std per
+    dimension, which are (0, 1) when not scaling."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if X.ndim != 2 or len(X) == 0:
+        raise EmptyDataError("training data is empty")
+    if y.shape != (len(X),):
+        raise DimensionMismatchError(f"{len(X)} rows but {y.size} labels")
+    if scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = X.mean(axis=0), X.std(axis=0)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise FeatureFileError(
+                "feature values overflow the scaling statistics")
+    else:
+        mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
+    return (scale_features(X, mean, std), y, sorted(set(y.tolist())),
+            mean, std)
+
+
+def probe_rows(model, features) -> np.ndarray:
+    """Rows to classify, z-scored with the model's training statistics; a
+    single vector is one row."""
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise DimensionMismatchError(
+            f"model expects {model.dim} features, got {X.shape[1:]}")
+    return scale_features(X, model.mean, model.std)
+
+
+def parse_ints(fields, error: type[Exception]) -> list[int]:
+    """Decimal integers that fit int64, the rule of every integer field in
+    feature, model and confusion files: ASCII digits after an optional
+    minus sign, so `+3`, `1_0` or ` 2` raises `error`."""
+    bad = next((f for f in fields if not _INTEGER.fullmatch(f)), None)
+    if bad is not None:
+        raise error(f"non-integer field {bad!r}")
+    try:
+        return np.array([int(f) for f in fields], dtype=np.int64).tolist()
+    except (OverflowError, ValueError):     # ValueError: over 4300 digits
+        raise error("integer field out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +208,11 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a feature file back into (labels, feature matrix)."""
     # non-ASCII bytes decode to U+FFFD, which no numeric field accepts
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(FEATURE_FILE_VERSION):
-            raise FeatureFileError(f"missing {FEATURE_FILE_VERSION} header")
-        try:
-            dim = int(header.split("dim=", 1)[1])
-        except (IndexError, ValueError):
-            raise FeatureFileError("header lacks a dim= declaration") from None
+        header = _HEADER.fullmatch(fh.readline().strip())
+        if header is None:
+            raise FeatureFileError(
+                f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
+        dim = parse_ints([header[1]], FeatureFileError)[0]
         if dim < 1:
             raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
         labels, rows = [], []
@@ -180,10 +224,10 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != dim + 1:
                 raise FeatureFileError(
                     f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")
+            labels.append(parts[0])
             try:
-                labels.append(np.int64(int(parts[0])))
                 rows.append([float(p) for p in parts[1:]])
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise FeatureFileError(f"line {lineno}: non-numeric field") from None
     if not rows:
         return np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=np.float64)
@@ -191,4 +235,4 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(X).all():
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
         raise FeatureFileError(f"sample {bad + 1}: non-finite feature value")
-    return np.array(labels, dtype=np.int64), X
+    return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X

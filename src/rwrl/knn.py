@@ -6,14 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyDataError,
-    EmptyModelError,
-    FeatureFileError,
-    TooFewSamplesError,
-)
-from .features import scale_features, scaling_stats
+from .errors import EmptyModelError, FeatureFileError, TooFewSamplesError
+from .features import probe_rows, training_rows
 
 # Bound on a chunk's (rows, n) block, and separately on its refine slab.
 CHUNK_BYTES = 1 << 20
@@ -39,19 +33,12 @@ class KnnModel:
 
 
 def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or len(X) == 0:
-        raise EmptyDataError("training data is empty")
-    if len(X) != len(y):
-        raise DimensionMismatchError(f"{len(X)} rows but {len(y)} labels")
+    Xs, y, classes, mean, std = training_rows(features, labels, scale)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(X):
-        raise TooFewSamplesError(f"k={k} exceeds the {len(X)} training samples")
-    mean, std = scaling_stats(X, scale)
-    classes = sorted(set(y.tolist()))
-    return KnnModel(k, classes, mean, std, scale_features(X, mean, std), y)
+    if k > len(Xs):
+        raise TooFewSamplesError(f"k={k} exceeds the {len(Xs)} training samples")
+    return KnnModel(k, classes, mean, std, Xs, y)
 
 
 def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
@@ -71,21 +58,17 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     """
     if len(model.samples) == 0:
         raise EmptyModelError("model holds no samples")
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"model expects {model.dim} features, got {X.shape[1:]}")
-    Xs = scale_features(X, model.mean, model.std)
+    Xs = probe_rows(model, features)
     classes = np.asarray(model.classes, dtype=np.int64)
     class_of = np.searchsorted(classes, model.labels)
     S = model.samples
     n = len(S)
     k = min(model.k, n)
     step = max(1, CHUNK_BYTES // (PAIR_BYTES * n))
-    out = np.empty(len(X), dtype=np.int64)
+    out = np.empty(len(Xs), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         s_norms = np.einsum("ij,ij->i", S, S)
-        for start in range(0, len(X), step):
+        for start in range(0, len(Xs), step):
             rows = Xs[start:start + step]
             nearest = class_of[_k_nearest(rows, S, s_norms, model.labels, k)]
             counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)

@@ -14,18 +14,16 @@ another version, such as ``#rwrl-svm-v1``, is a version mismatch.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .errors import CorruptModelError, VersionMismatchError
+from .features import parse_ints
 from .knn import KnnModel
 from .svm import BinaryMachine, KernelParams, SvmModel
 
 SVM_VERSION = "#rwrl-svm-v2"
 KNN_VERSION = "#rwrl-knn-v1"
 _END = "end"
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _floats(values) -> str:
@@ -40,16 +38,6 @@ def _parse_floats(fields, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise CorruptModelError(f"non-finite {what}")
     return values
-
-
-def _parse_ints(fields) -> list[int]:
-    """Decimal integers: ASCII digits after an optional minus sign."""
-    if not all(map(_INTEGER.fullmatch, fields)):
-        raise CorruptModelError("non-integer field")
-    try:
-        return np.array([int(f) for f in fields], dtype=np.int64).tolist()
-    except OverflowError:
-        raise CorruptModelError("integer field out of range") from None
 
 
 def model_save(model) -> bytes:
@@ -125,11 +113,11 @@ class _Reader:
         fields = self.expect(key)
         if len(fields) != 1:
             raise CorruptModelError(f"bad {key} record")
-        return _parse_ints(fields)[0]
+        return parse_ints(fields, CorruptModelError)[0]
 
     def header(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Class list, mean and std, checked against the declared dim."""
-        classes = _parse_ints(self.expect("classes"))
+        classes = parse_ints(self.expect("classes"), CorruptModelError)
         if not classes or classes != sorted(set(classes)):
             raise CorruptModelError("class list is empty or not ascending")
         dim = self.integer("dim")
@@ -206,7 +194,7 @@ def _load_svm(reader: _Reader) -> SvmModel:
     if not fields:
         raise CorruptModelError("kernel record lacks a kind")
     kv = _parse_kv(fields[1:], ("degree", "gamma", "coef0", "C"))
-    degree = _parse_ints([kv["degree"]])[0]
+    degree = parse_ints([kv["degree"]], CorruptModelError)[0]
     gamma, coef0, C = _parse_floats([kv["gamma"], kv["coef0"], kv["C"]],
                                     "kernel parameters")
     try:
@@ -220,14 +208,15 @@ def _load_svm(reader: _Reader) -> SvmModel:
     for i, first in enumerate(classes):
         for second in classes[i + 1:]:
             head = reader.expect("machine")
-            if len(head) != 4 or _parse_ints(head[:2]) != [first, second]:
+            pair = parse_ints(head[:2], CorruptModelError)
+            if len(head) != 4 or pair != [first, second]:
                 raise CorruptModelError(
                     f"expected the machine of classes {first} and {second}")
             kv = _parse_kv(head[2:], ("nsv", "bias"))
-            nsv = _parse_ints([kv["nsv"]])[0]
+            nsv = parse_ints([kv["nsv"]], CorruptModelError)[0]
             bias = float(_parse_floats([kv["bias"]], "bias")[0])
             keys, coefs = reader.rows(nsv, 1)
-            index = np.array(_parse_ints(keys), dtype=np.int64)
+            index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
             if ((index < 0) | (index >= len(pool))).any():
                 raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
             model.machines.append(BinaryMachine(
@@ -240,7 +229,7 @@ def _load_knn(reader: _Reader) -> KnnModel:
     k = reader.integer("k")
     classes, mean, std = reader.header()
     labels, rows = reader.rows(reader.integer("samples"), len(mean))
-    labels = np.array(_parse_ints(labels), dtype=np.int64)
+    labels = np.array(parse_ints(labels, CorruptModelError), dtype=np.int64)
     if not 1 <= k <= len(labels):
         raise CorruptModelError(f"k={k} outside 1..{len(labels)}")
     if not set(labels.tolist()) <= set(classes):

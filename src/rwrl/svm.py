@@ -13,13 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyDataError,
-    NonFiniteKernelError,
-    SingleClassError,
-)
-from .features import scale_features, scaling_stats
+from .errors import NonFiniteKernelError, SingleClassError
+from .features import probe_rows, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
@@ -143,23 +138,14 @@ def svm_train(features, labels, params: KernelParams | None = None,
     `seed` has no effect: the solver makes no random choice. It is kept
     so that callers passing one keep working.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or len(X) == 0:
-        raise EmptyDataError("training data is empty")
-    if len(X) != len(y):
-        raise DimensionMismatchError(
-            f"{len(X)} feature rows but {len(y)} labels")
-    classes = sorted(set(y.tolist()))
+    Xs, y, classes, mean, std = training_rows(features, labels, scale)
     if len(classes) < 2:
         raise SingleClassError("need at least two distinct labels")
 
     params = params or KernelParams()
     if params.gamma is None:
         params = KernelParams(params.kind, params.degree,
-                              1.0 / X.shape[1], params.coef0, params.C)
-    mean, std = scaling_stats(X, scale)
-    Xs = scale_features(X, mean, std)
+                              1.0 / Xs.shape[1], params.coef0, params.C)
 
     model = SvmModel(classes, params, mean, std)
     for a_idx in range(len(classes)):
@@ -187,14 +173,11 @@ def svm_train(features, labels, params: KernelParams | None = None,
 
 
 def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """Votes (n, K) and summed winning decision magnitudes (n, K)."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"model expects {model.dim} features, got {X.shape[1]}")
-    Xs = scale_features(X, model.mean, model.std)
+    """Votes (n, K) and summed winning decision magnitudes (n, K) for a
+    feature matrix; a single vector is one row."""
+    Xs = probe_rows(model, features)
     index = {c: k for k, c in enumerate(model.classes)}
-    votes = np.zeros((len(X), len(model.classes)), dtype=np.int64)
+    votes = np.zeros((len(Xs), len(model.classes)), dtype=np.int64)
     magnitude = np.zeros_like(votes, dtype=np.float64)
     for machine in model.machines:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -214,8 +197,7 @@ def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarra
 
 def svm_predict_batch(model: SvmModel, features) -> np.ndarray:
     """Predicted labels for a feature matrix; a single vector is one row."""
-    votes, magnitude = svm_decision_table(model, np.atleast_2d(
-        np.asarray(features, dtype=np.float64)))
+    votes, magnitude = svm_decision_table(model, features)
     classes = np.array(model.classes, dtype=np.int64)
     # most votes, then largest magnitude, then the smaller label
     order = np.lexsort((np.broadcast_to(-classes, votes.shape), magnitude,

@@ -174,6 +174,28 @@ def test_report_from_confusion_csv(corpus, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_beyond_int64_products(tmp_path, capsys):
+    # the MCC product of these counts overflows int64
+    path = tmp_path / "c.csv"
+    path.write_text("class,0,1\n0,3000000,1000000\n1,1000000,3000000\n")
+    assert main(["report", str(path), str(tmp_path / "out")]) == 0
+    assert "kappa  0.500" in capsys.readouterr().out
+
+
+def test_directories_named_like_images_skipped(tmp_path, capsys):
+    raw, norm = tmp_path / "raw", tmp_path / "norm"
+    assert main(["synth", str(raw), "--per-class", "2", "--seed", "3",
+                 "--jobs", "1"]) == 0
+    (raw / "3" / "zz.pgm").mkdir()
+    assert main(["preprocess", str(raw), str(norm), "--jobs", "1"]) == 0
+    (norm / "4" / "zz.pgm").mkdir()
+    assert main(["extract", str(norm), str(tmp_path / "f.txt"),
+                 "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "preprocessed 20/20 images" in out
+    assert "wrote 20 feature rows" in out
+
+
 def test_commands_do_not_load_numpy_ma(corpus, tmp_path):
     # np.unique imports numpy.ma on its first call, about 15 ms per process
     script = """

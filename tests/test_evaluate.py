@@ -158,6 +158,15 @@ class TestClassMetrics:
             class_metrics(ConfusionMatrix([0, 1], counts))
 
 
+class TestIntegerOverflow:
+    # the MCC product and n * n overflow int64 well below these counts
+    def test_metrics_beyond_int64_products(self):
+        big, small = 3_000_000_000, 1_000_000_000
+        cm = ConfusionMatrix([0, 1], np.array([[big, small], [small, big]]))
+        assert [m.mcc for m in class_metrics(cm).values()] == [0.5, 0.5]
+        assert overall_metrics(cm).kappa == 0.5
+
+
 class TestOverallMetrics:
     def test_reference_values(self):
         overall = overall_metrics(reference_cm())
@@ -267,8 +276,19 @@ class TestReports:
         "class,0,1\n0,1,-2\n1,0,2\n",
         "class,0,1\n\n0,1,0\n",
         "class,0,1\n0,1,0\n1,0," + "9" * 200_000 + "\n",
+        # classes and counts follow the integer rule of model files
+        "class,+0,1\n0,1,0\n1,0,2\n",
+        "class,0,1\n+0,1,0\n1,0,2\n",
+        "class,0,1_1\n0,1,0\n11,0,2\n",
+        "class,0,1\n0,+1,0\n1,0,2\n",
+        "class,0,1\n0,1_0,0\n1,0,2\n",
+        "class,0,1\n0, 1,0\n1,0,2\n",
+        "class,0,1\n0,1,0\n1,0," + "9" * 5000 + "\n",
+        "class,0,1\n0,5000000000000000000,1\n1,1,5000000000000000000\n",
     ], ids=["cell", "class", "fraction", "negative", "blank-row",
-            "oversized-field"])
+            "oversized-field", "plus-class", "plus-row-class",
+            "underscore-class", "plus-count", "underscore-count",
+            "spaced-count", "count-5000-digits", "total-past-int64"])
     def test_malformed_confusion_csv(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rwrl.errors import (
+    DimensionMismatchError,
+    EmptyDataError,
     FeatureFileError,
     LengthMismatchError,
     WrongDimensionsError,
@@ -16,6 +20,13 @@ from rwrl.features import (
     read_feature_file,
     scale_features,
     write_feature_file,
+)
+from rwrl.knn import knn_predict_batch, knn_train
+from rwrl.svm import (
+    KernelParams,
+    svm_decision_table,
+    svm_predict_batch,
+    svm_train,
 )
 
 from oracle_utils import (
@@ -271,10 +282,91 @@ class TestFeatureFile:
         b"#rwrl-v1,dim=2\n0,1,2\n1,2,\xb53\n",
         b"#rwrl-v1,dim=0\n0\n1\n",
         b"#rwrl-v1,dim=-1\n",
+        # the header is exactly `#rwrl-v1,dim=<digits>`, and a label is
+        # ASCII digits after an optional minus sign, as in model files
+        b"#rwrl-v12junk,dim=2\n0,1,2\n",
+        b"#rwrl-v1 junk dim=2\n0,1,2\n",
+        b"#rwrl-v1,dim=+2\n0,1,2\n",
+        b"#rwrl-v1,dim= 2\n0,1,2\n",
+        b"#rwrl-v1,dim=2\n+3,1,2\n",
+        b"#rwrl-v1,dim=2\n1_0,1,2\n",
+        b"#rwrl-v1,dim=2\n 3,1,2\n4 ,1,2\n",
+        b"#rwrl-v1,dim=" + b"9" * 5000 + b"\n0,1\n",
+        b"#rwrl-v1,dim=1\n" + b"9" * 5000 + b",1\n",
     ], ids=["nan", "inf", "-inf", "huge-label", "non-ascii", "dim-0",
-            "dim-negative"])
+            "dim-negative", "version-suffix", "no-comma", "plus-dim",
+            "spaced-dim", "plus-label", "underscore-label", "spaced-label",
+            "dim-5000-digits", "label-5000-digits"])
     def test_bad_contents_rejected(self, tmp_path, data):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
         with pytest.raises(FeatureFileError):
             read_feature_file(path)
+
+    def test_negative_label_loads(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("#rwrl-v1,dim=1\n-3,1\n-0,2\n")
+        labels, _ = read_feature_file(path)
+        assert labels.tolist() == [-3, 0]
+
+
+class TestScaleFeaturesMemory:
+    def test_peak_is_one_result(self):
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 500, size=(1000, FEATURE_DIM)).astype(np.float64)
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        std[::7] = 0.0
+        tracemalloc.start()
+        try:
+            out = scale_features(X, mean, std)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.nbytes
+        assert not out[:, ::7].any()
+
+
+class TestClassifierInput:
+    """SVM and k-NN accept and reject the same training and probe input."""
+
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0], [5.0, 5.0]])
+    y = np.array([0, 0, 1, 1])
+
+    def test_single_vector_is_one_row(self):
+        svm = svm_train(self.X, self.y, KernelParams("linear"))
+        knn = knn_train(self.X, self.y, k=1)
+        votes, magnitude = svm_decision_table(svm, self.X[3])
+        expected = svm_decision_table(svm, self.X[3:])
+        assert np.array_equal(votes, expected[0])
+        assert np.array_equal(magnitude, expected[1])
+        assert svm_predict_batch(svm, self.X[3]).tolist() == [1]
+        assert knn_predict_batch(knn, self.X[3]).tolist() == [1]
+
+    @pytest.mark.parametrize("probe", [
+        np.zeros(3), np.zeros(1), np.zeros((2, 3)), np.zeros((2, 1)),
+        np.zeros((1, 2, 2)),
+    ], ids=["vector-3", "vector-1", "rows-3", "rows-1", "3-d"])
+    def test_wrong_width_rejected(self, probe):
+        svm = svm_train(self.X, self.y, KernelParams("linear"))
+        knn = knn_train(self.X, self.y, k=1)
+        for predict, model in ((svm_decision_table, svm),
+                               (svm_predict_batch, svm),
+                               (knn_predict_batch, knn)):
+            with pytest.raises(DimensionMismatchError):
+                predict(model, probe)
+
+    @pytest.mark.parametrize("X, y, error", [
+        (np.zeros((0, 2)), np.zeros(0, dtype=int), EmptyDataError),
+        (np.zeros(4), np.array([0, 0, 1, 1]), EmptyDataError),
+        (np.zeros((4, 2)), np.array([0, 0, 1]), DimensionMismatchError),
+        (np.zeros((4, 2)), np.array([[0, 0, 1, 1]]), DimensionMismatchError),
+        (np.zeros((4, 2)), np.array(1), DimensionMismatchError),
+        (np.array([[1e308, 0.0], [-1e308, 1.0]] * 2), np.array([0, 1, 0, 1]),
+         FeatureFileError),
+    ], ids=["empty", "one-dimensional", "short-labels", "label-matrix",
+            "scalar-label", "overflowing-statistics"])
+    def test_training_errors_agree(self, X, y, error):
+        with pytest.raises(error):
+            svm_train(X, y)
+        with pytest.raises(error):
+            knn_train(X, y, k=1)

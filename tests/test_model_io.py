@@ -171,6 +171,8 @@ def _pool_size_index(match):
     (_knn_bytes, rb"\nsamples 32", b"\nsamples 3_2"),
     (_knn_bytes, rb"\n0 ", b"\n+0 "),
     (_knn_bytes, rb"\nend\n\Z", b"\nend\ngarbage\n"),
+    # more digits than Python's int() converts
+    (_knn_bytes, rb"\nsamples 32", b"\nsamples " + b"9" * 5000),
 ], ids=["short-mean", "negative-std", "nan-mean", "classes-order", "k-zero",
         "k-above-n", "negative-samples", "samples-past-end", "label-class",
         "negative-nsv", "machine-class", "machine-same-class",
@@ -178,7 +180,8 @@ def _pool_size_index(match):
         "negative-pool", "pool-past-end", "pool-row-width",
         "pool-index-negative", "pool-index-at-size", "pool-index-non-integer",
         "k-extra-field", "dim-extra-field", "samples-plus-sign",
-        "samples-underscore", "label-plus-sign", "data-after-end"])
+        "samples-underscore", "label-plus-sign", "data-after-end",
+        "samples-5000-digits"])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()
     mutated = re.sub(pattern, new, data, count=1)
