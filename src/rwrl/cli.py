@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stratified fold count")
     mode.add_argument("--holdout", type=_int_from(0), default=None,
                       help="training samples per class; the rest is tested")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_from(0), default=0,
                    help="seed of the fold or holdout split (default: 0)")
     _add_classifier_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", help="directory for class subdirectories 0..9")
     p.add_argument("--per-class", type=_int_from(1), default=100,
                    help="images per digit class (default: 100)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_from(0), default=0,
                    help="random seed (default: 0)")
     p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
                    help="worker processes (default: logical CPUs)")

@@ -278,6 +278,8 @@ def read_confusion_csv(path) -> ConfusionMatrix:
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
     classes = parse_ints(rows[0][1:], UnknownLabelError)
+    if len(set(classes)) != len(classes):
+        raise UnknownLabelError("confusion matrix CSV repeats a class")
     if len(rows) != len(classes) + 1:
         raise UnknownLabelError("confusion matrix CSV has wrong row count")
     counts = np.zeros((len(classes), len(classes)), dtype=np.int64)

@@ -41,6 +41,7 @@ FEATURE_DIM = NUM_WINDOWS * 4
 FEATURE_FILE_VERSION = "#rwrl-v1"
 _HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
 _INTEGER = re.compile("-?[0-9]+")
+_FLOAT_BYTES = b"0123456789.e+-"
 
 
 class Direction(enum.Enum):
@@ -183,6 +184,41 @@ def parse_ints(fields, error: type[Exception]) -> list[int]:
         raise error("integer field out of range") from None
 
 
+def parse_floats(fields, error: type[Exception]) -> np.ndarray:
+    """Finite floats, the rule of every float field in feature and model
+    files: what `float()` reads from the bytes `0-9 . e + -` alone, so `+3`,
+    `.5` and `1e5` load while `1_0`, ` 2`, `1E5`, `inf` or `0x1p3` raises
+    `error`. `_fmt` and `repr` of a finite float write nothing else."""
+    # one byte-set test per line: a regex per field costs 20x more
+    text = "".join(fields).encode("ascii", "replace")
+    if text.translate(None, _FLOAT_BYTES):
+        raise error("field outside the float rule [-+.e0-9]")
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        raise error("non-numeric field") from None
+    if not np.isfinite(values).all():
+        raise error("non-finite value")
+    return values
+
+
+def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
+               keyed: bool = True) -> tuple[list[str], np.ndarray]:
+    """The key field and `dim` floats of each line split at `sep` (None:
+    whitespace), or the floats alone unless `keyed`. Returns the keys and
+    a (lines, dim) array, converted line by line: nothing sized by `dim`
+    is allocated before a line of that width is read."""
+    keys, rows = [], []
+    for n, line in enumerate(lines, start=1):
+        fields = line.split(sep)
+        if len(fields) != dim + keyed:
+            raise error(f"row {n} has {len(fields)} fields, "
+                        f"expected {dim + keyed}")
+        keys += fields[:keyed]
+        rows.append(parse_floats(fields[keyed:], error))
+    return keys, np.array(rows) if rows else np.empty((0, dim))
+
+
 # ---------------------------------------------------------------------------
 # feature files: one `label,f1,...,fN` line per sample
 # ---------------------------------------------------------------------------
@@ -215,24 +251,6 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
         dim = parse_ints([header[1]], FeatureFileError)[0]
         if dim < 1:
             raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
-        labels, rows = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise FeatureFileError(
-                    f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")
-            labels.append(parts[0])
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise FeatureFileError(f"line {lineno}: non-numeric field") from None
-    if not rows:
-        return np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=np.float64)
-    X = np.array(rows, dtype=np.float64)
-    if not np.isfinite(X).all():
-        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])
-        raise FeatureFileError(f"sample {bad + 1}: non-finite feature value")
+        labels, X = parse_rows((s for s in map(str.strip, fh) if s), dim,
+                               ",", FeatureFileError)
     return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X

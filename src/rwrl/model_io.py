@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CorruptModelError, VersionMismatchError
-from .features import parse_ints
+from .features import parse_floats, parse_ints, parse_rows
 from .knn import KnnModel
 from .svm import BinaryMachine, KernelParams, SvmModel
 
@@ -28,16 +28,6 @@ _END = "end"
 
 def _floats(values) -> str:
     return " ".join(map(repr, values.tolist()))
-
-
-def _parse_floats(fields, what: str) -> np.ndarray:
-    try:
-        values = np.array([float(f) for f in fields], dtype=np.float64)
-    except ValueError:
-        raise CorruptModelError(f"non-numeric {what}") from None
-    if not np.isfinite(values).all():
-        raise CorruptModelError(f"non-finite {what}")
-    return values
 
 
 def model_save(model) -> bytes:
@@ -123,8 +113,8 @@ class _Reader:
         dim = self.integer("dim")
         if dim < 1:
             raise CorruptModelError(f"dim {dim} is below 1")
-        mean = _parse_floats(self.expect("mean"), "mean")
-        std = _parse_floats(self.expect("std"), "std")
+        mean = parse_floats(self.expect("mean"), CorruptModelError)
+        std = parse_floats(self.expect("std"), CorruptModelError)
         if len(mean) != dim or len(std) != dim:
             raise CorruptModelError("scaling statistics disagree with dim")
         if (std < 0).any():
@@ -133,26 +123,15 @@ class _Reader:
 
     def rows(self, count: int, dim: int, keyed: bool = True
              ) -> tuple[list[str], np.ndarray]:
-        """`count` rows of `dim` floats, each after one key field if `keyed`.
-
-        Returns the key fields and the (count, dim) floats.
-        """
+        """`count` rows of `dim` floats, each after one key field if `keyed`:
+        the key fields and a (count, dim) array."""
         if count < 0:
             raise CorruptModelError(f"negative row count {count}")
         if count > len(self.lines) - self.pos:
             raise CorruptModelError("model file ends prematurely")
-        width = dim + keyed
-        keys, values = [], []
-        for line in self.lines[self.pos:self.pos + count]:
-            fields = line.split()
-            if len(fields) != width:
-                raise CorruptModelError(
-                    f"row has {len(fields)} fields, expected {width}")
-            if keyed:
-                keys.append(fields[0])
-            values.extend(fields[keyed:])
         self.pos += count
-        return keys, _parse_floats(values, "row").reshape(count, dim)
+        return parse_rows(self.lines[self.pos - count:self.pos], dim, None,
+                          CorruptModelError, keyed)
 
     def end(self) -> None:
         if self.next().strip() != _END:
@@ -195,8 +174,8 @@ def _load_svm(reader: _Reader) -> SvmModel:
         raise CorruptModelError("kernel record lacks a kind")
     kv = _parse_kv(fields[1:], ("degree", "gamma", "coef0", "C"))
     degree = parse_ints([kv["degree"]], CorruptModelError)[0]
-    gamma, coef0, C = _parse_floats([kv["gamma"], kv["coef0"], kv["C"]],
-                                    "kernel parameters")
+    gamma, coef0, C = parse_floats([kv["gamma"], kv["coef0"], kv["C"]],
+                                   CorruptModelError)
     try:
         params = KernelParams(fields[0], degree, gamma, coef0, C)
     except ValueError as exc:
@@ -214,7 +193,7 @@ def _load_svm(reader: _Reader) -> SvmModel:
                     f"expected the machine of classes {first} and {second}")
             kv = _parse_kv(head[2:], ("nsv", "bias"))
             nsv = parse_ints([kv["nsv"]], CorruptModelError)[0]
-            bias = float(_parse_floats([kv["bias"]], "bias")[0])
+            bias = parse_floats([kv["bias"]], CorruptModelError).item()
             keys, coefs = reader.rows(nsv, 1)
             index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
             if ((index < 0) | (index >= len(pool))).any():

@@ -276,6 +276,10 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["synth", "out", "--jobs", "0"],
     ["preprocess", "in", "out", "--jobs", "-2"],
     ["extract", "in", "out.txt", "--jobs", "0"],
+    # numpy's default_rng refuses a negative seed
+    ["eval", "f.txt", "out", "--holdout", "1", "--seed", "-1"],
+    ["eval", "f.txt", "out", "--cv", "2", "--seed", "-1"],
+    ["synth", "out", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_range_flag_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -312,9 +316,10 @@ FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"
               "1,-1e308,1\n", ["eval", "f.txt", "out", "--holdout", "1",
                                 "--classifier", "knn", "--k", "1",
                                 "--no-scale"]),
+    ("f.txt", "#rwrl-v1,dim=2\n0,1_0,2\n1,2,3\n", ["train", "f.txt", "m"]),
 ], ids=["nan-feature", "k-above-n", "non-integer-cell", "short-mean",
         "kernel-overflow", "std-overflow", "decision-overflow",
-        "distance-overflow"])
+        "distance-overflow", "underscore-feature"])
 def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
                                argv):
     monkeypatch.chdir(tmp_path)

@@ -285,10 +285,12 @@ class TestReports:
         "class,0,1\n0, 1,0\n1,0,2\n",
         "class,0,1\n0,1,0\n1,0," + "9" * 5000 + "\n",
         "class,0,1\n0,5000000000000000000,1\n1,1,5000000000000000000\n",
+        "class,0,0\n0,1,2\n0,3,4\n",
     ], ids=["cell", "class", "fraction", "negative", "blank-row",
             "oversized-field", "plus-class", "plus-row-class",
             "underscore-class", "plus-count", "underscore-count",
-            "spaced-count", "count-5000-digits", "total-past-int64"])
+            "spaced-count", "count-5000-digits", "total-past-int64",
+            "repeated-class"])
     def test_malformed_confusion_csv(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -293,15 +293,36 @@ class TestFeatureFile:
         b"#rwrl-v1,dim=2\n 3,1,2\n4 ,1,2\n",
         b"#rwrl-v1,dim=" + b"9" * 5000 + b"\n0,1\n",
         b"#rwrl-v1,dim=1\n" + b"9" * 5000 + b",1\n",
+        # a value is what float() reads from the bytes 0-9 . e + - alone
+        b"#rwrl-v1,dim=2\n0,1_0,2\n",
+        b"#rwrl-v1,dim=2\n0,1, 2\n",
+        b"#rwrl-v1,dim=2\n0,1E5,2\n",
+        b"#rwrl-v1,dim=2\n0,1,Infinity\n",
+        b"#rwrl-v1,dim=2\n0,-nan,2\n",
+        b"#rwrl-v1,dim=2\n0,0x1p3,2\n",
+        b"#rwrl-v1,dim=2\n0,1e999,2\n",
+        b"#rwrl-v1,dim=2\n0,1,\xd9\xa1\n",
+        # a short row is found before anything of `dim` values is allocated
+        b"#rwrl-v1,dim=1000000000000\n0,1\n",
     ], ids=["nan", "inf", "-inf", "huge-label", "non-ascii", "dim-0",
             "dim-negative", "version-suffix", "no-comma", "plus-dim",
             "spaced-dim", "plus-label", "underscore-label", "spaced-label",
-            "dim-5000-digits", "label-5000-digits"])
+            "dim-5000-digits", "label-5000-digits", "underscore-value",
+            "spaced-value", "upper-exponent", "infinity", "minus-nan",
+            "hex-float", "overflow-to-inf", "arabic-indic-digit",
+            "dim-10^12-short-row"])
     def test_bad_contents_rejected(self, tmp_path, data):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
         with pytest.raises(FeatureFileError):
             read_feature_file(path)
+
+    def test_float_spellings_load_as_float_reads_them(self, tmp_path):
+        path = tmp_path / "spellings.txt"
+        path.write_text("#rwrl-v1,dim=4\n0,+3,.5,5.,1e5\n1,-0,-.5e-3,1e+2,7\n")
+        _, X = read_feature_file(path)
+        assert X.tolist() == [[3.0, 0.5, 5.0, 1e5], [-0.0, -5e-4, 100.0, 7.0]]
+        assert np.signbit(X[1, 0])
 
     def test_negative_label_loads(self, tmp_path):
         path = tmp_path / "neg.txt"
@@ -324,6 +345,22 @@ class TestScaleFeaturesMemory:
             tracemalloc.stop()
         assert peak <= 1.2 * out.nbytes
         assert not out[:, ::7].any()
+
+
+class TestFeatureFileMemory:
+    def test_read_peak_is_at_most_three_results(self, tmp_path):
+        rng = np.random.default_rng(9)
+        X = rng.integers(0, 500, size=(1000, FEATURE_DIM))
+        path = tmp_path / "features.txt"
+        write_feature_file(path, rng.integers(0, 10, size=1000), X)
+        tracemalloc.start()
+        try:
+            _, out = read_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, X)
+        assert peak <= 3 * out.nbytes
 
 
 class TestClassifierInput:

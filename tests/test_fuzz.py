@@ -8,6 +8,8 @@ exception, and what is accepted is usable. The mutation count is fixed, so
 the run is deterministic and takes a few seconds.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,13 @@ def test_feature_file_mutations_raise_only_rwrl_errors(tmp_path):
         path.write_bytes(data)
         labels, X = read_feature_file(path)
         assert np.isfinite(X).all() and len(labels) == len(X)
+        # what loads obeys the integer and float rules, read from the text
+        # as the reader splits it: universal newlines, stripped lines
+        text = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+        for line in filter(None, map(str.strip, text.split("\n")[1:])):
+            label, *values = line.split(",")
+            assert re.fullmatch("-?[0-9]+", label), line
+            assert all(re.fullmatch("[-+.e0-9]+", v) for v in values), line
 
     failures = fuzz("features", path.read_bytes(), run)
     assert not failures, failures[:5]

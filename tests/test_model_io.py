@@ -141,6 +141,23 @@ def _pool_size_index(match):
     return match[1] + match[2] + b" "
 
 
+# a float field of each kind: the model, the field, what replaces it and
+# where the loaded model keeps it
+FLOAT_FIELDS = {
+    "mean": (_knn_bytes, rb"\nmean \S+", b"\nmean ", lambda m: m.mean[0]),
+    "std": (_svm_bytes, rb"\nstd \S+", b"\nstd ", lambda m: m.std[0]),
+    "pool-row": (_svm_bytes, rb"(\npool \d+\n)\S+", rb"\g<1>",
+                 lambda m: m.machines[0].support_vectors[0, 0]),
+    "sample-row": (_knn_bytes, rb"(\nsamples \d+\n\S+ )\S+", rb"\g<1>",
+                   lambda m: m.samples[0, 0]),
+    "bias": (_svm_bytes, rb"bias=\S+", b"bias=", lambda m: m.machines[0].bias),
+    "gamma": (_svm_bytes, rb"gamma=\S+", b"gamma=", lambda m: m.params.gamma),
+}
+# spellings that float() reads but the float rule (0-9 . e + -) does not
+BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
+              "nan": b"nan", "hex": b"0x1p3"}
+
+
 @pytest.mark.parametrize("make, pattern, new", [
     (_knn_bytes, rb"\nmean \S+ ", b"\nmean "),
     (_svm_bytes, rb"\nstd \S+", b"\nstd -1.0"),
@@ -173,6 +190,11 @@ def _pool_size_index(match):
     (_knn_bytes, rb"\nend\n\Z", b"\nend\ngarbage\n"),
     # more digits than Python's int() converts
     (_knn_bytes, rb"\nsamples 32", b"\nsamples " + b"9" * 5000),
+    # found from the header, before anything of `dim` values is allocated
+    (_knn_bytes, rb"\ndim 6", b"\ndim 1000000000000"),
+] + [(make, pattern, new + spelling)
+     for make, pattern, new, _ in FLOAT_FIELDS.values()
+     for spelling in BAD_FLOATS.values()
 ], ids=["short-mean", "negative-std", "nan-mean", "classes-order", "k-zero",
         "k-above-n", "negative-samples", "samples-past-end", "label-class",
         "negative-nsv", "machine-class", "machine-same-class",
@@ -181,10 +203,19 @@ def _pool_size_index(match):
         "pool-index-negative", "pool-index-at-size", "pool-index-non-integer",
         "k-extra-field", "dim-extra-field", "samples-plus-sign",
         "samples-underscore", "label-plus-sign", "data-after-end",
-        "samples-5000-digits"])
+        "samples-5000-digits", "dim-10^12"] + [
+            f"{field}-{name}" for field in FLOAT_FIELDS for name in BAD_FLOATS])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()
     mutated = re.sub(pattern, new, data, count=1)
     assert mutated != data
     with pytest.raises(CorruptModelError):
         model_load(mutated)
+
+
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+def test_float_spellings_load_as_float_reads_them(field):
+    make, pattern, new, loaded = FLOAT_FIELDS[field]
+    for spelling in ("+3", ".5", "5.", "1e5"):
+        mutated = re.sub(pattern, new + spelling.encode(), make(), count=1)
+        assert loaded(model_load(mutated)) == float(spelling), spelling
