@@ -40,12 +40,14 @@ from .svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 _KERNEL_NAMES = {"poly": "polynomial", "linear": "linear", "rbf": "rbf"}
 
 
-def _int_from(low: int):
-    """argparse type: an integer >= low."""
+def _int_from(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high]."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return integer
 
@@ -312,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", help="directory for class subdirectories 0..9")
     p.add_argument("--per-class", type=_int_from(1), default=100,
                    help="images per digit class (default: 100)")
-    p.add_argument("--seed", type=_int_from(0), default=0,
-                   help="random seed (default: 0)")
+    p.add_argument("--seed", type=_int_from(0, 2 ** 32 - 1), default=0,
+                   help="random seed, below 2**32 (default: 0)")
     p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
                    help="worker processes (default: logical CPUs)")
     p.set_defaults(func=cmd_synth)

@@ -162,6 +162,8 @@ def synth_generate(seed: int, per_class: int, out_dir, jobs: int = 1) -> Manifes
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if not 0 <= seed < 2 ** 32:
+        raise ValueError("seed must be in 0..2**32-1")
     out_dir = Path(out_dir)
     tasks = []
     entries: list[tuple[Path, int]] = []
@@ -170,7 +172,7 @@ def synth_generate(seed: int, per_class: int, out_dir, jobs: int = 1) -> Manifes
         class_dir.mkdir(parents=True, exist_ok=True)
         for index in range(per_class):
             path = class_dir / f"{index:04d}.pgm"
-            tasks.append((seed & 0xFFFFFFFF, label, index, str(path)))
+            tasks.append((seed, label, index, str(path)))
             entries.append((path, label))
     parallel_map(_render_task, tasks, jobs)
     manifest = Manifest(entries)

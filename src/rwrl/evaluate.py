@@ -203,34 +203,25 @@ def _row(metrics: ClassMetrics | OverallMetrics) -> list[float]:
     return [getattr(metrics, f.name) for f in fields(metrics)]
 
 
-def render_report(cm: ConfusionMatrix,
-                  per_class: dict[int, ClassMetrics] | None = None,
-                  overall: OverallMetrics | None = None) -> str:
-    """Fixed-layout text report with values printed at 3 decimals.
-
-    Metric sections are skipped when not supplied, so a zero-count matrix
-    still renders.
-    """
+def render_report(cm: ConfusionMatrix, per_class: dict[int, ClassMetrics],
+                  overall: OverallMetrics) -> str:
+    """Fixed-layout text report with values printed at 3 decimals."""
     out = io.StringIO()
     out.write("Confusion matrix (rows: true, cols: predicted)\n")
-    head = "      " + "".join(f"{c:>6}" for c in cm.classes)
-    out.write(head + "\n")
+    out.write("      " + "".join(f"{c:>6}" for c in cm.classes) + "\n")
     for k, cls in enumerate(cm.classes):
         out.write(f"{cls:>6}" + "".join(f"{v:>6}" for v in cm.counts[k]) + "\n")
     out.write(f"total {cm.total}\n")
-    if per_class:
-        out.write("\nPer-class metrics\n")
-        out.write("class "
-                  + "".join(f"{c:>11}" for c in PER_CLASS_COLUMNS) + "\n")
-        rows = [_row(per_class[c]) for c in cm.classes if c in per_class]
-        for cls, row in zip(cm.classes, rows):
-            out.write(f"{cls:>5} " + "".join(f"{v:>11.3f}" for v in row) + "\n")
-        means = np.mean(rows, axis=0)
-        out.write("  avg " + "".join(f"{v:>11.3f}" for v in means) + "\n")
-    if overall is not None:
-        out.write("\nOverall\n")
-        for name, value in zip(OVERALL_COLUMNS, _row(overall)):
-            out.write(f"{name:>9}  {value:.3f}\n")
+    out.write("\nPer-class metrics\n")
+    out.write("class " + "".join(f"{c:>11}" for c in PER_CLASS_COLUMNS) + "\n")
+    rows = [_row(per_class[c]) for c in cm.classes]
+    for cls, row in zip(cm.classes, rows):
+        out.write(f"{cls:>5} " + "".join(f"{v:>11.3f}" for v in row) + "\n")
+    means = np.mean(rows, axis=0)
+    out.write("  avg " + "".join(f"{v:>11.3f}" for v in means) + "\n")
+    out.write("\nOverall\n")
+    for name, value in zip(OVERALL_COLUMNS, _row(overall)):
+        out.write(f"{name:>9}  {value:.3f}\n")
     return out.getvalue()
 
 

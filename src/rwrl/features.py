@@ -140,9 +140,9 @@ def scale_features(values, mean, std) -> np.ndarray:
 
 def training_rows(features, labels, scale: bool) -> tuple[
         np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """A classifier's checked training input: the z-scored rows, the int64
-    labels, the sorted class list, and the training mean and std per
-    dimension, which are (0, 1) when not scaling."""
+    """A classifier's checked training input: the float64 rows (the input
+    itself if it is float64), the int64 labels, the sorted class list, and
+    the training mean and std per dimension, (0, 1) when not scaling."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
@@ -157,8 +157,7 @@ def training_rows(features, labels, scale: bool) -> tuple[
                 "feature values overflow the scaling statistics")
     else:
         mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
-    return (scale_features(X, mean, std), y, sorted(set(y.tolist())),
-            mean, std)
+    return X, y, sorted(set(y.tolist())), mean, std
 
 
 def probe_rows(model, features) -> np.ndarray:
@@ -188,7 +187,7 @@ def parse_floats(fields, error: type[Exception]) -> np.ndarray:
     """Finite floats, the rule of every float field in feature and model
     files: what `float()` reads from the bytes `0-9 . e + -` alone, so `+3`,
     `.5` and `1e5` load while `1_0`, ` 2`, `1E5`, `inf` or `0x1p3` raises
-    `error`. `_fmt` and `repr` of a finite float write nothing else."""
+    `error`. `format_rows` writes nothing else."""
     # one byte-set test per line: a regex per field costs 20x more
     text = "".join(fields).encode("ascii", "replace")
     if text.translate(None, _FLOAT_BYTES):
@@ -229,15 +228,22 @@ def write_feature_file(path, labels, features) -> None:
     y = np.asarray(labels)
     if X.ndim != 2 or len(y) != len(X):
         raise LengthMismatchError("labels and feature rows disagree")
+    lines = format_rows(X, ",", FeatureFileError)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{FEATURE_FILE_VERSION},dim={X.shape[1]}\n")
-        for label, row in zip(y, X):
-            fh.write(f"{int(label)}," + ",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(f"{int(label)},{line}\n"
+                      for label, line in zip(y.tolist(), lines))
 
 
-def _fmt(v) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+def format_rows(rows, sep: str, error: type[Exception]):
+    """Lines of `rows` values joined by `sep`: digits for an integral value,
+    repr otherwise, which `parse_rows` reads back exactly (-0.0 as 0). A
+    non-finite value raises `error` before any line is made."""
+    X = np.asarray(rows)
+    if not np.isfinite(X).all():
+        raise error("non-finite value")
+    return (sep.join(str(int(f)) if f.is_integer() else repr(f)
+                     for f in map(float, row.tolist())) for row in X)
 
 
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:

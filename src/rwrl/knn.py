@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyModelError, FeatureFileError, TooFewSamplesError
-from .features import probe_rows, training_rows
+from .features import probe_rows, scale_features, training_rows
 
 # Bound on a chunk's (rows, n) block, and separately on its refine slab.
 CHUNK_BYTES = 1 << 20
@@ -24,8 +24,12 @@ class KnnModel:
     classes: list[int]
     mean: np.ndarray
     std: np.ndarray
-    samples: np.ndarray     # (n, d) z-scored rows
+    pool: np.ndarray        # (n, d) raw rows
     labels: np.ndarray      # (n,)
+    samples: np.ndarray = field(init=False, repr=False)  # z-scored pool
+
+    def __post_init__(self):
+        self.samples = scale_features(self.pool, self.mean, self.std)
 
     @property
     def dim(self) -> int:
@@ -33,12 +37,12 @@ class KnnModel:
 
 
 def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
-    Xs, y, classes, mean, std = training_rows(features, labels, scale)
+    X, y, classes, mean, std = training_rows(features, labels, scale)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(Xs):
-        raise TooFewSamplesError(f"k={k} exceeds the {len(Xs)} training samples")
-    return KnnModel(k, classes, mean, std, Xs, y)
+    if k > len(X):
+        raise TooFewSamplesError(f"k={k} exceeds the {len(X)} training samples")
+    return KnnModel(k, classes, mean, std, X, y)
 
 
 def knn_predict_batch(model: KnnModel, features) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Versioned line-oriented text serialization for trained models.
 
-SVM files start with ``#rwrl-svm-v2``, k-NN files with ``#rwrl-knn-v1``.
-Floats are written with repr(), which round-trips exactly, so a loaded
-model reproduces bit-identical predictions.
-
-An SVM file stores each distinct support vector once, in a pool of rows
-numbered in order of first appearance (``pool P`` and P rows of ``dim``
-floats); each class-pair machine then lists ``pool-index coefficient``
-rows, as LIBSVM's model shares its support vectors. The machines must be
-exactly the pairs ``svm_train`` builds, in its order. An SVM file of
-another version, such as ``#rwrl-svm-v1``, is a version mismatch.
+SVM files start with ``#rwrl-svm-v3``, k-NN files with ``#rwrl-knn-v2``;
+another version of either, such as ``#rwrl-svm-v2``, is a version mismatch.
+After ``kernel <kind> degree= gamma= coef0= C=`` (SVM) or ``k K`` (k-NN),
+both hold ``classes``, ``dim``, then ``mean``, ``std``, ``pool P`` and P
+raw training rows, all rows in the feature file's row format: the k-NN
+samples, or each row that some SVM machine uses as a support vector, once
+and in training order, as LIBSVM's model shares them. Last come a
+``labels`` line (k-NN) or, per class pair in ``svm_train``'s order,
+``machine a b nsv=M bias=B`` and M ``pool-index coefficient`` rows (SVM),
+then ``end``. Every value reads back exactly, and a model z-scores its pool
+when it is built, as in training, so it predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -17,64 +18,42 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CorruptModelError, VersionMismatchError
-from .features import parse_floats, parse_ints, parse_rows
+from .features import format_rows, parse_floats, parse_ints, parse_rows
 from .knn import KnnModel
 from .svm import BinaryMachine, KernelParams, SvmModel
 
-SVM_VERSION = "#rwrl-svm-v2"
-KNN_VERSION = "#rwrl-knn-v1"
+SVM_VERSION = "#rwrl-svm-v3"
+KNN_VERSION = "#rwrl-knn-v2"
 _END = "end"
-
-
-def _floats(values) -> str:
-    return " ".join(map(repr, values.tolist()))
 
 
 def model_save(model) -> bytes:
     """Serialize an SvmModel or KnnModel to bytes."""
     if isinstance(model, SvmModel):
-        lines = _svm_lines(model)
+        p = model.params
+        head = [SVM_VERSION,
+                f"kernel {p.kind} degree={int(p.degree)} "
+                f"gamma={float(p.gamma)!r} coef0={float(p.coef0)!r} "
+                f"C={float(p.C)!r}"]
+        tail = []
+        for m in model.machines:
+            tail.append(f"machine {m.first} {m.second} "
+                        f"nsv={len(m.coefficients)} bias={float(m.bias)!r}")
+            tail.extend(f"{i} {coef!r}" for i, coef in
+                        zip(m.pool_index.tolist(), m.coefficients.tolist()))
     elif isinstance(model, KnnModel):
-        lines = _knn_lines(model)
+        head = [KNN_VERSION, f"k {model.k}"]
+        tail = ["labels " + " ".join(map(str, model.labels.tolist()))]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    return ("\n".join(lines + [_END]) + "\n").encode("ascii")
-
-
-def _header_lines(model) -> list[str]:
-    """Class list and scaling statistics, shared by both formats."""
-    return ["classes " + " ".join(str(c) for c in model.classes),
-            f"dim {model.dim}",
-            "mean " + _floats(model.mean),
-            "std " + _floats(model.std)]
-
-
-def _svm_lines(model: SvmModel) -> list[str]:
-    p = model.params
-    lines = [SVM_VERSION,
-             f"kernel {p.kind} degree={int(p.degree)} gamma={float(p.gamma)!r} "
-             f"coef0={float(p.coef0)!r} C={float(p.C)!r}",
-             *_header_lines(model)]
-    index: dict[bytes, int] = {}    # pool row bytes -> pool index
-    pool, machines = [], []
-    for m in model.machines:
-        machines.append(f"machine {m.first} {m.second} "
-                        f"nsv={len(m.coefficients)} bias={float(m.bias)!r}")
-        for coef, sv in zip(m.coefficients.tolist(), m.support_vectors):
-            key = sv.tobytes()
-            if key not in index:
-                index[key] = len(pool)
-                pool.append(_floats(sv))
-            machines.append(f"{index[key]} {coef!r}")
-    return lines + [f"pool {len(pool)}", *pool, *machines]
-
-
-def _knn_lines(model: KnnModel) -> list[str]:
-    lines = [KNN_VERSION, f"k {model.k}", *_header_lines(model),
-             f"samples {len(model.samples)}"]
-    lines.extend(f"{int(label)} " + _floats(row)
-                 for label, row in zip(model.labels, model.samples))
-    return lines
+    mean, std = format_rows([model.mean, model.std], " ", CorruptModelError)
+    lines = [*head,
+             "classes " + " ".join(str(c) for c in model.classes),
+             f"dim {model.dim}", "mean " + mean, "std " + std,
+             f"pool {len(model.pool)}",
+             *format_rows(model.pool, " ", CorruptModelError),
+             *tail, _END]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 class _Reader:
@@ -105,8 +84,8 @@ class _Reader:
             raise CorruptModelError(f"bad {key} record")
         return parse_ints(fields, CorruptModelError)[0]
 
-    def header(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Class list, mean and std, checked against the declared dim."""
+    def header(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Class list, mean, std and raw pool rows, checked against dim."""
         classes = parse_ints(self.expect("classes"), CorruptModelError)
         if not classes or classes != sorted(set(classes)):
             raise CorruptModelError("class list is empty or not ascending")
@@ -119,7 +98,8 @@ class _Reader:
             raise CorruptModelError("scaling statistics disagree with dim")
         if (std < 0).any():
             raise CorruptModelError("negative std")
-        return classes, mean, std
+        _, pool = self.rows(self.integer("pool"), dim, keyed=False)
+        return classes, mean, std, pool
 
     def rows(self, count: int, dim: int, keyed: bool = True
              ) -> tuple[list[str], np.ndarray]:
@@ -180,9 +160,8 @@ def _load_svm(reader: _Reader) -> SvmModel:
         params = KernelParams(fields[0], degree, gamma, coef0, C)
     except ValueError as exc:
         raise CorruptModelError(f"bad kernel parameters: {exc}") from None
-    classes, mean, std = reader.header()
-    model = SvmModel(classes, params, mean, std)
-    _, pool = reader.rows(reader.integer("pool"), model.dim, keyed=False)
+    classes, mean, std, pool = reader.header()
+    machines = []
     # one machine per class pair, in svm_train's order
     for i, first in enumerate(classes):
         for second in classes[i + 1:]:
@@ -198,20 +177,22 @@ def _load_svm(reader: _Reader) -> SvmModel:
             index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
             if ((index < 0) | (index >= len(pool))).any():
                 raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
-            model.machines.append(BinaryMachine(
-                first, second, pool[index], coefs.ravel(), bias))
+            machines.append(BinaryMachine(first, second, index, coefs.ravel(),
+                                          bias))
     reader.end()
-    return model
+    return SvmModel(classes, params, mean, std, pool, machines)
 
 
 def _load_knn(reader: _Reader) -> KnnModel:
     k = reader.integer("k")
-    classes, mean, std = reader.header()
-    labels, rows = reader.rows(reader.integer("samples"), len(mean))
-    labels = np.array(parse_ints(labels, CorruptModelError), dtype=np.int64)
+    classes, mean, std, pool = reader.header()
+    labels = np.array(parse_ints(reader.expect("labels"), CorruptModelError),
+                      dtype=np.int64)
+    if len(labels) != len(pool):
+        raise CorruptModelError(f"{len(labels)} labels for {len(pool)} rows")
     if not 1 <= k <= len(labels):
         raise CorruptModelError(f"k={k} outside 1..{len(labels)}")
     if not set(labels.tolist()) <= set(classes):
         raise CorruptModelError("sample label outside the class list")
     reader.end()
-    return KnnModel(k, classes, mean, std, rows, labels)
+    return KnnModel(k, classes, mean, std, pool, labels)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteKernelError, SingleClassError
-from .features import probe_rows, training_rows
+from .features import probe_rows, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
@@ -57,9 +57,10 @@ class BinaryMachine:
 
     first: int
     second: int
-    support_vectors: np.ndarray       # (m, d) z-scored rows
+    pool_index: np.ndarray            # (m,) support vectors' rows of the pool
     coefficients: np.ndarray          # (m,) alpha_k * y_k
     bias: float
+    support_vectors: np.ndarray = field(init=False, repr=False)  # z-scored
 
     def decision(self, params: KernelParams, x: np.ndarray) -> np.ndarray:
         k = kernel_matrix(params, x, self.support_vectors)
@@ -72,7 +73,13 @@ class SvmModel:
     params: KernelParams
     mean: np.ndarray
     std: np.ndarray
-    machines: list[BinaryMachine] = field(default_factory=list)
+    pool: np.ndarray          # (P, d) raw support vectors, each row once
+    machines: list[BinaryMachine]
+
+    def __post_init__(self):    # z-score the pool once, for every machine
+        scaled = scale_features(self.pool, self.mean, self.std)
+        for machine in self.machines:
+            machine.support_vectors = scaled[machine.pool_index]
 
     @property
     def dim(self) -> int:
@@ -138,22 +145,23 @@ def svm_train(features, labels, params: KernelParams | None = None,
     `seed` has no effect: the solver makes no random choice. It is kept
     so that callers passing one keep working.
     """
-    Xs, y, classes, mean, std = training_rows(features, labels, scale)
+    X, y, classes, mean, std = training_rows(features, labels, scale)
     if len(classes) < 2:
         raise SingleClassError("need at least two distinct labels")
 
     params = params or KernelParams()
     if params.gamma is None:
         params = KernelParams(params.kind, params.degree,
-                              1.0 / Xs.shape[1], params.coef0, params.C)
+                              1.0 / X.shape[1], params.coef0, params.C)
 
-    model = SvmModel(classes, params, mean, std)
+    machines = []
+    used = np.zeros(len(X), dtype=bool)     # support vector of some machine
     for a_idx in range(len(classes)):
         for b_idx in range(a_idx + 1, len(classes)):
             a, b = classes[a_idx], classes[b_idx]
-            mask = (y == a) | (y == b)
-            sub = Xs[mask]
-            sub_y = np.where(y[mask] == a, 1.0, -1.0)
+            rows = np.flatnonzero((y == a) | (y == b))
+            sub = scale_features(X[rows], mean, std)
+            sub_y = np.where(y[rows] == a, 1.0, -1.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 gram = kernel_matrix(params, sub, sub)
             if not np.isfinite(gram).all():
@@ -167,9 +175,13 @@ def svm_train(features, labels, params: KernelParams | None = None,
                     f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
                     "converging", RuntimeWarning, stacklevel=2)
             sv = alpha > 0
-            model.machines.append(BinaryMachine(
-                a, b, sub[sv].copy(), (alpha[sv] * sub_y[sv]).copy(), bias))
-    return model
+            used[rows[sv]] = True
+            machines.append(BinaryMachine(a, b, rows[sv], alpha[sv] * sub_y[sv],
+                                          bias))
+    pool_row = np.cumsum(used) - 1      # training row -> row of the pool
+    for machine in machines:
+        machine.pool_index = pool_row[machine.pool_index]
+    return SvmModel(classes, params, mean, std, X[used], machines)
 
 
 def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarray]:

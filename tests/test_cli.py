@@ -205,6 +205,7 @@ features, out = sys.argv[1], sys.argv[2]
 for argv in (["train", features, out + "/svm.txt"],
              ["train", features, out + "/knn.txt", "--classifier", "knn"],
              ["predict", out + "/svm.txt", features, out + "/pred.csv"],
+             ["predict", out + "/knn.txt", features, out + "/pred.csv"],
              ["eval", features, out + "/holdout", "--holdout", "4"],
              ["eval", features, out + "/cv", "--cv", "2"],
              ["report", out + "/holdout/confusion.csv", out + "/again"]):
@@ -280,12 +281,20 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["eval", "f.txt", "out", "--holdout", "1", "--seed", "-1"],
     ["eval", "f.txt", "out", "--cv", "2", "--seed", "-1"],
     ["synth", "out", "--seed", "-1"],
+    # synth seeds are 32-bit: a larger one would collide with a smaller one
+    ["synth", "out", "--seed", "4294967296"],
 ], ids=" ".join)
 def test_out_of_range_flag_exit2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_largest_synth_seed_accepted(tmp_path):
+    assert main(["synth", str(tmp_path), "--per-class", "1", "--seed",
+                 str(2 ** 32 - 1), "--jobs", "1"]) == 0
+    assert len(list(tmp_path.glob("*/*.pgm"))) == 10
 
 
 def test_sigma_upper_bound_is_inclusive():
@@ -302,8 +311,8 @@ FEATURES = "#rwrl-v1,dim=2\n0,1,2\n1,2,3\n"
     ("f.txt", FEATURES, ["train", "f.txt", "m", "--classifier", "knn",
                          "--k", "3"]),
     ("c.csv", "class,0,1\n0,1,x\n1,0,2\n", ["report", "c.csv", "out"]),
-    ("m.txt", "#rwrl-knn-v1\nk 1\nclasses 0\ndim 2\nmean 0.0\n"
-              "std 1.0 1.0\nsamples 1\n0 1.0 2.0\nend\n",
+    ("m.txt", "#rwrl-knn-v2\nk 1\nclasses 0\ndim 2\nmean 0.0\n"
+              "std 1.0 1.0\npool 1\n1 2\nlabels 0\nend\n",
      ["predict", "m.txt", "f.txt", "p.csv"]),
     ("f.txt", FEATURES, ["train", "f.txt", "m", "--coef0", "1e300"]),
     ("f.txt", "#rwrl-v1,dim=2\n0,1e308,0\n1,-1e308,1\n",

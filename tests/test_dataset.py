@@ -193,3 +193,8 @@ class TestSynth:
     def test_bad_per_class(self, tmp_path):
         with pytest.raises(ValueError):
             synth_generate(0, 0, tmp_path)
+
+    def test_seed_beyond_32_bits_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            synth_generate(2 ** 32, 1, tmp_path)
+        assert not any(tmp_path.iterdir())

@@ -232,12 +232,6 @@ class TestReports:
         assert "accuracy  0.950" in text
         assert "591" in text
 
-    def test_zero_matrix_report_renders(self):
-        cm = ConfusionMatrix([0, 1], np.zeros((2, 2), dtype=np.int64))
-        text = render_report(cm)
-        assert "total 0" in text
-        assert "Per-class" not in text
-
     def test_csv_roundtrip_at_4_decimals(self, tmp_path):
         cm = reference_cm()
         per_class = class_metrics(cm)

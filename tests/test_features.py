@@ -256,6 +256,20 @@ class TestFeatureFile:
         assert np.array_equal(labels, y)
         assert np.array_equal(matrix, X)
 
+    def test_float_rows_roundtrip_exactly(self, tmp_path):
+        X = np.array([[0.1, -2.5, 1e300, 5e-324], [1 / 3, -1e-300, 7.0, 0.0]])
+        path = tmp_path / "floats.txt"
+        write_feature_file(path, [1, 2], X)
+        assert path.read_text().splitlines()[2].startswith("2,0.3333")
+        assert np.array_equal(read_feature_file(path)[1], X)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_not_written(self, tmp_path, value):
+        path = tmp_path / "features.txt"
+        with pytest.raises(FeatureFileError):
+            write_feature_file(path, [0, 1], [[value, 1.0], [2.0, 3.0]])
+        assert not path.exists()
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,2,3\n")

@@ -26,11 +26,11 @@ GOLDEN = {
     "features":
         "60ef3e511800e7a3af777dba52fd172bfdcb1510c49c811172069a7475e1a8cd",
     "svm_model":
-        "cad8a97014e8ae669d80bc00f6b668eb69b2fb32c06a8c3899dd5c44217d515f",
+        "44838886c2ae0139f7f32d33209353945ad70936ea3f3933851b5e5db94efe9c",
     "svm_predict":
         "f5faf11846431f0dd15813fabf9731ede75425f69e57545acb44a8b1785f15c8",
     "knn_model":
-        "2469223527779fe8dab6a2c9658c21f3eef47e2b586f689395b84028735b89f8",
+        "040c88e65ff88b03c1f74a30e570c138491e68c5bb069604cd2bfc88d7561a49",
     "knn_predict":
         "9e7ec7d4c7d0464497dbc0c5e265e3152f561e95c6f487a16ff11563c1a61e0f",
     "knn_ties":

@@ -59,7 +59,7 @@ def test_missing_end_marker_is_corrupt():
 def test_wrong_version_tag():
     X, y = small_problem()
     data = model_save(svm_train(X, y, KernelParams("linear"), seed=0))
-    bumped = data.replace(b"#rwrl-svm-v2", b"#rwrl-svm-v9", 1)
+    bumped = data.replace(b"#rwrl-svm-v3", b"#rwrl-svm-v9", 1)
     with pytest.raises(VersionMismatchError):
         model_load(bumped)
 
@@ -76,10 +76,43 @@ def test_svm_pool_roundtrip_is_exact(kind):
         assert np.array_equal(loaded.support_vectors, trained.support_vectors)
         assert np.array_equal(loaded.coefficients, trained.coefficients)
         assert loaded.bias == trained.bias
+    assert np.array_equal(restored.pool, model.pool)
     # each support vector is written once, however many machines share it
     stored = np.vstack([m.support_vectors for m in model.machines])
     pool = int(re.search(rb"\npool (\d+)\n", data).group(1))
     assert pool == len(np.unique(stored, axis=0))
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_knn_roundtrip_is_exact(scale):
+    X, y = small_problem(seed=6)
+    model = knn_train(X, y, k=3, scale=scale)
+    restored = model_load(model_save(model))
+    assert np.array_equal(restored.pool, model.pool)
+    assert np.array_equal(restored.samples, model.samples)
+    assert np.array_equal(restored.labels, model.labels)
+
+
+@pytest.mark.parametrize("train", [
+    lambda X, y: svm_train(X, y, KernelParams("rbf")),
+    lambda X, y: knn_train(X, y, k=1),
+], ids=["svm", "knn"])
+def test_integer_rows_write_integer_pool_fields(train):
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 2000, size=(40, 7))
+    y = np.repeat(np.arange(4), 10)
+    data = model_save(train(X, y)).decode()
+    count = int(re.search(r"\npool (\d+)\n", data).group(1))
+    rows = data.split("\npool ")[1].splitlines()[1:count + 1]
+    assert count > 0
+    assert all(re.fullmatch(r"[0-9]+( [0-9]+){6}", row) for row in rows)
+
+
+def test_non_finite_pool_row_is_not_saved():
+    model = knn_train(np.array([[np.nan, 1.0], [0.0, 2.0]]), [0, 1], k=1,
+                      scale=False)
+    with pytest.raises(CorruptModelError):
+        model_save(model)
 
 
 # the v1 layout: each machine repeats its support vectors after a coefficient
@@ -96,14 +129,52 @@ end
 """
 
 
-def test_v1_svm_file_is_a_version_mismatch(tmp_path, capsys):
+# the v2 SVM layout: a pool of z-scored rows before the machines
+SVM_V2 = """#rwrl-svm-v2
+kernel linear degree=3 gamma=0.5 coef0=1.0 C=1.0
+classes 0 1
+dim 2
+mean 0.0 0.0
+std 1.0 1.0
+pool 2
+1.0 0.0
+-1.0 0.0
+machine 0 1 nsv=2 bias=0.0
+0 1.0
+1 -1.0
+end
+"""
+# the v1 k-NN layout: keyed z-scored sample rows
+KNN_V1 = """#rwrl-knn-v1
+k 1
+classes 0 1
+dim 2
+mean 0.0 0.0
+std 1.0 1.0
+samples 2
+0 1.0 0.0
+1 -1.0 0.0
+end
+"""
+
+
+def assert_version_mismatch(text, tmp_path, capsys):
     with pytest.raises(VersionMismatchError):
-        model_load(SVM_V1.encode("ascii"))
-    (tmp_path / "m.txt").write_text(SVM_V1)
+        model_load(text.encode("ascii"))
+    (tmp_path / "m.txt").write_text(text)
     (tmp_path / "f.txt").write_text("#rwrl-v1,dim=2\n0,1,2\n1,2,3\n")
     assert main(["predict", str(tmp_path / "m.txt"), str(tmp_path / "f.txt"),
                  str(tmp_path / "p.csv")]) == 2
-    assert "error: " in capsys.readouterr().err
+    assert "VersionMismatchError" in capsys.readouterr().err
+
+
+def test_v1_svm_file_is_a_version_mismatch(tmp_path, capsys):
+    assert_version_mismatch(SVM_V1, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("text", [SVM_V2, KNN_V1], ids=["svm-v2", "knn-v1"])
+def test_previous_layouts_are_a_version_mismatch(text, tmp_path, capsys):
+    assert_version_mismatch(text, tmp_path, capsys)
 
 
 def test_garbage_header_is_corrupt():
@@ -132,8 +203,8 @@ def _svm_bytes():
 
 
 def _knn_dim_one():
-    return (b"#rwrl-knn-v1\nk 1\nclasses 0\ndim 1\nmean 0.0\nstd 1.0\n"
-            b"samples 1\n0 0.0\nend\n")
+    return (b"#rwrl-knn-v2\nk 1\nclasses 0\ndim 1\nmean 0.0\nstd 1.0\n"
+            b"pool 1\n0\nlabels 0\nend\n")
 
 
 def _pool_size_index(match):
@@ -147,9 +218,9 @@ FLOAT_FIELDS = {
     "mean": (_knn_bytes, rb"\nmean \S+", b"\nmean ", lambda m: m.mean[0]),
     "std": (_svm_bytes, rb"\nstd \S+", b"\nstd ", lambda m: m.std[0]),
     "pool-row": (_svm_bytes, rb"(\npool \d+\n)\S+", rb"\g<1>",
-                 lambda m: m.machines[0].support_vectors[0, 0]),
-    "sample-row": (_knn_bytes, rb"(\nsamples \d+\n\S+ )\S+", rb"\g<1>",
-                   lambda m: m.samples[0, 0]),
+                 lambda m: m.pool[0, 0]),
+    "sample-row": (_knn_bytes, rb"(\npool \d+\n)\S+", rb"\g<1>",
+                   lambda m: m.pool[0, 0]),
     "bias": (_svm_bytes, rb"bias=\S+", b"bias=", lambda m: m.machines[0].bias),
     "gamma": (_svm_bytes, rb"gamma=\S+", b"gamma=", lambda m: m.params.gamma),
 }
@@ -165,17 +236,17 @@ BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
     (_knn_bytes, rb"\nclasses 0 1", b"\nclasses 1 0"),
     (_knn_bytes, rb"\nk 3", b"\nk 0"),
     (_knn_bytes, rb"\nk 3", b"\nk 33"),
-    (_knn_bytes, rb"\nsamples 32", b"\nsamples -1"),
-    (_knn_bytes, rb"\nsamples 32", b"\nsamples 999999999"),
-    (_knn_bytes, rb"\n0 ", b"\n9 "),
+    (_knn_bytes, rb"\npool 32", b"\npool -1"),
+    (_knn_bytes, rb"\npool 32", b"\npool 999999999"),
+    (_knn_bytes, rb"\nlabels 0 ", b"\nlabels 9 "),
     (_svm_bytes, rb"nsv=\d+", b"nsv=-1"),
     (_svm_bytes, rb"machine 0 1 ", b"machine 0 9 "),
     (_svm_bytes, rb"machine 0 1 ", b"machine 1 1 "),
     (_svm_bytes, rb"machine 0 1 ", b"machine 2 3 "),
     (_svm_bytes, rb"machine 0 1 ", b"machine 2 0 "),
     (_svm_bytes, rb"bias=\S+", b"bias=inf"),
-    (_knn_dim_one, rb"dim 1\nmean 0.0\nstd 1.0\nsamples 1\n0 0.0",
-     b"dim 0\nmean\nstd\nsamples 1\n0"),
+    (_knn_dim_one, rb"dim 1\nmean 0.0\nstd 1.0\npool 1\n0\n",
+     b"dim 0\nmean\nstd\npool 1\n\n"),
     (_svm_bytes, rb"\npool \d+", b"\npool -1"),
     (_svm_bytes, rb"\npool \d+", b"\npool 999999999"),
     (_svm_bytes, rb"(\npool \d+\n)\S+ ", rb"\1"),
@@ -184,14 +255,17 @@ BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
     (_svm_bytes, rb"(bias=\S+\n)\d+ ", rb"\g<1>1.5 "),
     (_knn_bytes, rb"\nk 3", b"\nk 3 7"),
     (_knn_bytes, rb"\ndim 6", b"\ndim 6 junk"),
-    (_knn_bytes, rb"\nsamples 32", b"\nsamples +32"),
-    (_knn_bytes, rb"\nsamples 32", b"\nsamples 3_2"),
-    (_knn_bytes, rb"\n0 ", b"\n+0 "),
+    (_knn_bytes, rb"\npool 32", b"\npool +32"),
+    (_knn_bytes, rb"\npool 32", b"\npool 3_2"),
+    (_knn_bytes, rb"\nlabels 0 ", b"\nlabels +0 "),
     (_knn_bytes, rb"\nend\n\Z", b"\nend\ngarbage\n"),
     # more digits than Python's int() converts
-    (_knn_bytes, rb"\nsamples 32", b"\nsamples " + b"9" * 5000),
+    (_knn_bytes, rb"\npool 32", b"\npool " + b"9" * 5000),
     # found from the header, before anything of `dim` values is allocated
     (_knn_bytes, rb"\ndim 6", b"\ndim 1000000000000"),
+    (_knn_bytes, rb"\nlabels 0 ", b"\nlabels "),
+    (_knn_bytes, rb"\nlabels ", b"\nlabels 0 "),
+    (_knn_bytes, rb"(\npool \d+\n)\S+ ", rb"\1"),
 ] + [(make, pattern, new + spelling)
      for make, pattern, new, _ in FLOAT_FIELDS.values()
      for spelling in BAD_FLOATS.values()
@@ -203,7 +277,8 @@ BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
         "pool-index-negative", "pool-index-at-size", "pool-index-non-integer",
         "k-extra-field", "dim-extra-field", "samples-plus-sign",
         "samples-underscore", "label-plus-sign", "data-after-end",
-        "samples-5000-digits", "dim-10^12"] + [
+        "samples-5000-digits", "dim-10^12", "labels-short", "labels-long",
+        "sample-row-width"] + [
             f"{field}-{name}" for field in FLOAT_FIELDS for name in BAD_FLOATS])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()
