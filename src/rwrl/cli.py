@@ -72,33 +72,45 @@ def _warn(message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# workers (top level so they can cross process boundaries)
+# image workers (top level so they can cross process boundaries)
 # ---------------------------------------------------------------------------
 
-def _preprocess_one(task) -> tuple[str, bool, str]:
-    in_path, out_path, sigma, polarity = task
-    try:
-        normalized = preprocess_image(Path(in_path).read_bytes(), sigma, polarity)
-    except RwrlError as exc:
-        return str(in_path), False, f"{type(exc).__name__}: {exc}"
+def _preprocess_one(in_path, out_path, sigma, polarity) -> None:
+    normalized = preprocess_image(Path(in_path).read_bytes(), sigma, polarity)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(encode_pgm(binary_to_gray(normalized)))
-    return str(in_path), True, ""
 
 
-def _extract_one(path) -> tuple[bool, np.ndarray | None, str]:
+def _extract_one(path: str) -> np.ndarray:
+    gray = decode_image(Path(path).read_bytes())
+    bits = binarize(gray, otsu_threshold(gray), DARK_INK)
+    return extract_features(extract_contour(bits))
+
+
+def _job(task):
+    """`worker(*args)` of a task `(worker, *args)`, or its RwrlError."""
+    worker, *args = task
     try:
-        gray = decode_image(Path(path).read_bytes())
-        bits = binarize(gray, otsu_threshold(gray), DARK_INK)
-        return True, extract_features(extract_contour(bits)), ""
+        return worker(*args)
     except RwrlError as exc:
-        return False, None, f"{type(exc).__name__}: {exc}"
+        return exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def _run_images(worker, tasks, jobs: int) -> list[tuple[int, object]]:
+    """`worker(path, *args)` per task `(path, *args)`: warns of each skip in
+    input order and returns (task index, result) of the images that passed."""
+    results = dataset.parallel_map(_job, [(worker, *t) for t in tasks], jobs)
+    for task, result in zip(tasks, results):
+        if isinstance(result, RwrlError):
+            _warn(f"skipped {task[0]}: {type(result).__name__}: {result}")
+    return [(i, r) for i, r in enumerate(results)
+            if not isinstance(r, RwrlError)]
+
 
 def cmd_preprocess(args) -> int:
     in_dir = Path(args.in_dir)
@@ -108,36 +120,28 @@ def cmd_preprocess(args) -> int:
     if not files:
         _warn(f"no input images under {in_dir}")
         return 2
-    tasks = [(str(p),
-              str(Path(args.out_dir) / p.relative_to(in_dir).with_suffix(".pgm")),
-              args.sigma, args.polarity)
-             for p in files]
-    results = dataset.parallel_map(_preprocess_one, tasks, args.jobs)
-    for path, ok, message in results:
-        if not ok:
-            _warn(f"skipped {path}: {message}")
-    successes = sum(ok for _, ok, _ in results)
+    tasks, first = [], {}
+    for p in files:
+        out = str(Path(args.out_dir) / p.relative_to(in_dir).with_suffix(".pgm"))
+        if first.setdefault(out, p) is p:
+            tasks.append((str(p), out, args.sigma, args.polarity))
+        else:
+            _warn(f"skipped {p}: output {out} clashes with {first[out]}")
+    successes = len(_run_images(_preprocess_one, tasks, args.jobs))
     print(f"preprocessed {successes}/{len(files)} images -> {args.out_dir}")
     return 0 if successes else 2
 
 
 def cmd_extract(args) -> int:
-    manifest = dataset.scan_dataset(args.in_dir)
-    results = dataset.parallel_map(_extract_one,
-                                   [str(p) for p, _ in manifest.entries],
-                                   args.jobs)
-    labels, rows = [], []
-    for (path, label), (ok, feats, message) in zip(manifest.entries, results):
-        if ok:
-            labels.append(label)
-            rows.append(feats)
-        else:
-            _warn(f"skipped {path}: {message}")
-    if not rows:
+    entries = dataset.scan_dataset(args.in_dir).entries
+    passed = _run_images(_extract_one, [(str(p),) for p, _ in entries],
+                         args.jobs)
+    if not passed:
         _warn("no image produced features")
         return 2
-    write_feature_file(args.out_file, labels, np.array(rows))
-    print(f"wrote {len(rows)} feature rows -> {args.out_file}")
+    write_feature_file(args.out_file, [entries[i][1] for i, _ in passed],
+                       np.array([feats for _, feats in passed]))
+    print(f"wrote {len(passed)} feature rows -> {args.out_file}")
     return 0
 
 
@@ -197,10 +201,8 @@ def cmd_eval(args) -> int:
         for i, acc in enumerate(fold_acc):
             print(f"fold {i} accuracy {acc:.4f}")
     else:
-        train_idx, test_idx = evaluate.holdout_split(y, args.holdout, args.seed)
-        predicted = fit_predict(X[train_idx], y[train_idx], X[test_idx])
-        classes = sorted(set(y.tolist()))
-        cm = evaluate.confusion(y[test_idx], predicted, classes)
+        _, test_idx = evaluate.holdout_split(y, args.holdout, args.seed)
+        cm, _ = evaluate.score_folds(X, y, [test_idx], fit_predict)
     per_class = evaluate.class_metrics(cm)
     overall = evaluate.overall_metrics(cm)
     evaluate.write_reports(out_dir, cm, per_class, overall)

@@ -29,42 +29,37 @@ from .features import parse_ints
 # splits
 # ---------------------------------------------------------------------------
 
-def stratified_kfold(labels, k: int, seed: int = 0) -> list[np.ndarray]:
-    """k disjoint index folds with per-class counts differing by at most 1."""
-    y = np.asarray(labels)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def _class_ranks(y, seed: int, minimum: int, need: str) -> np.ndarray:
+    """Each sample's place in its class's seeded order (one permutation per
+    class, classes ascending); a class under `minimum` samples raises."""
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    rank = np.empty(len(y), dtype=np.int64)
     for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
-        if len(idx) < k:
+        if len(idx) < minimum:
             raise TooFewSamplesError(
-                f"class {cls} has {len(idx)} samples, needs >= {k}")
-        idx = rng.permutation(idx)
-        for m, i in enumerate(idx):
-            folds[m % k].append(int(i))
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+                f"class {cls} has {len(idx)} samples, needs {need}")
+        rank[rng.permutation(idx)] = np.arange(len(idx))
+    return rank
+
+
+def stratified_kfold(labels, k: int, seed: int = 0) -> list[np.ndarray]:
+    """k disjoint index folds with per-class counts differing by at most 1."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    rank = _class_ranks(np.asarray(labels), seed, k, f">= {k}")
+    return [np.flatnonzero(rank % k == m) for m in range(k)]
 
 
 def holdout_split(labels, train_per_class: int,
                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded per-class sampling of a train set; the remainder is the test set."""
-    y = np.asarray(labels)
     if train_per_class < 0:
         raise ValueError("train_per_class must be >= 0")
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for cls in sorted(set(y.tolist())):
-        idx = np.flatnonzero(y == cls)
-        if len(idx) <= train_per_class:
-            raise TooFewSamplesError(
-                f"class {cls} has {len(idx)} samples, needs > {train_per_class}")
-        idx = rng.permutation(idx)
-        train.extend(int(i) for i in idx[:train_per_class])
-        test.extend(int(i) for i in idx[train_per_class:])
-    return (np.sort(np.array(train, dtype=np.int64)),
-            np.sort(np.array(test, dtype=np.int64)))
+    rank = _class_ranks(np.asarray(labels), seed, train_per_class + 1,
+                        f"> {train_per_class}")
+    return (np.flatnonzero(rank < train_per_class),
+            np.flatnonzero(rank >= train_per_class))
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +160,14 @@ def overall_metrics(cm: ConfusionMatrix) -> OverallMetrics:
 
 
 # ---------------------------------------------------------------------------
-# cross-validation driver
+# held-out driver
 # ---------------------------------------------------------------------------
 
-def cross_validate(features, labels, k: int, seed: int,
-                   fit_predict) -> tuple[ConfusionMatrix, list[float]]:
-    """Run stratified k-fold CV; fold matrices are merged by summation.
-
-    fit_predict(train_X, train_y, test_X) must return predicted labels.
-    Returns the pooled confusion matrix and per-fold accuracies.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    folds = stratified_kfold(y, k, seed)
+def score_folds(X: np.ndarray, y: np.ndarray, folds,
+                fit_predict) -> tuple[ConfusionMatrix, list[float]]:
+    """Test each fold of indices with the labels that
+    fit_predict(train_X, train_y, test_X) predicts after training on its
+    complement; returns the summed confusion matrix and per-fold accuracies."""
     classes = sorted(set(y.tolist()))
     pooled = ConfusionMatrix(classes, np.zeros((len(classes),) * 2, np.int64))
     fold_acc = []
@@ -189,6 +179,14 @@ def cross_validate(features, labels, k: int, seed: int,
         fold_acc.append(float(np.trace(cm.counts)) / cm.total)
         pooled.counts += cm.counts
     return pooled, fold_acc
+
+
+def cross_validate(features, labels, k: int, seed: int,
+                   fit_predict) -> tuple[ConfusionMatrix, list[float]]:
+    """Stratified k-fold CV: score_folds over stratified_kfold's folds."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    return score_folds(X, y, stratified_kfold(y, k, seed), fit_predict)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise MalformedHeaderError("unexpected end of header")
     if not tok.isdigit():
         raise MalformedHeaderError(f"non-numeric {what}: {tok!r}")
-    return int(tok), match.end()
+    try:
+        return int(tok), match.end()
+    except ValueError:      # over Python's 4300-digit conversion limit
+        raise MalformedHeaderError(f"{what} too long to convert") from None
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
@@ -101,7 +104,10 @@ def _decode_pgm(data: bytes) -> np.ndarray:
                 f"expected {n} samples, found {len(tokens)}")
         if not b"".join(tokens).isdigit():
             raise MalformedHeaderError("non-numeric sample in raster")
-        values = [int(tok) for tok in tokens]
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:  # over Python's 4300-digit conversion limit
+            raise MalformedHeaderError("sample too long to convert") from None
         if max(values) > maxval:
             raise MalformedHeaderError("sample value exceeds declared maxval")
         pixels = np.array(values, dtype=np.int64)

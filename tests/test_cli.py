@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,88 @@ def test_preprocess_mixed_inputs_warns(tmp_path, capsys):
                  "--jobs", "1"]) == 0
     err = capsys.readouterr().err
     assert "blank.pgm" in err
+
+
+def _ink(bar: int) -> np.ndarray:
+    ink = np.full((20, 20), 255, dtype=np.uint8)
+    ink[5:15, 5:15] = 0
+    ink[2:18, bar:bar + 2] = 0
+    return ink
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_preprocess_output_clash_keeps_first(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "x.pgm").write_bytes(encode_pgm(_ink(3)))
+    (raw / "x.bmp").write_bytes(make_bmp(_ink(8)))
+    (raw / "y.PGM").write_bytes(encode_pgm(_ink(12)))
+    (raw / "y.pgm").write_bytes(encode_pgm(_ink(16)))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert main(["preprocess", str(raw), str(out), "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        assert "preprocessed 2/4 images" in captured.out
+        for first, later in (("x.bmp", "x.pgm"), ("y.PGM", "y.pgm")):
+            line = next(l for l in captured.err.splitlines()
+                        if f"skipped {raw / later}:" in l)
+            assert str(raw / first) in line
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+    assert sorted(trees[0]) == ["x.pgm", "y.pgm"]
+    # the first input in sorted order wins: x.bmp and y.PGM
+    reference = tmp_path / "ref"
+    reference.mkdir()
+    (reference / "x.bmp").write_bytes(make_bmp(_ink(8)))
+    (reference / "y.pgm").write_bytes(encode_pgm(_ink(12)))
+    assert main(["preprocess", str(reference), str(tmp_path / "ref_out"),
+                 "--jobs", "1"]) == 0
+    capsys.readouterr()
+    assert trees[0] == _tree_bytes(tmp_path / "ref_out")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_preprocess_skips_integer_too_long(tmp_path, capsys, jobs):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "long.pgm").write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n\x00")
+    (raw / "ok.pgm").write_bytes(encode_pgm(_ink(3)))
+    assert main(["preprocess", str(raw), str(tmp_path / "out"),
+                 "--jobs", jobs]) == 0
+    captured = capsys.readouterr()
+    assert "long.pgm: MalformedHeaderError" in captured.err
+    assert "preprocessed 1/2 images" in captured.out
+    assert sorted(_tree_bytes(tmp_path / "out")) == ["ok.pgm"]
+
+
+def test_extract_bad_image_same_at_both_job_counts(corpus, tmp_path, capsys):
+    norm = tmp_path / "norm"
+    shutil.copytree(corpus / "norm", norm)
+    (norm / "5" / "bad.pgm").write_bytes(b"P5 3 3 255\nxx")
+    files = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"f{jobs}.txt"
+        assert main(["extract", str(norm), str(out), "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("skipped") == 1
+        assert "bad.pgm: TruncatedDataError" in captured.err
+        assert "wrote 60 feature rows" in captured.out
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("mode", [["--holdout", "1"], ["--cv", "2"]],
+                         ids=" ".join)
+def test_eval_header_only_features_exit2(tmp_path, capsys, mode):
+    features = tmp_path / "f.txt"
+    features.write_text("#rwrl-v1,dim=2\n")
+    assert main(["eval", str(features), str(tmp_path / "out"), *mode]) == 2
+    assert "error: EmptyDataError" in capsys.readouterr().err
 
 
 def test_preprocess_empty_dir_exit2(tmp_path, capsys):
@@ -252,7 +335,8 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     palette = [(v % 256,) * 3 for v in range(300)]
     (tmp_path / "bad.bmp").write_bytes(make_bmp(ink, palette_rgb=palette))
     (tmp_path / "ok.bmp").write_bytes(make_bmp(ink))
-    (tmp_path / "ok.pgm").write_bytes(encode_pgm(ink))
+    # a distinct stem: ok.pgm would clash with ok.bmp's output and be skipped
+    (tmp_path / "ok2.pgm").write_bytes(encode_pgm(ink))
     assert main(["preprocess", str(tmp_path), str(tmp_path / "out"),
                  "--jobs", "2"]) == 0
     captured = capsys.readouterr()

@@ -37,6 +37,8 @@ GOLDEN = {
         "00c0324c26e50edc8d9dee95e0f52dafc5babd2eb9e3eabfeb53fdc72ef57c9d",
     "svm_ties":
         "6911e7a6add68c63dc23c20f220a83e1c8a85739c603fa82982553278b852190",
+    "eval_reports":
+        "c949604c72d0b215b6d044101eb0b7ccdd069fb49e029c87b16eb953d98c4ae4",
 }
 
 
@@ -79,6 +81,12 @@ def golden_digests(tmp_path) -> dict[str, str]:
     tie_svm = svm_train(tie_X, tie_y, KernelParams("linear"), seed=3)
     # midpoints of two digits are ambiguous for both classifiers
     rows = np.vstack([X, (X + X[rng.permutation(len(X))]) / 2])
+    reports = tmp_path / "eval"
+    for classifier in ("svm", "knn"):
+        for mode in (["--holdout", "5"], ["--cv", "3"]):
+            out = reports / f"{classifier}{mode[0]}"
+            assert main(["eval", str(feats), str(out), *mode, "--seed", "4",
+                         "--classifier", classifier]) == 0
     return {
         "synth_tree": _tree_digest(raw),
         "features": _sha(feats.read_bytes()),
@@ -88,6 +96,7 @@ def golden_digests(tmp_path) -> dict[str, str]:
         "knn_predict": _predictions(knn_predict_batch(knn, rows)),
         "knn_ties": _predictions(np.concatenate(ties)),
         "svm_ties": _predictions(svm_predict_batch(tie_svm, probes)),
+        "eval_reports": _tree_digest(reports),
     }
 
 

@@ -123,6 +123,15 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError):
             decode_image(b"P2 1 1 100 " + sample)
 
+    @pytest.mark.parametrize("data", [
+        b"P5 " + b"1" * 5000 + b" 1 255\n\x00",
+        b"P2 1 1 255\n" + b"0" * 5000 + b"1",
+    ], ids=["p5-width", "p2-sample"])
+    def test_integer_too_long_to_convert(self, data):
+        # int() refuses a string of more than 4300 digits with ValueError
+        with pytest.raises(MalformedHeaderError, match="too long"):
+            decode_image(data)
+
     def test_bmp_oversized_palette_rejected(self):
         pixels = np.zeros((2, 2), dtype=np.uint8)
         palette = [(v % 256,) * 3 for v in range(300)]
