@@ -14,9 +14,9 @@ from .evaluate import (
     OverallMetrics,
     class_metrics,
     confusion,
-    cross_validate,
     holdout_split,
     overall_metrics,
+    score_folds,
     stratified_kfold,
 )
 from .features import (
@@ -35,6 +35,7 @@ from .raster import (
     decode_image,
     encode_pgm,
     gaussian_smooth,
+    ink,
     normalize_digit,
     otsu_threshold,
     preprocess_image,
@@ -64,13 +65,13 @@ __all__ = [
     "binarize",
     "class_metrics",
     "confusion",
-    "cross_validate",
     "decode_image",
     "encode_pgm",
     "extract_contour",
     "extract_features",
     "gaussian_smooth",
     "holdout_split",
+    "ink",
     "kernel_matrix",
     "knn_predict_batch",
     "knn_train",
@@ -83,6 +84,7 @@ __all__ = [
     "read_feature_file",
     "scale_features",
     "scan_dataset",
+    "score_folds",
     "stratified_kfold",
     "svm_predict_batch",
     "svm_train",

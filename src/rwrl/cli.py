@@ -28,14 +28,19 @@ from .raster import (
     DARK_INK,
     LIGHT_INK,
     MAX_SIGMA,
-    binarize,
     binary_to_gray,
     decode_image,
     encode_pgm,
-    otsu_threshold,
+    ink,
     preprocess_image,
 )
-from .svm import KernelParams, SvmModel, svm_predict_batch, svm_train
+from .svm import (
+    MAX_DEGREE,
+    KernelParams,
+    SvmModel,
+    svm_predict_batch,
+    svm_train,
+)
 
 _KERNEL_NAMES = {"poly": "polynomial", "linear": "linear", "rbf": "rbf"}
 
@@ -83,9 +88,8 @@ def _preprocess_one(in_path, out_path, sigma, polarity) -> None:
 
 
 def _extract_one(path: str) -> np.ndarray:
-    gray = decode_image(Path(path).read_bytes())
-    bits = binarize(gray, otsu_threshold(gray), DARK_INK)
-    return extract_features(extract_contour(bits))
+    return extract_features(extract_contour(
+        ink(decode_image(Path(path).read_bytes()), DARK_INK)))
 
 
 def _job(task):
@@ -114,9 +118,7 @@ def _run_images(worker, tasks, jobs: int) -> list[tuple[int, object]]:
 
 def cmd_preprocess(args) -> int:
     in_dir = Path(args.in_dir)
-    files = sorted(p for p in in_dir.rglob("*")
-                   if p.suffix.lower() in dataset.IMAGE_SUFFIXES
-                   and p.is_file())
+    files = dataset.image_files(in_dir.rglob("*"))
     if not files:
         _warn(f"no input images under {in_dir}")
         return 2
@@ -183,29 +185,32 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _write_reports(out_dir, cm):
+    """Metrics of `cm` written under out_dir: (overall metrics, paths)."""
+    per_class = evaluate.class_metrics(cm)
+    overall = evaluate.overall_metrics(cm)
+    return overall, evaluate.write_reports(out_dir, cm, per_class, overall)
+
+
 def cmd_eval(args) -> int:
     y, X = read_feature_file(args.features)
 
     def fit_predict(train_X, train_y, test_X):
         return _predict_with(_train_model(args, train_X, train_y), test_X)
 
+    folds = (evaluate.stratified_kfold(y, args.cv, args.seed)
+             if args.cv is not None
+             else [evaluate.holdout_split(y, args.holdout, args.seed)[1]])
+    cm, fold_acc = evaluate.score_folds(X, y, folds, fit_predict)
     out_dir = Path(args.out_dir)
     if args.cv is not None:
-        cm, fold_acc = evaluate.cross_validate(X, y, args.cv, args.seed,
-                                               fit_predict)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "folds.csv", "w", encoding="ascii") as fh:
             fh.write("fold,accuracy\n")
             for i, acc in enumerate(fold_acc):
                 fh.write(f"{i},{acc:.4f}\n")
-        for i, acc in enumerate(fold_acc):
-            print(f"fold {i} accuracy {acc:.4f}")
-    else:
-        _, test_idx = evaluate.holdout_split(y, args.holdout, args.seed)
-        cm, _ = evaluate.score_folds(X, y, [test_idx], fit_predict)
-    per_class = evaluate.class_metrics(cm)
-    overall = evaluate.overall_metrics(cm)
-    evaluate.write_reports(out_dir, cm, per_class, overall)
+                print(f"fold {i} accuracy {acc:.4f}")
+    overall, _ = _write_reports(out_dir, cm)
     print(f"accuracy {overall.accuracy:.4f} ({cm.total} samples) -> {out_dir}")
     return 0
 
@@ -218,10 +223,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cm = evaluate.read_confusion_csv(args.confusion)
-    per_class = evaluate.class_metrics(cm)
-    overall = evaluate.overall_metrics(cm)
-    paths = evaluate.write_reports(args.out_dir, cm, per_class, overall)
+    _, paths = _write_reports(args.out_dir,
+                              evaluate.read_confusion_csv(args.confusion))
     print(Path(paths["report"]).read_text(encoding="ascii"))
     return 0
 
@@ -235,7 +238,7 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="classifier to train (default: svm)")
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         default="poly", help="SVM kernel (default: poly)")
-    parser.add_argument("--degree", type=_int_from(1), default=3,
+    parser.add_argument("--degree", type=_int_from(1, MAX_DEGREE), default=3,
                         help="polynomial kernel degree (default: 3)")
     parser.add_argument("--gamma", type=_float_from(0, inclusive=False),
                         default=None,

@@ -47,6 +47,12 @@ def parallel_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
+def image_files(paths) -> list[Path]:
+    """The sorted regular files among `paths` with an image suffix."""
+    return sorted(p for p in paths
+                  if p.suffix.lower() in IMAGE_SUFFIXES and p.is_file())
+
+
 @dataclass
 class Manifest:
     """Ordered (path, label) entries of a digit image tree."""
@@ -58,17 +64,14 @@ class Manifest:
 
 
 def scan_dataset(root) -> Manifest:
-    """Collect image files from subdirectories `0`..`9`, sorted by (label,
-    name); a directory named like an image is not one."""
+    """Image files of subdirectories `0`..`9`, sorted by (label, name)."""
     root = Path(root)
     entries: list[tuple[Path, int]] = []
     for label in CLASS_LABELS:
         class_dir = root / str(label)
         if not class_dir.is_dir():
             raise MissingClassDirError(f"missing class directory {class_dir}")
-        files = sorted(p for p in class_dir.iterdir()
-                       if p.suffix.lower() in IMAGE_SUFFIXES and p.is_file())
-        entries.extend((p, label) for p in files)
+        entries.extend((p, label) for p in image_files(class_dir.iterdir()))
     if not entries:
         raise NoImagesError(f"no image files under {root}")
     return Manifest(entries)

@@ -181,14 +181,6 @@ def score_folds(X: np.ndarray, y: np.ndarray, folds,
     return pooled, fold_acc
 
 
-def cross_validate(features, labels, k: int, seed: int,
-                   fit_predict) -> tuple[ConfusionMatrix, list[float]]:
-    """Stratified k-fold CV: score_folds over stratified_kfold's folds."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    return score_folds(X, y, stratified_kfold(y, k, seed), fit_predict)
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

@@ -215,7 +215,12 @@ def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
                         f"expected {dim + keyed}")
         keys += fields[:keyed]
         rows.append(parse_floats(fields[keyed:], error))
-    return keys, np.array(rows) if rows else np.empty((0, dim))
+    if rows:
+        return keys, np.array(rows)
+    try:
+        return keys, np.empty((0, dim))
+    except ValueError:      # numpy: dim * 8 bytes past its array size limit
+        raise error(f"dim={dim} is too large") from None
 
 
 # ---------------------------------------------------------------------------

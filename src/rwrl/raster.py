@@ -6,9 +6,9 @@ intensities in [0, 255], binary images are 2-D uint8 arrays in {0, 1} where
 
 The full chain used for a raw digit scan is:
 
-    decode_image -> gaussian_smooth -> otsu_threshold -> binarize -> normalize_digit
+    decode_image -> gaussian_smooth -> ink -> normalize_digit
 
-producing a 64x64 binary digit image.
+producing a 64x64 binary digit image; feature extraction reuses `ink`.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         if pixels.max(initial=0) > maxval:
             raise MalformedHeaderError("sample value exceeds declared maxval")
     else:  # P2
+        # a sample takes a byte, and `split` overflows past 2**63 - 1 tokens
+        if n > len(data) - pos:
+            raise TruncatedDataError(
+                f"expected {n} samples, found {len(data) - pos} bytes")
         # a comment runs to the end of its line and separates tokens
         body = _COMMENT.sub(b" ", data[pos:])
         tokens = body.split(None, n)[:n]
@@ -288,16 +292,20 @@ def normalize_digit(bin_img) -> np.ndarray:
     return square[np.ix_(idx, idx)].astype(np.uint8)
 
 
-def preprocess_image(data: bytes, sigma: float = 1.0,
-                     polarity: str = DARK_INK) -> np.ndarray:
-    """Run the full chain from encoded bytes to a normalized 64x64 binary image.
+def ink(gray, polarity: str) -> np.ndarray:
+    """The ink of a grayscale page, binarized at its Otsu threshold.
 
     A constant page carries no separable ink, so it is rejected as empty
     rather than letting the degenerate threshold mark everything foreground.
     """
-    gray = decode_image(data)
-    smooth = gaussian_smooth(gray, sigma)
-    if smooth.min() == smooth.max():
+    arr = _as_gray(gray)
+    if arr.min() == arr.max():
         raise EmptyImageError("blank page: image is constant")
-    t = otsu_threshold(smooth)
-    return normalize_digit(binarize(smooth, t, polarity))
+    return binarize(arr, otsu_threshold(arr), polarity)
+
+
+def preprocess_image(data: bytes, sigma: float = 1.0,
+                     polarity: str = DARK_INK) -> np.ndarray:
+    """Run the full chain from encoded bytes to a normalized 64x64 binary image."""
+    return normalize_digit(ink(gaussian_smooth(decode_image(data), sigma),
+                               polarity))

@@ -19,6 +19,7 @@ from .features import probe_rows, scale_features, training_rows
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
 SMO_MAX_ITER_FACTOR = 100   # give up after 100*n iterations
+MAX_DEGREE = 2 ** 63 - 1    # model files hold int64 integers
 
 
 @dataclass
@@ -32,8 +33,8 @@ class KernelParams:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.C <= 0:

@@ -18,8 +18,9 @@ from rwrl.evaluate import (
     ConfusionMatrix,
     class_metrics,
     confusion,
-    cross_validate,
     overall_metrics,
+    score_folds,
+    stratified_kfold,
 )
 from rwrl.features import (
     DIRECTIONS,
@@ -203,7 +204,8 @@ def test_end_to_end_learning(corpus):
                           seed=1)
         return svm_predict_batch(model, test_X)
 
-    _, fold_acc = cross_validate(X, y, 3, seed=1, fit_predict=fit_predict)
+    _, fold_acc = score_folds(X, y, stratified_kfold(y, 3, seed=1),
+                              fit_predict)
     spread = max(fold_acc) - min(fold_acc)
     elapsed = time.time() - t0
     ok = (svm_acc >= 0.90 and svm_acc >= knn_acc - 0.02

@@ -135,6 +135,38 @@ def test_preprocess_skips_integer_too_long(tmp_path, capsys, jobs):
     assert sorted(_tree_bytes(tmp_path / "out")) == ["ok.pgm"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_preprocess_skips_p2_past_its_bytes(tmp_path, capsys, jobs):
+    # width * height >= 2**63: bytes.split cannot even count the samples
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "huge.pgm").write_bytes(b"P2 4294967296 4294967296 255\n0 1\n")
+    (raw / "ok.pgm").write_bytes(encode_pgm(_ink(3)))
+    assert main(["preprocess", str(raw), str(tmp_path / "out"),
+                 "--jobs", jobs]) == 0
+    captured = capsys.readouterr()
+    assert "huge.pgm: TruncatedDataError" in captured.err
+    assert "preprocessed 1/2 images" in captured.out
+    assert sorted(_tree_bytes(tmp_path / "out")) == ["ok.pgm"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extract_skips_constant_pages(corpus, tmp_path, capsys, jobs):
+    # preprocess's page rule: a constant page, white or black, is empty
+    norm = tmp_path / "norm"
+    shutil.copytree(corpus / "norm", norm)
+    for name, value in (("white.pgm", 255), ("black.pgm", 0)):
+        (norm / "7" / name).write_bytes(
+            encode_pgm(np.full((64, 64), value, dtype=np.uint8)))
+    out = tmp_path / "f.txt"
+    assert main(["extract", str(norm), str(out), "--jobs", jobs]) == 0
+    captured = capsys.readouterr()
+    assert "white.pgm: EmptyImageError" in captured.err
+    assert "black.pgm: EmptyImageError" in captured.err
+    assert "wrote 60 feature rows" in captured.out
+    assert out.read_bytes() == (corpus / "features.txt").read_bytes()
+
+
 def test_extract_bad_image_same_at_both_job_counts(corpus, tmp_path, capsys):
     norm = tmp_path / "norm"
     shutil.copytree(corpus / "norm", norm)
@@ -265,6 +297,13 @@ def test_report_beyond_int64_products(tmp_path, capsys):
     assert "kappa  0.500" in capsys.readouterr().out
 
 
+def test_report_all_zero_matrix_exit2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("class,0,1\n0,0,0\n1,0,0\n")
+    assert main(["report", str(path), str(tmp_path / "out")]) == 2
+    assert "error: DegenerateMatrixError" in capsys.readouterr().err
+
+
 def test_directories_named_like_images_skipped(tmp_path, capsys):
     raw, norm = tmp_path / "raw", tmp_path / "norm"
     assert main(["synth", str(raw), "--per-class", "2", "--seed", "3",
@@ -353,6 +392,11 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["train", "f.txt", "m.txt", "--C", "0"],
     ["train", "f.txt", "m.txt", "--coef0", "nan"],
     ["train", "f.txt", "m.txt", "--degree", "0"],
+    # a model file stores the degree as an int64
+    ["train", "f.txt", "m.txt", "--degree", str(2 ** 63)],
+    ["train", "f.txt", "m.txt", "--kernel", "linear",
+     "--degree", str(2 ** 63)],
+    ["train", "f.txt", "m.txt", "--kernel", "rbf", "--degree", str(2 ** 63)],
     ["preprocess", "in", "out", "--sigma", "-1"],
     ["preprocess", "in", "out", "--sigma", "inf"],
     ["preprocess", "in", "out", "--sigma", "64.5"],
@@ -373,6 +417,16 @@ def test_out_of_range_flag_exit2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_largest_degree_trains_and_predicts(corpus, tmp_path, capsys):
+    features, model = str(corpus / "features.txt"), tmp_path / "m.txt"
+    assert main(["train", features, str(model), "--kernel", "linear",
+                 "--degree", str(2 ** 63 - 1)]) == 0
+    assert f"degree={2 ** 63 - 1} " in model.read_text()
+    assert main(["predict", str(model), features,
+                 str(tmp_path / "p.csv")]) == 0
+    capsys.readouterr()
 
 
 def test_largest_synth_seed_accepted(tmp_path):
@@ -420,3 +474,19 @@ def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
     (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "f.txt", "m.txt"],
+    ["predict", "m.txt", "f.txt", "p.csv"],
+    ["eval", "f.txt", "out", "--cv", "2"],
+], ids=" ".join)
+def test_header_dim_past_array_limit_exit2(corpus, tmp_path, monkeypatch,
+                                           capsys, argv):
+    # a (0, 2**60) float64 array is past numpy's size limit
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", str(corpus / "features.txt"), "m.txt",
+                 "--kernel", "linear"]) == 0
+    (tmp_path / "f.txt").write_text(f"#rwrl-v1,dim={2 ** 60}\n")
+    assert main(argv) == 2
+    assert "error: FeatureFileError" in capsys.readouterr().err

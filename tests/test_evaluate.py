@@ -13,11 +13,11 @@ from rwrl.evaluate import (
     ConfusionMatrix,
     class_metrics,
     confusion,
-    cross_validate,
     holdout_split,
     overall_metrics,
     read_confusion_csv,
     render_report,
+    score_folds,
     stratified_kfold,
     write_confusion_csv,
     write_reports,
@@ -217,8 +217,8 @@ class TestCrossValidate:
             d = ((test_X[:, None, :] - means[None]) ** 2).sum(axis=2)
             return d.argmin(axis=1)
 
-        cm, fold_acc = cross_validate(X, y, 3, seed=0,
-                                      fit_predict=nearest_mean)
+        cm, fold_acc = score_folds(X, y, stratified_kfold(y, 3, seed=0),
+                                   nearest_mean)
         assert cm.total == 90
         assert len(fold_acc) == 3
         assert all(acc > 0.9 for acc in fold_acc)

@@ -132,3 +132,28 @@ def test_feature_file_mutations_raise_only_rwrl_errors(tmp_path):
 
     failures = fuzz("features", path.read_bytes(), run)
     assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("value", [2 ** 62, 10 ** 20],
+                         ids=["2**62", "10**20"])
+@pytest.mark.parametrize("field", ["width", "height", "maxval"])
+@pytest.mark.parametrize("name", ["pgm2", "pgm5"])
+def test_huge_image_header_integer_raises_rwrl_error(name, field, value):
+    magic, *header, body = image_inputs()[name].split(None, 4)
+
+    def page(header) -> bytes:
+        return b" ".join([magic, *header]) + b"\n" + body
+
+    run_image(page(header))     # the rebuilt page itself is valid
+    header[("width", "height", "maxval").index(field)] = str(value).encode()
+    with pytest.raises(RwrlError):
+        run_image(page(header))
+
+
+@pytest.mark.parametrize("value", [2 ** 62, 10 ** 20],
+                         ids=["2**62", "10**20"])
+def test_huge_feature_dim_raises_rwrl_error(tmp_path, value):
+    path = tmp_path / "features.txt"
+    path.write_text(f"#rwrl-v1,dim={value}\n")
+    with pytest.raises(RwrlError):
+        read_feature_file(path)

@@ -16,6 +16,7 @@ from rwrl.raster import (
     decode_image,
     encode_pgm,
     gaussian_smooth,
+    ink,
     normalize_digit,
     otsu_threshold,
 )
@@ -113,6 +114,12 @@ class TestDecode:
     def test_truncated_ascii_body(self):
         with pytest.raises(TruncatedDataError):
             decode_image(b"P2 2 2 255 0 255")
+
+    def test_ascii_sample_count_past_bytes(self):
+        # 2**64 samples: more than the body's bytes, and past what
+        # bytes.split can count
+        with pytest.raises(TruncatedDataError, match="samples"):
+            decode_image(b"P2 4294967296 4294967296 255\n0 1 2\n")
 
     def test_sample_above_maxval(self):
         with pytest.raises(MalformedHeaderError):
@@ -272,6 +279,21 @@ class TestBinarize:
     def test_bad_polarity(self):
         with pytest.raises(ValueError):
             binarize(np.zeros((2, 2), dtype=np.uint8), 128, "sideways")
+
+
+class TestInk:
+    @pytest.mark.parametrize("value", [0, 128, 255])
+    @pytest.mark.parametrize("polarity", [DARK_INK, LIGHT_INK])
+    def test_constant_page_is_empty(self, value, polarity):
+        with pytest.raises(EmptyImageError, match="constant"):
+            ink(np.full((64, 64), value, dtype=np.uint8), polarity)
+
+    @pytest.mark.parametrize("polarity", [DARK_INK, LIGHT_INK])
+    def test_binarizes_at_otsu_threshold(self, polarity):
+        img = np.random.default_rng(4).integers(0, 256, size=(12, 9),
+                                                 dtype=np.uint8)
+        assert np.array_equal(ink(img, polarity),
+                              binarize(img, otsu_threshold(img), polarity))
 
 
 class TestNormalize:

@@ -184,6 +184,13 @@ class TestKernels:
         a = np.random.default_rng(0).normal(size=(5, 3))
         assert np.allclose(np.diag(kernel_matrix(p, a, a)), 1.0)
 
+    def test_degree_must_fit_a_model_file(self):
+        # model files hold int64 integers, so a larger degree could be
+        # saved but never loaded
+        with pytest.raises(ValueError, match="degree"):
+            KernelParams("linear", degree=2 ** 63)
+        assert KernelParams("linear", degree=2 ** 63 - 1).degree == 2 ** 63 - 1
+
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
             KernelParams("polynomial", degree=0)
