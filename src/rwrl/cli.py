@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every warning of the command, repeats too, as a `warning:` line
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: _warn(str(message))
+            return args.func(args)
     except (DimensionMismatchError, LengthMismatchError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -183,10 +183,9 @@ def synth_generate(seed: int, per_class: int, out_dir, jobs: int = 1) -> Manifes
     return manifest
 
 
-def write_manifest_csv(path, manifest: Manifest, relative_to=None) -> None:
+def write_manifest_csv(path, manifest: Manifest, relative_to) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("path", "label"))
         for file, label in manifest.entries:
-            name = file.relative_to(relative_to) if relative_to else file
-            writer.writerow((name.as_posix(), label))
+            writer.writerow((file.relative_to(relative_to).as_posix(), label))

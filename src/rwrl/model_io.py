@@ -7,13 +7,16 @@ both hold ``classes``, ``dim``, then ``mean``, ``std``, ``pool P`` and P
 raw training rows, all rows in the feature file's row format: the k-NN
 samples, or each row that some SVM machine uses as a support vector, once
 and in training order, as LIBSVM's model shares them. Last come a
-``labels`` line (k-NN) or, per class pair in ``svm_train``'s order,
-``machine a b nsv=M bias=B`` and M ``pool-index coefficient`` rows (SVM),
-then ``end``. Every value reads back exactly, and a model z-scores its pool
-when it is built, as in training, so it predicts bit-identically.
+``labels`` line (k-NN) or, per class pair in ``combinations(classes, 2)``
+order, ``machine a b nsv=M bias=B`` and M ``pool-index coefficient``
+rows (SVM), then ``end``. Every value reads back exactly, and a model
+z-scores its pool when it is built, as in training, so it predicts
+bit-identically.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -163,22 +166,20 @@ def _load_svm(reader: _Reader) -> SvmModel:
     classes, mean, std, pool = reader.header()
     machines = []
     # one machine per class pair, in svm_train's order
-    for i, first in enumerate(classes):
-        for second in classes[i + 1:]:
-            head = reader.expect("machine")
-            pair = parse_ints(head[:2], CorruptModelError)
-            if len(head) != 4 or pair != [first, second]:
-                raise CorruptModelError(
-                    f"expected the machine of classes {first} and {second}")
-            kv = _parse_kv(head[2:], ("nsv", "bias"))
-            nsv = parse_ints([kv["nsv"]], CorruptModelError)[0]
-            bias = parse_floats([kv["bias"]], CorruptModelError).item()
-            keys, coefs = reader.rows(nsv, 1)
-            index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
-            if ((index < 0) | (index >= len(pool))).any():
-                raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
-            machines.append(BinaryMachine(first, second, index, coefs.ravel(),
-                                          bias))
+    for first, second in combinations(classes, 2):
+        head = reader.expect("machine")
+        pair = parse_ints(head[:2], CorruptModelError)
+        if len(head) != 4 or pair != [first, second]:
+            raise CorruptModelError(
+                f"expected the machine of classes {first} and {second}")
+        kv = _parse_kv(head[2:], ("nsv", "bias"))
+        nsv = parse_ints([kv["nsv"]], CorruptModelError)[0]
+        bias = parse_floats([kv["bias"]], CorruptModelError).item()
+        keys, coefs = reader.rows(nsv, 1)
+        index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
+        if ((index < 0) | (index >= len(pool))).any():
+            raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
+        machines.append(BinaryMachine(first, second, index, coefs.ravel(), bias))
     reader.end()
     return SvmModel(classes, params, mean, std, pool, machines)
 

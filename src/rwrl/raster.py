@@ -31,9 +31,10 @@ NORMALIZED_SIZE = 64
 MAX_SIGMA = 64  # px; smoothing time and memory grow with sigma
 
 _COMMENT = re.compile(rb"#[^\r\n]*")
-# whitespace and comments, then one header token
-_HEADER_TOKEN = re.compile(
-    rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c#]*)")
+# magic, width, height, maxval: each number ends at whitespace or a comment,
+# which runs to its line end, so no digit run is split or lent to a field
+_PGM_HEADER = re.compile(rb"P[25]%s*(\d+)%s+(\d+)%s+(\d+)(?=\s|#|\Z)"
+                         % ((rb"(?:\s|#[^\r\n]*(?![^\r\n]))",) * 3))
 
 DARK_INK = "dark-ink"
 LIGHT_INK = "light-ink"
@@ -57,25 +58,23 @@ def _as_binary(img) -> np.ndarray:
 # decoding / encoding
 # ---------------------------------------------------------------------------
 
-def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    match = _HEADER_TOKEN.match(data, pos)
-    tok = match.group(1)
-    if not tok:
-        raise MalformedHeaderError("unexpected end of header")
-    if not tok.isdigit():
-        raise MalformedHeaderError(f"non-numeric {what}: {tok!r}")
+def _pgm_ints(tokens, what: str) -> list[int]:
+    """PGM integer tokens as ints: ASCII digits only."""
+    if not b"".join(tokens).isdigit():
+        raise MalformedHeaderError(f"non-numeric {what}")
     try:
-        return int(tok), match.end()
+        return [int(tok) for tok in tokens]
     except ValueError:      # over Python's 4300-digit conversion limit
         raise MalformedHeaderError(f"{what} too long to convert") from None
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
-    magic = data[:2]
-    pos = 2
-    width, pos = _int_token(data, pos, "width")
-    height, pos = _int_token(data, pos, "height")
-    maxval, pos = _int_token(data, pos, "maxval")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise MalformedHeaderError(
+            "graymap header is not three integers after the magic")
+    width, height, maxval = _pgm_ints(header.groups(), "header field")
+    pos = header.end()
     if width < 1 or height < 1 or maxval < 1:
         raise MalformedHeaderError(
             f"bad graymap dimensions {width}x{height} maxval={maxval}")
@@ -83,7 +82,7 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         raise UnsupportedFormatError("only 8-bit graymaps are supported")
 
     n = width * height
-    if magic == b"P5":
+    if data[:2] == b"P5":
         # exactly one whitespace byte separates the header from raw samples
         if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n\x0b\x0c":
             raise MalformedHeaderError("missing separator before raster data")
@@ -106,13 +105,8 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         if len(tokens) < n:
             raise TruncatedDataError(
                 f"expected {n} samples, found {len(tokens)}")
-        if not b"".join(tokens).isdigit():
-            raise MalformedHeaderError("non-numeric sample in raster")
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:  # over Python's 4300-digit conversion limit
-            raise MalformedHeaderError("sample too long to convert") from None
-        if max(values) > maxval:
+        values = _pgm_ints(tokens, "sample")
+        if max(values) > maxval:    # np.array overflows past int64
             raise MalformedHeaderError("sample value exceeds declared maxval")
         pixels = np.array(values, dtype=np.int64)
     return pixels.astype(np.uint8).reshape(height, width)

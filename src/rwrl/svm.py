@@ -9,7 +9,8 @@ dense Gram matrix per binary problem.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -152,36 +153,35 @@ def svm_train(features, labels, params: KernelParams | None = None,
 
     params = params or KernelParams()
     if params.gamma is None:
-        params = KernelParams(params.kind, params.degree,
-                              1.0 / X.shape[1], params.coef0, params.C)
+        params = replace(params, gamma=1.0 / X.shape[1])
 
-    machines = []
+    scaled = scale_features(X, mean, std)
+    solved = []
     used = np.zeros(len(X), dtype=bool)     # support vector of some machine
-    for a_idx in range(len(classes)):
-        for b_idx in range(a_idx + 1, len(classes)):
-            a, b = classes[a_idx], classes[b_idx]
-            rows = np.flatnonzero((y == a) | (y == b))
-            sub = scale_features(X[rows], mean, std)
-            sub_y = np.where(y[rows] == a, 1.0, -1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = kernel_matrix(params, sub, sub)
-            if not np.isfinite(gram).all():
-                raise NonFiniteKernelError(
-                    f"kernel matrix of classes {a} and {b} is not finite "
-                    "(the kernel parameters overflow)")
-            alpha, bias, converged = _smo(gram, sub_y, params.C)
-            if not converged:
-                warnings.warn(
-                    f"SMO for classes {a} and {b} stopped at the iteration "
-                    f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
-                    "converging", RuntimeWarning, stacklevel=2)
-            sv = alpha > 0
-            used[rows[sv]] = True
-            machines.append(BinaryMachine(a, b, rows[sv], alpha[sv] * sub_y[sv],
-                                          bias))
+    for a, b in combinations(classes, 2):
+        rows = np.flatnonzero((y == a) | (y == b))
+        # one gather as both operands: numpy computes a @ a.T on one buffer
+        # with a symmetric kernel; two gathers take GEMM, which rounds apart
+        sub = scaled[rows]
+        sub_y = np.where(y[rows] == a, 1.0, -1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = kernel_matrix(params, sub, sub)
+        if not np.isfinite(gram).all():
+            raise NonFiniteKernelError(
+                f"kernel matrix of classes {a} and {b} is not finite "
+                "(the kernel parameters overflow)")
+        alpha, bias, converged = _smo(gram, sub_y, params.C)
+        if not converged:
+            warnings.warn(
+                f"SMO for classes {a} and {b} stopped at the iteration "
+                f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
+                "converging", RuntimeWarning, stacklevel=2)
+        sv = alpha > 0
+        used[rows[sv]] = True
+        solved.append((a, b, rows[sv], alpha[sv] * sub_y[sv], bias))
     pool_row = np.cumsum(used) - 1      # training row -> row of the pool
-    for machine in machines:
-        machine.pool_index = pool_row[machine.pool_index]
+    machines = [BinaryMachine(a, b, pool_row[sv_rows], coefficients, bias)
+                for a, b, sv_rows, coefficients, bias in solved]
     return SvmModel(classes, params, mean, std, X[used], machines)
 
 

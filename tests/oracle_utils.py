@@ -86,6 +86,37 @@ def encode_pgm_ascii(img: np.ndarray) -> bytes:
     return f"P2\n{img.shape[1]} {img.shape[0]}\n255\n{rows}".encode("ascii")
 
 
+def read_pgm_reference(data: bytes) -> np.ndarray:
+    """Pixels of a P2 or P5 page, read byte by byte. Whitespace and `#`
+    comments, each to its line end, come between tokens; a P5 raster starts
+    one byte after maxval, and the P2 samples are the next w*h tokens. A
+    token that is not ASCII digits raises ValueError."""
+    space, pos = b" \t\r\n\x0b\x0c", 2
+
+    def token() -> int:
+        nonlocal pos
+        while data[pos] in space or data[pos] == ord("#"):
+            if data[pos] == ord("#"):
+                while pos < len(data) and data[pos] not in b"\r\n":
+                    pos += 1
+            else:
+                pos += 1
+        start = pos
+        while pos < len(data) and data[pos] not in space + b"#":
+            pos += 1
+        text = data[start:pos].decode("latin-1")
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"non-digit token {text!r}")
+        return int(text)
+
+    width, height, _ = token(), token(), token()
+    if data[:2] == b"P5":
+        pixels = list(data[pos + 1:pos + 1 + width * height])
+    else:
+        pixels = [token() for _ in range(width * height)]
+    return np.array(pixels, dtype=np.uint8).reshape(height, width)
+
+
 def enumerate_run_lengths(bits: np.ndarray, direction: Direction) -> np.ndarray:
     """Per-pixel run lengths by walking every maximal run of a direction."""
     h, w = bits.shape

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -366,6 +368,33 @@ def test_parser_documents_flags():
     parser = build_parser()
     text = parser.format_help()
     assert "preprocess" in text and "extract" in text and "eval" in text
+
+
+def test_readme_flag_table_lists_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = {flag for row in re.findall(r"^\| (`--.*?) \|", readme, re.M)
+                  for flag in re.findall(r"`(--[\w-]+)`", row)}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for sub in subparsers.choices.values()
+                for action in sub._actions for flag in action.option_strings
+                if flag.startswith("--") and flag != "--help"}
+    assert documented == accepted
+
+
+def test_every_smo_warning_is_a_warning_line(tmp_path, monkeypatch, capsys):
+    # both folds stop at the iteration cap with the same message, which
+    # Python's warning registry would show once, as a source warning
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(0, 1, (20, 6)), rng.normal(0.3, 1, (20, 6))])
+    monkeypatch.chdir(tmp_path)
+    write_feature_file("f", np.repeat([0, 1], 20), X)
+    for _ in range(2):      # the registry outlives one call of main
+        assert main(["eval", "f", "out", "--cv", "2", "--kernel", "linear",
+                     "--C", "1e300"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: SMO for classes 0 and 1") == 2, err
+        assert "RuntimeWarning" not in err
 
 
 def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):

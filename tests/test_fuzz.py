@@ -20,7 +20,7 @@ from rwrl.model_io import model_load, model_save
 from rwrl.raster import decode_image, encode_pgm, preprocess_image
 from rwrl.svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 
-from oracle_utils import encode_pgm_ascii
+from oracle_utils import encode_pgm_ascii, read_pgm_reference
 from test_raster import make_bmp
 
 CASES = 600
@@ -104,6 +104,17 @@ def fuzz(name: str, data: bytes, run) -> list[str]:
 @pytest.mark.parametrize("name", sorted(image_inputs()))
 def test_image_mutations_raise_only_rwrl_errors(name):
     failures = fuzz(name, image_inputs()[name], run_image)
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("name", ["pgm2", "pgm5"])
+def test_accepted_pgm_mutations_decode_like_the_reference(name):
+    # a misread header could still decode without error, to other pixels
+    def run(data: bytes) -> None:
+        pixels = decode_image(data)
+        assert np.array_equal(pixels, read_pgm_reference(data))
+
+    failures = fuzz(name, image_inputs()[name], run)
     assert not failures, failures[:5]
 
 

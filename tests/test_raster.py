@@ -139,6 +139,15 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError, match="too long"):
             decode_image(data)
 
+    @pytest.mark.parametrize("data", [
+        b"P5 1 12 ",        # two fields: 12 must not split into 1 and 2
+        b"P2 1 12\n",
+        b"P2 1 #2 3\n",     # a comment lends no digits to a field
+    ])
+    def test_truncated_header_is_malformed(self, data):
+        with pytest.raises(MalformedHeaderError):
+            decode_image(data)
+
     def test_bmp_oversized_palette_rejected(self):
         pixels = np.zeros((2, 2), dtype=np.uint8)
         palette = [(v % 256,) * 3 for v in range(300)]
