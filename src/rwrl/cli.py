@@ -256,6 +256,11 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="skip z-scoring of features")
 
 
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
+                        help="worker processes (default: logical CPUs)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwrl",
@@ -275,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity", choices=(DARK_INK, LIGHT_INK),
                    default=DARK_INK,
                    help="which side of the threshold is ink (default: dark-ink)")
-    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
-                   help="worker processes (default: logical CPUs)")
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("extract",
@@ -284,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "images in class subdirectories 0..9")
     p.add_argument("in_dir", help="directory with class subdirectories 0..9")
     p.add_argument("out_file", help="feature file to write")
-    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
-                   help="worker processes (default: logical CPUs)")
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a classifier on a feature file")
@@ -322,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="images per digit class (default: 100)")
     p.add_argument("--seed", type=_int_from(0, 2 ** 32 - 1), default=0,
                    help="random seed, below 2**32 (default: 0)")
-    p.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
-                   help="worker processes (default: logical CPUs)")
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report",

@@ -11,15 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import WrongDimensionsError
-from .raster import NORMALIZED_SIZE
+from .raster import NORMALIZED_SIZE, _as_binary
 
 
 def extract_contour(bin_img) -> np.ndarray:
     """Return the contour pixel set of a 64x64 binary image."""
-    arr = np.asarray(bin_img).astype(np.uint8, copy=False)
+    arr = np.asarray(bin_img)
     if arr.shape != (NORMALIZED_SIZE, NORMALIZED_SIZE):
         raise WrongDimensionsError(
             f"expected {NORMALIZED_SIZE}x{NORMALIZED_SIZE}, got {arr.shape}")
+    arr = _as_binary(arr)
     padded = np.pad(arr, 1)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateMatrixError,
     EmptyMatrixError,
+    LengthMismatchError,
     TooFewSamplesError,
     UnknownLabelError,
 )
@@ -98,16 +99,27 @@ class OverallMetrics:
     ci95_halfwidth: float
 
 
+def _positions(labels: np.ndarray, classes: list[int]) -> np.ndarray:
+    """Each label's index in `classes`; a label equal to no class raises."""
+    order = np.argsort(classes, kind="stable")
+    ranked = np.asarray(classes)[order]
+    at = np.searchsorted(ranked, labels, side="right") - 1
+    # a label below every class gets at == -1: the largest class, not equal
+    if labels.size and not (ranked.size and (ranked[at] == labels).all()):
+        raise UnknownLabelError("label outside the class list")
+    return order[at]
+
+
 def confusion(y_true, y_pred, classes) -> ConfusionMatrix:
     classes = [int(c) for c in classes]
-    index = {c: k for k, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(np.asarray(y_true).ravel(), np.asarray(y_pred).ravel()):
-        t, p = int(t), int(p)
-        if t not in index or p not in index:
-            raise UnknownLabelError(f"label outside class list: {t, p}")
-        counts[index[t], index[p]] += 1
-    return ConfusionMatrix(classes, counts)
+    y_true, y_pred = np.ravel(y_true), np.ravel(y_pred)
+    if len(y_true) != len(y_pred):
+        raise LengthMismatchError(
+            f"{len(y_true)} true labels but {len(y_pred)} predictions")
+    k = len(classes)
+    cells = _positions(y_true, classes) * k + _positions(y_pred, classes)
+    return ConfusionMatrix(classes,
+                           np.bincount(cells, minlength=k * k).reshape(k, k))
 
 
 def class_metrics(cm: ConfusionMatrix) -> dict[int, ClassMetrics]:
@@ -167,18 +179,15 @@ def score_folds(X: np.ndarray, y: np.ndarray, folds,
                 fit_predict) -> tuple[ConfusionMatrix, list[float]]:
     """Test each fold of indices with the labels that
     fit_predict(train_X, train_y, test_X) predicts after training on its
-    complement; returns the summed confusion matrix and per-fold accuracies."""
+    complement; returns one confusion matrix over all folds and the
+    per-fold accuracies."""
     classes = sorted(set(y.tolist()))
-    pooled = ConfusionMatrix(classes, np.zeros((len(classes),) * 2, np.int64))
-    fold_acc = []
-    for held_out in folds:
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[held_out] = False
-        pred = fit_predict(X[train_mask], y[train_mask], X[held_out])
-        cm = confusion(y[held_out], pred, classes)
-        fold_acc.append(float(np.trace(cm.counts)) / cm.total)
-        pooled.counts += cm.counts
-    return pooled, fold_acc
+    truth = [y[held_out] for held_out in folds]
+    predicted = [np.ravel(fit_predict(np.delete(X, held_out, axis=0),
+                                      np.delete(y, held_out), X[held_out]))
+                 for held_out in folds]
+    cm = confusion(np.concatenate(truth), np.concatenate(predicted), classes)
+    return cm, [float((p == t).mean()) for t, p in zip(truth, predicted)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +238,23 @@ def write_reports(out_dir, cm: ConfusionMatrix,
     }
     paths["report"].write_text(render_report(cm, per_class, overall),
                                encoding="ascii")
-    with open(paths["per_class"], "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("class",) + PER_CLASS_COLUMNS)
-        for cls in cm.classes:
-            writer.writerow([cls] + [f"{v:.4f}" for v in _row(per_class[cls])])
-    with open(paths["overall"], "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OVERALL_COLUMNS)
-        writer.writerow([f"{v:.4f}" for v in _row(overall)])
+    _write_csv(paths["per_class"], [("class",) + PER_CLASS_COLUMNS] + [
+        [cls] + [f"{v:.4f}" for v in _row(per_class[cls])]
+        for cls in cm.classes])
+    _write_csv(paths["overall"],
+               [OVERALL_COLUMNS, [f"{v:.4f}" for v in _row(overall)]])
     write_confusion_csv(paths["confusion"], cm)
     return {name: str(path) for name, path in paths.items()}
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
+    _write_csv(path, [["class", *cm.classes]] + [
+        [cls, *row] for cls, row in zip(cm.classes, cm.counts.tolist())])
+
+
+def _write_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + [str(c) for c in cm.classes])
-        for k, cls in enumerate(cm.classes):
-            writer.writerow([cls] + [int(v) for v in cm.counts[k]])
+        csv.writer(fh).writerows(rows)
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:

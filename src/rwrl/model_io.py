@@ -9,9 +9,10 @@ samples, or each row that some SVM machine uses as a support vector, once
 and in training order, as LIBSVM's model shares them. Last come a
 ``labels`` line (k-NN) or, per class pair in ``combinations(classes, 2)``
 order, ``machine a b nsv=M bias=B`` and M ``pool-index coefficient``
-rows (SVM), then ``end``. Every value reads back exactly, and a model
-z-scores its pool when it is built, as in training, so it predicts
-bit-identically.
+rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
+``machine`` line stand in the writer's order, each once. Every value reads
+back exactly, and a model z-scores its pool when it is built, as in
+training, so it predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -136,31 +137,21 @@ def model_load(data: bytes):
     raise CorruptModelError("unrecognized model header")
 
 
-def _parse_kv(fields, keys) -> dict:
-    out = {}
-    for field in fields:
-        if "=" not in field:
-            raise CorruptModelError(f"bad key=value field {field!r}")
-        key, value = field.split("=", 1)
-        if key not in keys:
-            raise CorruptModelError(f"unknown field {key!r}")
-        out[key] = value
-    missing = set(keys) - out.keys()
-    if missing:
-        raise CorruptModelError(f"missing fields {sorted(missing)}")
-    return out
+def _values(fields, keys) -> list[str]:
+    """The values of `key=value` fields that hold exactly `keys`, in order."""
+    if [f.partition("=")[:2] for f in fields] != [(k, "=") for k in keys]:
+        raise CorruptModelError(
+            "expected the fields " + " ".join(f"{k}=" for k in keys))
+    return [f.partition("=")[2] for f in fields]
 
 
 def _load_svm(reader: _Reader) -> SvmModel:
     fields = reader.expect("kernel")
-    if not fields:
-        raise CorruptModelError("kernel record lacks a kind")
-    kv = _parse_kv(fields[1:], ("degree", "gamma", "coef0", "C"))
-    degree = parse_ints([kv["degree"]], CorruptModelError)[0]
-    gamma, coef0, C = parse_floats([kv["gamma"], kv["coef0"], kv["C"]],
-                                   CorruptModelError)
+    degree, *floats = _values(fields[1:], ("degree", "gamma", "coef0", "C"))
     try:
-        params = KernelParams(fields[0], degree, gamma, coef0, C)
+        params = KernelParams(fields[0],
+                              parse_ints([degree], CorruptModelError)[0],
+                              *parse_floats(floats, CorruptModelError))
     except ValueError as exc:
         raise CorruptModelError(f"bad kernel parameters: {exc}") from None
     classes, mean, std, pool = reader.header()
@@ -168,13 +159,12 @@ def _load_svm(reader: _Reader) -> SvmModel:
     # one machine per class pair, in svm_train's order
     for first, second in combinations(classes, 2):
         head = reader.expect("machine")
-        pair = parse_ints(head[:2], CorruptModelError)
-        if len(head) != 4 or pair != [first, second]:
+        if parse_ints(head[:2], CorruptModelError) != [first, second]:
             raise CorruptModelError(
                 f"expected the machine of classes {first} and {second}")
-        kv = _parse_kv(head[2:], ("nsv", "bias"))
-        nsv = parse_ints([kv["nsv"]], CorruptModelError)[0]
-        bias = parse_floats([kv["bias"]], CorruptModelError).item()
+        nsv, bias = _values(head[2:], ("nsv", "bias"))
+        nsv = parse_ints([nsv], CorruptModelError)[0]
+        bias = parse_floats([bias], CorruptModelError).item()
         keys, coefs = reader.rows(nsv, 1)
         index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
         if ((index < 0) | (index >= len(pool))).any():

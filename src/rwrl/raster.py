@@ -2,7 +2,9 @@
 
 Images are plain numpy arrays: grayscale images are 2-D uint8 arrays with
 intensities in [0, 255], binary images are 2-D uint8 arrays in {0, 1} where
-1 marks foreground ink.
+1 marks foreground ink. The library functions take any 2-D array whose
+values are integers in 0..255; another value raises ValueError rather than
+wrapping to a uint8.
 
 The full chain used for a raw digit scan is:
 
@@ -44,6 +46,10 @@ def _as_gray(img) -> np.ndarray:
     arr = np.asarray(img)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
+    # a uint8 or bool page needs no scan; any other must fit uint8 exactly
+    if arr.dtype not in (np.uint8, np.bool_) and not (
+            (arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)).all():
+        raise ValueError("image values must be integers in 0..255")
     return arr.astype(np.uint8, copy=False)
 
 

@@ -8,6 +8,7 @@ dense Gram matrix per binary problem.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -36,10 +37,13 @@ class KernelParams:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.C <= 0:
-            raise ValueError("C must be > 0")
+        # as the CLI flags and the model file's float rule: finite values
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 0")
+        if not math.isfinite(self.coef0):
+            raise ValueError("coef0 must be finite")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be finite and > 0")
 
 
 def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:

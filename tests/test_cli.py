@@ -169,6 +169,20 @@ def test_extract_skips_constant_pages(corpus, tmp_path, capsys, jobs):
     assert out.read_bytes() == (corpus / "features.txt").read_bytes()
 
 
+def test_extract_of_constant_pages_only_exit2(tmp_path, capsys):
+    page = encode_pgm(np.full((64, 64), 255, dtype=np.uint8))
+    for digit in range(10):
+        (tmp_path / "norm" / str(digit)).mkdir(parents=True)
+        (tmp_path / "norm" / str(digit) / "blank.pgm").write_bytes(page)
+    out = tmp_path / "f.txt"
+    assert main(["extract", str(tmp_path / "norm"), str(out),
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("EmptyImageError") == 10
+    assert "warning: no image produced features" in err
+    assert not out.exists()
+
+
 def test_extract_bad_image_same_at_both_job_counts(corpus, tmp_path, capsys):
     norm = tmp_path / "norm"
     shutil.copytree(corpus / "norm", norm)

@@ -75,3 +75,23 @@ def test_interior_pixels_removed():
 def test_wrong_size_rejected():
     with pytest.raises(WrongDimensionsError):
         extract_contour(np.ones((32, 32), dtype=np.uint8))
+
+
+def test_non_binary_page_rejected():
+    # a 0/255 page is grayscale: read as uint8 0/1 it would have no contour
+    img = np.zeros((64, 64), dtype=np.uint8)
+    img[20:40, 20:40] = 255
+    with pytest.raises(ValueError, match="0 or 1"):
+        extract_contour(img)
+
+
+def test_shape_checked_before_values():
+    with pytest.raises(WrongDimensionsError):
+        extract_contour(np.full((32, 32), 255, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_binary_values_of_any_dtype(dtype):
+    img = (np.random.default_rng(6).random((64, 64)) < 0.5).astype(np.uint8)
+    assert np.array_equal(extract_contour(img.astype(dtype)),
+                          extract_contour(img))

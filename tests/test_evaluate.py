@@ -3,9 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+import rwrl.evaluate
+
 from rwrl.errors import (
     DegenerateMatrixError,
     EmptyMatrixError,
+    LengthMismatchError,
     TooFewSamplesError,
     UnknownLabelError,
 )
@@ -111,6 +114,31 @@ class TestConfusion:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
             confusion([0, 3], [0, 0], [0, 1])
+
+    @pytest.mark.parametrize("y_true, y_pred, classes", [
+        ([1.7], [1], [0, 1]),
+        ([0], [-1], [0, 1]),
+        ([0], [np.nan], [0, 1]),
+        ([0], [0], []),
+    ], ids=["fraction", "below-every-class", "nan", "no-classes"])
+    def test_label_equal_to_no_class_is_unknown(self, y_true, y_pred, classes):
+        with pytest.raises(UnknownLabelError):
+            confusion(y_true, y_pred, classes)
+
+    def test_unequal_lengths(self):
+        with pytest.raises(LengthMismatchError):
+            confusion([0, 1, 1], [0, 1], [0, 1])
+
+    def test_counts_each_pair_in_the_callers_class_order(self):
+        rng = np.random.default_rng(5)
+        classes = [7, -2, 3, 0]
+        y_true, y_pred = rng.choice(classes, (2, 500))
+        expected = np.zeros((4, 4), dtype=np.int64)
+        for t, p in zip(y_true, y_pred):
+            expected[classes.index(t), classes.index(p)] += 1
+        cm = confusion(y_true, y_pred, classes)
+        assert cm.classes == classes
+        assert np.array_equal(cm.counts, expected)
 
     def test_reference_totals(self):
         cm = reference_cm()
@@ -223,6 +251,24 @@ class TestCrossValidate:
         assert len(fold_acc) == 3
         assert all(acc > 0.9 for acc in fold_acc)
 
+    def test_one_confusion_over_all_folds(self, monkeypatch):
+        y = np.repeat(np.arange(3), 4)
+        folds = stratified_kfold(y, 2, seed=0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return confusion(*args)
+
+        def first_class(train_X, train_y, test_X):
+            return np.zeros(len(test_X), dtype=np.int64)
+
+        monkeypatch.setattr(rwrl.evaluate, "confusion", counted)
+        cm, fold_acc = score_folds(np.zeros((12, 1)), y, folds, first_class)
+        assert len(calls) == 1
+        assert np.array_equal(cm.counts, [[4, 0, 0], [4, 0, 0], [4, 0, 0]])
+        assert fold_acc == [2 / 6, 2 / 6]
+
 
 class TestReports:
     def test_text_report_rounding(self):
@@ -280,11 +326,12 @@ class TestReports:
         "class,0,1\n0,1,0\n1,0," + "9" * 5000 + "\n",
         "class,0,1\n0,5000000000000000000,1\n1,1,5000000000000000000\n",
         "class,0,0\n0,1,2\n0,3,4\n",
+        "class,0,1\n0,1,0\n",
     ], ids=["cell", "class", "fraction", "negative", "blank-row",
             "oversized-field", "plus-class", "plus-row-class",
             "underscore-class", "plus-count", "underscore-count",
             "spaced-count", "count-5000-digits", "total-past-int64",
-            "repeated-class"])
+            "repeated-class", "missing-row"])
     def test_malformed_confusion_csv(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

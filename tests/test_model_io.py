@@ -266,6 +266,18 @@ BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
     (_knn_bytes, rb"\nlabels 0 ", b"\nlabels "),
     (_knn_bytes, rb"\nlabels ", b"\nlabels 0 "),
     (_knn_bytes, rb"(\npool \d+\n)\S+ ", rb"\1"),
+    (_svm_bytes, rb"\nkernel [^\n]*", b"\nkernel"),
+    (_svm_bytes, rb"\nkernel linear ", b"\nkernel "),
+    (_svm_bytes, rb"degree=(\S+) gamma=(\S+)", rb"gamma=\2 degree=\1"),
+    (_svm_bytes, rb"(degree=)\S+", rb"\g<1>3 \g<1>7"),
+    (_svm_bytes, rb" C=\S+", b""),
+    (_svm_bytes, rb"(C=\S+)", rb"\1 shrink=1"),
+    (_svm_bytes, rb"coef0=", b"coef0"),
+    (_svm_bytes, rb"nsv=(\S+) bias=(\S+)", rb"bias=\2 nsv=\1"),
+    (_svm_bytes, rb"(bias=\S+)", rb"\1 \1"),
+    (_svm_bytes, rb"machine 0 1 nsv=\S+", b"machine 0 1"),
+    (_svm_bytes, rb"machine 0 1 [^\n]*", b"machine 0 1"),
+    (_svm_bytes, rb"machine 0 1 [^\n]*", b"machine 0"),
 ] + [(make, pattern, new + spelling)
      for make, pattern, new, _ in FLOAT_FIELDS.values()
      for spelling in BAD_FLOATS.values()
@@ -278,7 +290,11 @@ BAD_FLOATS = {"underscore": b"1_0", "upper-exponent": b"1E5", "inf": b"inf",
         "k-extra-field", "dim-extra-field", "samples-plus-sign",
         "samples-underscore", "label-plus-sign", "data-after-end",
         "samples-5000-digits", "dim-10^12", "labels-short", "labels-long",
-        "sample-row-width"] + [
+        "sample-row-width", "kernel-bare", "kernel-no-kind",
+        "kernel-reordered", "kernel-repeated", "kernel-missing",
+        "kernel-unknown", "kernel-no-equals", "machine-reordered",
+        "machine-repeated", "machine-missing", "machine-no-fields",
+        "machine-one-class"] + [
             f"{field}-{name}" for field in FLOAT_FIELDS for name in BAD_FLOATS])
 def test_invalid_fields_are_corrupt(make, pattern, new):
     data = make()

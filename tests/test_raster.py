@@ -148,6 +148,16 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError):
             decode_image(data)
 
+    def test_binary_graymap_without_separator(self):
+        with pytest.raises(MalformedHeaderError, match="separator"):
+            decode_image(b"P5 1 1 255")
+
+    @pytest.mark.parametrize("size", [2, 53])
+    def test_bmp_shorter_than_its_header(self, size):
+        data = make_bmp(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(MalformedHeaderError, match="header truncated"):
+            decode_image(data[:size])
+
     def test_bmp_oversized_palette_rejected(self):
         pixels = np.zeros((2, 2), dtype=np.uint8)
         palette = [(v % 256,) * 3 for v in range(300)]
@@ -354,3 +364,49 @@ class TestNormalize:
         top_fg = np.flatnonzero(out.any(axis=1))
         assert top_fg[0] == 0  # no padding above
         assert top_fg[-1] < 63  # the extra background row lands below
+
+
+class TestImageValues:
+    """A library image function takes integers in 0..255 of any dtype and
+    refuses other values rather than wrapping them to uint8."""
+
+    def test_gray_value_above_255_rejected(self):
+        page = np.zeros((8, 8), dtype=np.int64)
+        page[2:5, 2:5] = 300
+        with pytest.raises(ValueError, match="0..255"):
+            gaussian_smooth(page, 1.0)
+
+    def test_binary_value_256_rejected(self):
+        page = np.zeros((8, 8), dtype=np.int64)
+        page[2:5, 2:5] = 256
+        with pytest.raises(ValueError, match="0..255"):
+            normalize_digit(page)
+
+    @pytest.mark.parametrize("page", [
+        np.linspace(0.1, 0.9, 64).reshape(8, 8),
+        np.full((8, 8), -1),
+        np.full((8, 8), np.nan),
+        np.full((8, 8), np.inf),
+    ], ids=["fractions", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("apply", [
+        lambda a: gaussian_smooth(a, 1.0),
+        otsu_threshold,
+        lambda a: binarize(a, 128),
+        lambda a: ink(a, DARK_INK),
+        encode_pgm,
+    ], ids=["smooth", "otsu", "binarize", "ink", "encode"])
+    def test_values_outside_uint8_rejected(self, page, apply):
+        with pytest.raises(ValueError, match="0..255"):
+            apply(page)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint16])
+    def test_integer_values_of_any_dtype_read_as_uint8(self, dtype):
+        page = np.random.default_rng(9).integers(0, 256, size=(12, 9),
+                                                  dtype=np.uint8)
+        assert np.array_equal(gaussian_smooth(page.astype(dtype), 1.0),
+                              gaussian_smooth(page, 1.0))
+        assert np.array_equal(ink(page.astype(dtype), DARK_INK),
+                              ink(page, DARK_INK))
+        bits = ink(page, DARK_INK)
+        assert np.array_equal(normalize_digit(bits.astype(bool)),
+                              normalize_digit(bits))

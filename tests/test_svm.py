@@ -200,3 +200,13 @@ class TestKernels:
             KernelParams("polynomial", C=0.0)
         with pytest.raises(ValueError):
             KernelParams("sigmoid")
+        # finite values only, as the CLI flags and model files hold
+        for kind, values in (("polynomial", {"C": np.nan}),
+                             ("polynomial", {"C": np.inf}),
+                             ("rbf", {"gamma": np.inf}),
+                             ("linear", {"gamma": np.nan}),
+                             ("linear", {"coef0": np.inf}),
+                             ("polynomial", {"coef0": -np.inf}),
+                             ("polynomial", {"coef0": np.nan})):
+            with pytest.raises(ValueError):
+                KernelParams(kind, **values)
