@@ -64,7 +64,7 @@ class BinaryMachine:
     first: int
     second: int
     pool_index: np.ndarray            # (m,) support vectors' rows of the pool
-    coefficients: np.ndarray          # (m,) alpha_k * y_k
+    coefficients: np.ndarray          # (m,) beta_k = y_k alpha_k, nonzero
     bias: float
     support_vectors: np.ndarray = field(init=False, repr=False)  # z-scored
 
@@ -94,23 +94,25 @@ class SvmModel:
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float
          ) -> tuple[np.ndarray, float, bool]:
-    """Solve one binary C-SVC dual; return alpha, bias and convergence.
+    """Solve one binary C-SVC dual in beta = y alpha; return beta, the bias
+    and convergence.
 
     SMO with second-order working-set selection (Fan, Chen & Lin, JMLR
-    2005, as in LIBSVM). G is the gradient of 1/2 a'Qa - sum(a) with
-    Q = yy'K. Each step moves the pair (i, j) along a_i += y_i t,
-    a_j -= y_j t, which keeps sum(y a) = 0, so G changes by
-    t y (K_i - K_j).
+    2005, as in LIBSVM) over the box min(0, C y) <= beta <= max(0, C y)
+    (Bottou & Lin, 2007). score = -yG, with G the gradient of
+    1/2 a'Qa - sum(a) and Q = yy'K. Each step moves the pair (i, j) along
+    beta_i += t, beta_j -= t, which keeps sum(beta) = 0, so score changes by
+    -t (K_i - K_j).
     """
     n = len(y)
-    alpha = np.zeros(n)
-    G = -np.ones(n)
+    lb = np.minimum(0.0, C * y)
+    ub = np.maximum(0.0, C * y)
+    beta = np.zeros(n)
+    score = y.copy()
     diag = np.diag(K)
     converged = False
     for _ in range(SMO_MAX_ITER_FACTOR * n):
-        score = -y * G
-        up = np.where(y > 0, alpha < C, alpha > 0)
-        low = np.where(y > 0, alpha > 0, alpha < C)
+        up, low = beta < ub, beta > lb
         i = int(np.argmax(np.where(up, score, -np.inf)))
         gap = score[i] - np.min(score, where=low, initial=np.inf)
         if gap < SMO_TOLERANCE:
@@ -120,28 +122,23 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float
         a = diag[i] + diag - 2.0 * K[i]
         a = np.where(a > 0, a, SMO_TAU)
         j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
-        # largest step that keeps both multipliers inside [0, C]
-        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        # largest step that keeps both coefficients inside their box
+        room_i, room_j = ub[i] - beta[i], beta[j] - lb[j]
         t = min(b[j] / a[j], room_i, room_j)
-        G += t * y * (K[i] - K[j])
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        if t == room_i:
-            alpha[i] = C if y[i] > 0 else 0.0
-        if t == room_j:
-            alpha[j] = 0.0 if y[j] > 0 else C
+        score -= t * (K[i] - K[j])
+        beta[i] = ub[i] if t == room_i else beta[i] + t
+        beta[j] = lb[j] if t == room_j else beta[j] - t
 
-    # rho as in LIBSVM: the mean of yG over free multipliers, else the
-    # midpoint of the bounds that the multipliers at 0 or C put on it
-    yG = y * G
-    free = (alpha > 0) & (alpha < C)
+    # rho as in LIBSVM: the mean of yG over free coefficients, else the
+    # midpoint of the bounds that the coefficients at lb or ub put on it
+    yG = -score
+    up = beta < ub
+    free = up & (beta > lb)
     if free.any():
         rho = yG[free].mean()
     else:
-        below = (alpha > 0) == (y > 0)
-        rho = 0.5 * (yG[~below].min() + yG[below].max())
-    return alpha, -float(rho), converged
+        rho = 0.5 * (yG[up].min() + yG[~up].max())
+    return beta, -float(rho), converged
 
 
 def svm_train(features, labels, params: KernelParams | None = None,
@@ -174,15 +171,15 @@ def svm_train(features, labels, params: KernelParams | None = None,
             raise NonFiniteKernelError(
                 f"kernel matrix of classes {a} and {b} is not finite "
                 "(the kernel parameters overflow)")
-        alpha, bias, converged = _smo(gram, sub_y, params.C)
+        beta, bias, converged = _smo(gram, sub_y, params.C)
         if not converged:
             warnings.warn(
                 f"SMO for classes {a} and {b} stopped at the iteration "
                 f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
                 "converging", RuntimeWarning, stacklevel=2)
-        sv = alpha > 0
+        sv = beta != 0
         used[rows[sv]] = True
-        solved.append((a, b, rows[sv], alpha[sv] * sub_y[sv], bias))
+        solved.append((a, b, rows[sv], beta[sv], bias))
     pool_row = np.cumsum(used) - 1      # training row -> row of the pool
     machines = [BinaryMachine(a, b, pool_row[sv_rows], coefficients, bias)
                 for a, b, sv_rows, coefficients, bias in solved]

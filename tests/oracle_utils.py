@@ -3,8 +3,9 @@
 These deliberately avoid the library's vectorized code paths: window
 geometry, bands and run lengths are defined per pixel, run lengths also
 come from enumerating maximal runs along scan lines, convolution is done
-densely per pixel, resampling walks destination pixels one by one, and
-glyphs are rendered by measuring every segment against the whole canvas.
+densely per pixel, resampling walks destination pixels one by one,
+glyphs are rendered by measuring every segment against the whole canvas,
+and the SMO solver keeps its multipliers in [0, C] with label-sign branches.
 """
 
 import math
@@ -12,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from rwrl import dataset
+from rwrl import dataset, svm
 from rwrl.features import (
     DIRECTIONS,
     GRID_SIDE,
@@ -223,3 +224,56 @@ def full_canvas_render_glyph(label: int, rng: np.random.Generator) -> np.ndarray
             dist = np.sqrt((rel * rel).sum(axis=-1))
             ink |= dist <= limit
     return np.where(ink, 0, 255).astype(np.uint8)
+
+
+def smo_alpha_reference(K: np.ndarray, y: np.ndarray, C: float
+                        ) -> tuple[np.ndarray, float, bool]:
+    """Binary C-SVC dual solved in alpha with label-dependent bounds: the
+    same SMO with second-order working-set selection (Fan, Chen & Lin, JMLR
+    2005) as `svm._smo`, written in LIBSVM's terms. Returns alpha, the bias
+    and convergence.
+
+    G is the gradient of 1/2 a'Qa - sum(a) with Q = yy'K. Each step moves
+    the pair (i, j) along a_i += y_i t, a_j -= y_j t, which keeps
+    sum(y a) = 0, so G changes by t y (K_i - K_j).
+    """
+    n = len(y)
+    alpha = np.zeros(n)
+    G = -np.ones(n)
+    diag = np.diag(K)
+    converged = False
+    for _ in range(svm.SMO_MAX_ITER_FACTOR * n):
+        score = -y * G
+        up = np.where(y > 0, alpha < C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        gap = score[i] - np.min(score, where=low, initial=np.inf)
+        if gap < svm.SMO_TOLERANCE:
+            converged = True
+            break
+        b = score[i] - score
+        a = diag[i] + diag - 2.0 * K[i]
+        a = np.where(a > 0, a, svm.SMO_TAU)
+        j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+        # largest step that keeps both multipliers inside [0, C]
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(b[j] / a[j], room_i, room_j)
+        G += t * y * (K[i] - K[j])
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        if t == room_i:
+            alpha[i] = C if y[i] > 0 else 0.0
+        if t == room_j:
+            alpha[j] = 0.0 if y[j] > 0 else C
+
+    # rho as in LIBSVM: the mean of yG over free multipliers, else the
+    # midpoint of the bounds that the multipliers at 0 or C put on it
+    yG = y * G
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        rho = yG[free].mean()
+    else:
+        below = (alpha > 0) == (y > 0)
+        rho = 0.5 * (yG[~below].min() + yG[below].max())
+    return alpha, -float(rho), converged

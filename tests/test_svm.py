@@ -11,11 +11,14 @@ from rwrl.features import scale_features
 from rwrl.svm import (
     SMO_TOLERANCE,
     KernelParams,
+    _smo,
     kernel_matrix,
     svm_decision_table,
     svm_predict_batch,
     svm_train,
 )
+
+from oracle_utils import smo_alpha_reference
 
 SEPARABLE_X = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0], [5.0, 5.0]])
 SEPARABLE_Y = np.array([0, 0, 1, 1])
@@ -210,3 +213,51 @@ class TestKernels:
                              ("polynomial", {"coef0": np.nan})):
             with pytest.raises(ValueError):
                 KernelParams(kind, **values)
+
+
+class TestSolver:
+    """`_smo` solves in beta = y alpha what the alpha-form reference solves,
+    bit for bit: beta, the bias and the exit reason."""
+
+    @staticmethod
+    def overlapping_blobs(seed, n=20, d=8, shift=1.0):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([rng.normal(0, 1, (n, d)), rng.normal(shift, 1, (n, d))])
+        return X, np.repeat([1.0, -1.0], n)
+
+    @staticmethod
+    def solve_both(K, y, C):
+        beta, bias, converged = _smo(K, y, C)
+        alpha, ref_bias, ref_converged = smo_alpha_reference(K, y, C)
+        assert np.array_equal(beta, y * alpha)
+        assert np.array_equal(beta != 0, alpha > 0)
+        assert bias == ref_bias and converged == ref_converged
+        return alpha, converged
+
+    @pytest.mark.parametrize("C", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize("params", [
+        KernelParams("linear"),
+        KernelParams("polynomial", gamma=0.25),
+        KernelParams("rbf", gamma=0.25),
+    ], ids=lambda p: p.kind)
+    def test_beta_is_y_alpha_of_the_reference(self, params, C):
+        X, y = self.overlapping_blobs(seed=int(np.log10(C)) + 3)
+        alpha, converged = self.solve_both(kernel_matrix(params, X, X), y, C)
+        assert converged and (alpha > 0).any()
+
+    def test_no_free_coefficient(self):
+        # every multiplier ends at 0 or C: the bias is the midpoint branch
+        X, y = self.overlapping_blobs(seed=0)
+        C = 1e-3
+        K = kernel_matrix(KernelParams("rbf", gamma=0.25), X, X)
+        alpha, _ = self.solve_both(K, y, C)
+        assert not ((alpha > 0) & (alpha < C)).any()
+
+    def test_iteration_cap(self):
+        # as test_every_smo_warning_is_a_warning_line: C = 1e300 on
+        # overlapping classes stops at the cap
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(0, 1, (10, 6)), rng.normal(0.3, 1, (10, 6))])
+        y = np.repeat([1.0, -1.0], 10)
+        _, converged = self.solve_both(X @ X.T, y, 1e300)
+        assert not converged
