@@ -8,6 +8,7 @@ confusion matrix. All stages are deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -20,6 +21,7 @@ from . import dataset, evaluate, model_io
 from .contour import extract_contour
 from .errors import (
     DimensionMismatchError,
+    EmptyDataError,
     LengthMismatchError,
     RwrlError,
 )
@@ -176,12 +178,12 @@ def _predict_with(model, X) -> np.ndarray:
 def cmd_predict(args) -> int:
     model = model_io.model_load(Path(args.model).read_bytes())
     y, X = read_feature_file(args.features)
+    if not len(y):
+        raise EmptyDataError("feature file holds no rows to predict")
     predicted = _predict_with(model, X)
-    with open(args.out_csv, "w", encoding="ascii") as fh:
-        fh.write("index,true,predicted\n")
-        for i, (t, p) in enumerate(zip(y, predicted)):
-            fh.write(f"{i},{t},{p}\n")
-    accuracy = float((predicted == y).mean()) if len(y) else 0.0
+    evaluate.write_csv(args.out_csv, itertools.chain(
+        [("index", "true", "predicted")], zip(itertools.count(), y, predicted)))
+    accuracy = float((predicted == y).mean())
     print(f"accuracy {accuracy:.4f} ({len(y)} samples) -> {args.out_csv}")
     return 0
 
@@ -206,11 +208,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     if args.cv is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "folds.csv", "w", encoding="ascii") as fh:
-            fh.write("fold,accuracy\n")
-            for i, acc in enumerate(fold_acc):
-                fh.write(f"{i},{acc:.4f}\n")
-                print(f"fold {i} accuracy {acc:.4f}")
+        evaluate.write_csv(out_dir / "folds.csv", [("fold", "accuracy")] + [
+            (i, f"{acc:.4f}") for i, acc in enumerate(fold_acc)])
+        for i, acc in enumerate(fold_acc):
+            print(f"fold {i} accuracy {acc:.4f}")
     overall, _ = _write_reports(out_dir, cm)
     print(f"accuracy {overall.accuracy:.4f} ({cm.total} samples) -> {out_dir}")
     return 0

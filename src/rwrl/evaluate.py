@@ -238,23 +238,25 @@ def write_reports(out_dir, cm: ConfusionMatrix,
     }
     paths["report"].write_text(render_report(cm, per_class, overall),
                                encoding="ascii")
-    _write_csv(paths["per_class"], [("class",) + PER_CLASS_COLUMNS] + [
+    write_csv(paths["per_class"], [("class",) + PER_CLASS_COLUMNS] + [
         [cls] + [f"{v:.4f}" for v in _row(per_class[cls])]
         for cls in cm.classes])
-    _write_csv(paths["overall"],
-               [OVERALL_COLUMNS, [f"{v:.4f}" for v in _row(overall)]])
+    write_csv(paths["overall"],
+              [OVERALL_COLUMNS, [f"{v:.4f}" for v in _row(overall)]])
     write_confusion_csv(paths["confusion"], cm)
     return {name: str(path) for name, path in paths.items()}
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
-    _write_csv(path, [["class", *cm.classes]] + [
+    write_csv(path, [["class", *cm.classes]] + [
         [cls, *row] for cls, row in zip(cm.classes, cm.counts.tolist())])
 
 
-def _write_csv(path, rows) -> None:
+def write_csv(path, rows) -> None:
+    """Rows of fields as an ASCII CSV with LF line ends, the one writer of
+    every table rwrl writes."""
     with open(path, "w", newline="", encoding="ascii") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:

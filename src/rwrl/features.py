@@ -142,13 +142,19 @@ def training_rows(features, labels, scale: bool) -> tuple[
         np.ndarray, np.ndarray, list[int], np.ndarray, np.ndarray]:
     """A classifier's checked training input: the float64 rows (the input
     itself if it is float64), the int64 labels, the sorted class list, and
-    the training mean and std per dimension, (0, 1) when not scaling."""
+    the training mean and std per dimension, (0, 1) when not scaling. A
+    label whose int64 value differs from it (0.5, NaN, 2.0**63) raises
+    ValueError."""
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if X.ndim != 2 or len(X) == 0:
         raise EmptyDataError("training data is empty")
-    if y.shape != (len(X),):
-        raise DimensionMismatchError(f"{len(X)} rows but {y.size} labels")
+    if labels.shape != (len(X),):
+        raise DimensionMismatchError(f"{len(X)} rows but {labels.size} labels")
+    with np.errstate(invalid="ignore"):     # NaN or past int64: refused below
+        y = labels.astype(np.int64, copy=False)
+    if not (y == labels).all():
+        raise ValueError("labels must be integers within int64")
     if scale:
         with np.errstate(over="ignore", invalid="ignore"):
             mean, std = X.mean(axis=0), X.std(axis=0)

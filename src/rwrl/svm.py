@@ -108,7 +108,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float
     lb = np.minimum(0.0, C * y)
     ub = np.maximum(0.0, C * y)
     beta = np.zeros(n)
-    score = y.copy()
+    score = y.copy()                    # -yG at beta = 0, where G = -1
     diag = np.diag(K)
     converged = False
     for _ in range(SMO_MAX_ITER_FACTOR * n):

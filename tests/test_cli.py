@@ -208,6 +208,16 @@ def test_eval_header_only_features_exit2(tmp_path, capsys, mode):
     assert "error: EmptyDataError" in capsys.readouterr().err
 
 
+def test_predict_header_only_features_exit2(corpus, tmp_path, capsys):
+    model, out = tmp_path / "m.txt", tmp_path / "p.csv"
+    assert main(["train", str(corpus / "features.txt"), str(model)]) == 0
+    features = tmp_path / "f.txt"
+    features.write_text("#rwrl-v1,dim=196\n")
+    assert main(["predict", str(model), str(features), str(out)]) == 2
+    assert "error: EmptyDataError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_empty_dir_exit2(tmp_path, capsys):
     assert main(["preprocess", str(tmp_path), str(tmp_path / "out")]) == 2
     capsys.readouterr()
@@ -301,6 +311,28 @@ def test_report_from_confusion_csv(corpus, tmp_path, capsys):
     again = tmp_path / "again"
     assert main(["report", str(out / "confusion.csv"), str(again)]) == 0
     assert (again / "overall.csv").read_bytes() == \
+        (out / "overall.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_tables_end_lines_in_lf(corpus, tmp_path, capsys):
+    features = str(corpus / "features.txt")
+    out, model, pred = tmp_path / "rep", tmp_path / "m.txt", tmp_path / "p.csv"
+    assert main(["eval", features, str(out), "--cv", "2"]) == 0
+    assert main(["train", features, str(model)]) == 0
+    assert main(["predict", str(model), features, str(pred)]) == 0
+    tables = sorted(out.glob("*.csv")) + [pred]
+    assert [p.name for p in tables] == ["confusion.csv", "folds.csv",
+                                        "overall.csv", "per_class.csv",
+                                        "p.csv"]
+    for path in tables:
+        assert b"\r" not in path.read_bytes(), path.name
+    # a CRLF confusion CSV, as csv.writer's default wrote it, still reads
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes((out / "confusion.csv").read_bytes()
+                     .replace(b"\n", b"\r\n"))
+    assert main(["report", str(crlf), str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "overall.csv").read_bytes() == \
         (out / "overall.csv").read_bytes()
     capsys.readouterr()
 

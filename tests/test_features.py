@@ -414,8 +414,13 @@ class TestClassifierInput:
         (np.zeros((4, 2)), np.array(1), DimensionMismatchError),
         (np.array([[1e308, 0.0], [-1e308, 1.0]] * 2), np.array([0, 1, 0, 1]),
          FeatureFileError),
+        # a label must equal its int64 value, not be cast to it
+        (np.zeros((4, 2)), np.array([0.0, 0.5, 1.0, 1.7]), ValueError),
+        (np.zeros((4, 2)), np.array([0.0, np.nan, 1.0, 1.0]), ValueError),
+        (np.zeros((4, 2)), np.array([0.0, 0.0, 1.0, 2.0 ** 63]), ValueError),
     ], ids=["empty", "one-dimensional", "short-labels", "label-matrix",
-            "scalar-label", "overflowing-statistics"])
+            "scalar-label", "overflowing-statistics", "fractional", "nan",
+            "past-int64"])
     def test_training_errors_agree(self, X, y, error):
         with pytest.raises(error):
             svm_train(X, y)

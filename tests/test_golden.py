@@ -38,7 +38,7 @@ GOLDEN = {
     "svm_ties":
         "6911e7a6add68c63dc23c20f220a83e1c8a85739c603fa82982553278b852190",
     "eval_reports":
-        "c949604c72d0b215b6d044101eb0b7ccdd069fb49e029c87b16eb953d98c4ae4",
+        "599daabd5aa1164b03fe6e17d0c4681fb84a7fd19127477e1c3a5122a147334d",
 }
 
 
