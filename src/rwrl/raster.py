@@ -32,6 +32,8 @@ from .errors import (
 NORMALIZED_SIZE = 64
 MAX_SIGMA = 64  # px; smoothing time and memory grow with sigma
 
+PGM_MAX_DIGITS = 4300  # per PGM integer, leading zeros counted
+
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # magic, width, height, maxval: each number ends at whitespace or a comment,
 # which runs to its line end, so no digit run is split or lent to a field
@@ -64,14 +66,45 @@ def _as_binary(img) -> np.ndarray:
 # decoding / encoding
 # ---------------------------------------------------------------------------
 
-def _pgm_ints(tokens, what: str) -> list[int]:
-    """PGM integer tokens as ints: ASCII digits only."""
-    if not b"".join(tokens).isdigit():
-        raise MalformedHeaderError(f"non-numeric {what}")
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:      # over Python's 4300-digit conversion limit
-        raise MalformedHeaderError(f"{what} too long to convert") from None
+def _check_digits(longest: int, what: str) -> None:
+    """Every PGM integer has at most PGM_MAX_DIGITS digits, leading zeros
+    counted here rather than left to the interpreter's int() limit."""
+    if longest > PGM_MAX_DIGITS:
+        raise MalformedHeaderError(
+            f"{what} too long: over {PGM_MAX_DIGITS} digits")
+
+
+def _p2_digits(body: bytes, n: int) -> np.ndarray:
+    """The last three digits of each of the first n samples of a P2 body,
+    0 where a sample has fewer, as a (3, n) uint8 array. A sample of 1000
+    or more is refused here. Its int64 token index is freed on return,
+    before the caller's int64 sums."""
+    if b"#" in body:    # a comment runs to its line end and separates
+        body = _COMMENT.sub(b" ", body)
+    buf = np.frombuffer(body, dtype=np.uint8)
+    # the six bytes bytes.split() takes for whitespace: 9-13 and 32
+    sep = (buf == 32) | ((buf >= 9) & (buf <= 13))
+    # fenced by separators, token i spans edges[2i]:edges[2i + 1]
+    edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
+    if len(edges) < 2 * n:
+        raise TruncatedDataError(
+            f"expected {n} samples, found {len(edges) // 2}")
+    starts, ends = edges[0:2 * n:2], edges[1:2 * n:2]
+    # bytes past the n-th sample are not read
+    head, digit = buf[:ends[-1]], ~sep[:ends[-1]]
+    if (digit & ((head < ord("0")) | (head > ord("9")))).any():
+        raise MalformedHeaderError("non-numeric sample")
+    _check_digits(int((ends - starts).max()), "sample")
+    # a nonzero digit with three more after it makes a sample >= 1000
+    if ((head[:-3] > ord("0")) & digit[1:-2] & digit[2:-1]
+            & digit[3:]).any():
+        raise MalformedHeaderError("sample value exceeds declared maxval")
+    digits = np.empty((3, n), dtype=np.uint8)
+    for row, back in enumerate((3, 2, 1)):
+        at = ends - back
+        digits[row] = head.take(at, mode="clip")
+        digits[row, at < starts] = ord("0")
+    return digits - ord("0")
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
@@ -79,7 +112,8 @@ def _decode_pgm(data: bytes) -> np.ndarray:
     if header is None:
         raise MalformedHeaderError(
             "graymap header is not three integers after the magic")
-    width, height, maxval = _pgm_ints(header.groups(), "header field")
+    _check_digits(max(map(len, header.groups())), "header field")
+    width, height, maxval = map(int, header.groups())
     pos = header.end()
     if width < 1 or height < 1 or maxval < 1:
         raise MalformedHeaderError(
@@ -101,20 +135,13 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         if pixels.max(initial=0) > maxval:
             raise MalformedHeaderError("sample value exceeds declared maxval")
     else:  # P2
-        # a sample takes a byte, and `split` overflows past 2**63 - 1 tokens
-        if n > len(data) - pos:
-            raise TruncatedDataError(
-                f"expected {n} samples, found {len(data) - pos} bytes")
-        # a comment runs to the end of its line and separates tokens
-        body = _COMMENT.sub(b" ", data[pos:])
-        tokens = body.split(None, n)[:n]
-        if len(tokens) < n:
-            raise TruncatedDataError(
-                f"expected {n} samples, found {len(tokens)}")
-        values = _pgm_ints(tokens, "sample")
-        if max(values) > maxval:    # np.array overflows past int64
+        digits = _p2_digits(data[pos:], n)
+        pixels = np.zeros(n, dtype=np.int64)
+        for row, place in zip(digits, (100, 10, 1)):
+            # widened before scaling: uint8 products wrap without a warning
+            pixels += np.multiply(row, place, dtype=np.int64)
+        if pixels.max() > maxval:
             raise MalformedHeaderError("sample value exceeds declared maxval")
-        pixels = np.array(values, dtype=np.int64)
     return pixels.astype(np.uint8).reshape(height, width)
 
 

@@ -91,7 +91,9 @@ def read_pgm_reference(data: bytes) -> np.ndarray:
     """Pixels of a P2 or P5 page, read byte by byte. Whitespace and `#`
     comments, each to its line end, come between tokens; a P5 raster starts
     one byte after maxval, and the P2 samples are the next w*h tokens. A
-    token that is not ASCII digits raises ValueError."""
+    token that is not ASCII digits or has more than 4300 of them, leading
+    zeros counted, or a sample above maxval raises ValueError; too few
+    tokens raise IndexError."""
     space, pos = b" \t\r\n\x0b\x0c", 2
 
     def token() -> int:
@@ -108,13 +110,17 @@ def read_pgm_reference(data: bytes) -> np.ndarray:
         text = data[start:pos].decode("latin-1")
         if not (text.isascii() and text.isdigit()):
             raise ValueError(f"non-digit token {text!r}")
+        if len(text) > 4300:
+            raise ValueError(f"token of {len(text)} digits")
         return int(text)
 
-    width, height, _ = token(), token(), token()
+    width, height, maxval = token(), token(), token()
     if data[:2] == b"P5":
         pixels = list(data[pos + 1:pos + 1 + width * height])
     else:
         pixels = [token() for _ in range(width * height)]
+    if max(pixels, default=0) > maxval:
+        raise ValueError("sample above maxval")
     return np.array(pixels, dtype=np.uint8).reshape(height, width)
 
 

@@ -118,6 +118,74 @@ def test_accepted_pgm_mutations_decode_like_the_reference(name):
     assert not failures, failures[:5]
 
 
+# the six bytes that separate PGM tokens, and bytes that look like space
+# to str.split() or Latin-1 but are non-numeric in a PGM
+SEPARATORS = (b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r")
+NON_NUMERIC = (b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\x85", b"\xa0",
+               b"+", b"-", b"_", b"x", b"\x00")
+
+
+def p2_page(rng: np.random.Generator) -> bytes:
+    """A small P2 page whose samples have 1 to 3 digits, often after a run
+    of leading zeros, between random separators and comments. Some pages
+    hold a sample above maxval, a sample of over 4300 digits, a non-numeric
+    byte, one sample too few or garbage after the last sample."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def gap() -> bytes:
+        if rng.random() < 0.2:      # a comment, glued or spaced
+            text = bytes(rng.integers(32, 127, size=int(rng.integers(4))))
+            return pick((b"", b" ")) + b"#" + text + pick((b"\n", b"\r"))
+        return b"".join(pick(SEPARATORS) for _ in range(rng.integers(1, 3)))
+
+    width, height = (int(v) for v in rng.integers(1, 4, size=2))
+    maxval = pick((1, 9, 10, 99, 100, 200, 254, 255))
+    n = width * height + pick((0, 0, 0, 0, -1, 1, 2))
+    values = rng.integers(maxval + 1, size=n)
+    if n and rng.random() < 0.3:
+        values[rng.integers(n)] = rng.integers(pick((maxval + 2, 1000, 10**5)))
+    samples = []
+    for value in values.tolist():
+        digits = len(str(value)) + pick((0, 0, 0, 1, 2, 7))
+        if rng.random() < 0.02:
+            digits = pick((4300, 4301))
+        samples.append(b"%0*d" % (digits, value))
+    if samples and rng.random() < 0.1:
+        i = int(rng.integers(len(samples)))
+        j = int(rng.integers(len(samples[i]) + 1))
+        samples[i] = samples[i][:j] + pick(NON_NUMERIC) + samples[i][j:]
+    if rng.random() < 0.1:
+        samples.append(bytes(rng.integers(256, size=int(rng.integers(1, 6)))))
+    page = b"P2 %d %d %d" % (width, height, maxval)
+    body = b"".join(gap() + sample for sample in samples)
+    return page + body + pick((b"", b"\n", b" # to the end of the file"))
+
+
+def test_p2_decoder_accepts_exactly_the_pages_the_reference_reads():
+    # the reference reads a page when its w*h samples are ASCII digits, at
+    # most 4300 of them, each sample at most maxval
+    rng = np.random.default_rng(list(b"p2 differential"))
+    failures, accepted = [], 0
+    for case in range(4 * CASES):
+        page = p2_page(rng)
+        try:
+            expected = read_pgm_reference(page)
+        except (ValueError, IndexError):
+            expected = None
+        try:
+            pixels = decode_image(page)
+        except RwrlError:
+            pixels = None
+        accepted += pixels is not None
+        if (pixels is None) != (expected is None) or (
+                pixels is not None and not np.array_equal(pixels, expected)):
+            failures.append(f"case {case}: decoded {pixels}, reference "
+                            f"{expected} <- {page[:80]!r}")
+    assert not failures, failures[:5]
+    assert CASES < accepted < 3 * CASES     # both outcomes are common
+
+
 @pytest.mark.parametrize("name", sorted(model_inputs()))
 def test_model_mutations_raise_only_rwrl_errors(name):
     failures = fuzz(name, model_inputs()[name], run_model)

@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def make_bmp(pixels: np.ndarray, palette_rgb=None, bitcount=8,
     offset = 14 + len(dib) + len(palette)
     header = struct.pack("<2sIHHI", b"BM", offset + len(raster), 0, 0, offset)
     return header + dib + palette + raster
+
+
+TOO_LONG_INTEGERS = pytest.mark.parametrize("data", [
+    b"P5 " + b"1" * 5000 + b" 1 255\n\x00",
+    b"P2 1 1 255\n" + b"0" * 5000 + b"1",
+    b"P2 1 1 255\n" + b"0" * 4300 + b"7",
+], ids=["p5-width", "p2-sample", "p2-4301-digits"])
 
 
 class TestDecode:
@@ -130,14 +138,46 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError):
             decode_image(b"P2 1 1 100 " + sample)
 
-    @pytest.mark.parametrize("data", [
-        b"P5 " + b"1" * 5000 + b" 1 255\n\x00",
-        b"P2 1 1 255\n" + b"0" * 5000 + b"1",
-    ], ids=["p5-width", "p2-sample"])
+    @TOO_LONG_INTEGERS
     def test_integer_too_long_to_convert(self, data):
-        # int() refuses a string of more than 4300 digits with ValueError
+        # a PGM integer has at most 4300 digits, leading zeros counted
         with pytest.raises(MalformedHeaderError, match="too long"):
             decode_image(data)
+
+    @TOO_LONG_INTEGERS
+    def test_digit_limit_does_not_follow_the_interpreter(self, data):
+        # with int()'s own limit off, the 4300-digit rule still holds
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int() digit limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(MalformedHeaderError, match="too long"):
+                decode_image(data)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("sample, value", [
+        (b"0000000255", 255),
+        (b"0" * 4299 + b"7", 7),
+        (b"00", 0),
+        (b"099", 99),
+    ])
+    def test_leading_zeros_do_not_count_toward_the_value(self, sample, value):
+        assert decode_image(b"P2 1 1 255\n" + sample).tolist() == [[value]]
+
+    @pytest.mark.parametrize("sample", [b"0256", b"1000", b"0001000",
+                                        b"99999"])
+    def test_sample_above_maxval_with_any_digit_count(self, sample):
+        with pytest.raises(MalformedHeaderError, match="maxval"):
+            decode_image(b"P2 1 1 255\n" + sample)
+
+    def test_body_ending_on_the_last_digit(self):
+        assert decode_image(b"P2 3 1 255\n1 22 255").tolist() == [[1, 22, 255]]
+
+    def test_truncation_is_checked_before_digits(self):
+        with pytest.raises(TruncatedDataError):
+            decode_image(b"P2 3 1 255\n7 x")
 
     @pytest.mark.parametrize("data", [
         b"P5 1 12 ",        # two fields: 12 must not split into 1 and 2
