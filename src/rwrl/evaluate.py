@@ -253,8 +253,8 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
 
 
 def write_csv(path, rows) -> None:
-    """Rows of fields as an ASCII CSV with LF line ends, the one writer of
-    every table rwrl writes."""
+    """Rows of fields as an ASCII CSV with LF line ends, the writer of every
+    table rwrl writes but `synth`'s CRLF manifest."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 

@@ -30,7 +30,7 @@ from .errors import (
     LengthMismatchError,
     WrongDimensionsError,
 )
-from .raster import NORMALIZED_SIZE
+from .raster import NORMALIZED_SIZE, PGM_MAX_DIGITS
 
 WINDOW_SIZE = 16
 WINDOW_STRIDE = 8
@@ -40,7 +40,7 @@ FEATURE_DIM = NUM_WINDOWS * 4
 
 FEATURE_FILE_VERSION = "#rwrl-v1"
 _HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
-_INTEGER = re.compile("-?[0-9]+")
+_INTEGER = re.compile("(-?)0*([0-9]+)")  # sign, digits past leading zeros
 _FLOAT_BYTES = b"0123456789.e+-"
 
 
@@ -179,13 +179,21 @@ def probe_rows(model, features) -> np.ndarray:
 def parse_ints(fields, error: type[Exception]) -> list[int]:
     """Decimal integers that fit int64, the rule of every integer field in
     feature, model and confusion files: ASCII digits after an optional
-    minus sign, so `+3`, `1_0` or ` 2` raises `error`."""
-    bad = next((f for f in fields if not _INTEGER.fullmatch(f)), None)
-    if bad is not None:
-        raise error(f"non-integer field {bad!r}")
+    minus sign, so `+3`, `1_0` or ` 2` raises `error`, as do more than
+    PGM_MAX_DIGITS digits, leading zeros counted. rwrl counts them: int()
+    sees no leading zero and at most 19 digits, whatever its own limit."""
+    values = []
+    for field in fields:
+        match = _INTEGER.fullmatch(field)
+        if match is None:
+            raise error(f"non-integer field {field!r}")
+        sign, digits = match.groups()
+        if len(field) - len(sign) > PGM_MAX_DIGITS or len(digits) > 19:
+            raise error("integer field out of range")
+        values.append(int(sign + digits))
     try:
-        return np.array([int(f) for f in fields], dtype=np.int64).tolist()
-    except (OverflowError, ValueError):     # ValueError: over 4300 digits
+        return np.array(values, dtype=np.int64).tolist()
+    except OverflowError:
         raise error("integer field out of range") from None
 
 

@@ -33,6 +33,7 @@ NORMALIZED_SIZE = 64
 MAX_SIGMA = 64  # px; smoothing time and memory grow with sigma
 
 PGM_MAX_DIGITS = 4300  # per PGM integer, leading zeros counted
+_HEADER_BOUND = 10 ** 18  # any header field of 19 or more significant digits
 
 _COMMENT = re.compile(rb"#[^\r\n]*")
 # magic, width, height, maxval: each number ends at whitespace or a comment,
@@ -74,11 +75,9 @@ def _check_digits(longest: int, what: str) -> None:
             f"{what} too long: over {PGM_MAX_DIGITS} digits")
 
 
-def _p2_digits(body: bytes, n: int) -> np.ndarray:
-    """The last three digits of each of the first n samples of a P2 body,
-    0 where a sample has fewer, as a (3, n) uint8 array. A sample of 1000
-    or more is refused here. Its int64 token index is freed on return,
-    before the caller's int64 sums."""
+def _p2_samples(body: bytes, n: int) -> np.ndarray:
+    """The first n samples of a P2 body as uint16 values. A sample of 1000
+    or more is refused here, so each is at most 999."""
     if b"#" in body:    # a comment runs to its line end and separates
         body = _COMMENT.sub(b" ", body)
     buf = np.frombuffer(body, dtype=np.uint8)
@@ -99,12 +98,22 @@ def _p2_digits(body: bytes, n: int) -> np.ndarray:
     if ((head[:-3] > ord("0")) & digit[1:-2] & digit[2:-1]
             & digit[3:]).any():
         raise MalformedHeaderError("sample value exceeds declared maxval")
-    digits = np.empty((3, n), dtype=np.uint8)
-    for row, back in enumerate((3, 2, 1)):
+    samples = np.zeros(n, dtype=np.uint16)
+    for back, place in ((3, 100), (2, 10), (1, 1)):
         at = ends - back
-        digits[row] = head.take(at, mode="clip")
-        digits[row, at < starts] = ord("0")
-    return digits - ord("0")
+        value = head.take(at, mode="clip") - np.uint8(ord("0"))
+        value[at < starts] = 0
+        # widened before scaling: uint8 products wrap without a warning
+        samples += np.multiply(value, place, dtype=np.uint16)
+    return samples
+
+
+def _header_value(field: bytes) -> int:
+    """A header field's value, or _HEADER_BOUND for one of more than 18
+    significant digits: larger than any file holds, and never passed to
+    int(), whose digit limit the interpreter may set as low as 640."""
+    digits = field.lstrip(b"0")
+    return int(digits or b"0") if len(digits) <= 18 else _HEADER_BOUND
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
@@ -113,7 +122,7 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         raise MalformedHeaderError(
             "graymap header is not three integers after the magic")
     _check_digits(max(map(len, header.groups())), "header field")
-    width, height, maxval = map(int, header.groups())
+    width, height, maxval = map(_header_value, header.groups())
     pos = header.end()
     if width < 1 or height < 1 or maxval < 1:
         raise MalformedHeaderError(
@@ -132,16 +141,11 @@ def _decode_pgm(data: bytes) -> np.ndarray:
             raise TruncatedDataError(
                 f"expected {n} pixel bytes, found {len(raster)}")
         pixels = np.frombuffer(raster, dtype=np.uint8, count=n)
-        if pixels.max(initial=0) > maxval:
-            raise MalformedHeaderError("sample value exceeds declared maxval")
     else:  # P2
-        digits = _p2_digits(data[pos:], n)
-        pixels = np.zeros(n, dtype=np.int64)
-        for row, place in zip(digits, (100, 10, 1)):
-            # widened before scaling: uint8 products wrap without a warning
-            pixels += np.multiply(row, place, dtype=np.int64)
-        if pixels.max() > maxval:
-            raise MalformedHeaderError("sample value exceeds declared maxval")
+        pixels = _p2_samples(data[pos:], n)
+    if pixels.max() > maxval:
+        raise MalformedHeaderError("sample value exceeds declared maxval")
+    # a copy: writable, and sharing no memory with `data`
     return pixels.astype(np.uint8).reshape(height, width)
 
 
@@ -175,8 +179,6 @@ def _decode_bmp(data: bytes) -> np.ndarray:
     palette = palette.reshape(n_colors, 4)  # B, G, R, reserved
     if not ((palette[:, 0] == palette[:, 1]) & (palette[:, 1] == palette[:, 2])).all():
         raise UnsupportedFormatError("color bitmaps are rejected")
-    gray_lut = np.zeros(256, dtype=np.uint8)
-    gray_lut[:n_colors] = palette[:, 0]
 
     top_down = height < 0
     height = abs(height)
@@ -188,9 +190,11 @@ def _decode_bmp(data: bytes) -> np.ndarray:
             f"expected {need} raster bytes, found {len(raster)}")
     rows = np.frombuffer(raster, dtype=np.uint8, count=need)
     rows = rows.reshape(height, row_size)[:, :width]
+    if rows.max() >= n_colors:
+        raise MalformedHeaderError("pixel index outside the palette")
     if not top_down:
         rows = rows[::-1]
-    return gray_lut[rows]
+    return palette[:, 0][rows]
 
 
 def decode_image(data: bytes) -> np.ndarray:

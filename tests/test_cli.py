@@ -137,6 +137,26 @@ def test_preprocess_skips_integer_too_long(tmp_path, capsys, jobs):
     assert sorted(_tree_bytes(tmp_path / "out")) == ["ok.pgm"]
 
 
+def test_preprocess_header_does_not_follow_the_interpreter(tmp_path):
+    # 700 digits are within rwrl's own 4300-digit rule; int()'s limit,
+    # lowered to 640 for the process, must not turn them into a traceback
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "long.pgm").write_bytes(b"P5 " + b"1" * 700 + b" 1 255\n\x00")
+    (raw / "ok.pgm").write_bytes(encode_pgm(_ink(3)))
+    path = [str(Path(rwrl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               PYTHONINTMAXSTRDIGITS="640")
+    result = subprocess.run(
+        [sys.executable, "-m", "rwrl.cli", "preprocess", str(raw),
+         str(tmp_path / "out"), "--jobs", "1"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "long.pgm: TruncatedDataError" in result.stderr
+    assert "preprocessed 1/2 images" in result.stdout
+    assert sorted(_tree_bytes(tmp_path / "out")) == ["ok.pgm"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_preprocess_skips_p2_past_its_bytes(tmp_path, capsys, jobs):
     # width * height >= 2**63: bytes.split cannot even count the samples

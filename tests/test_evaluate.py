@@ -303,6 +303,18 @@ class TestReports:
         assert restored.classes == cm.classes
         assert np.array_equal(restored.counts, cm.counts)
 
+    @pytest.mark.parametrize("zeros, count", [(700, 5), (5000, None)])
+    def test_count_digits_do_not_follow_the_interpreter(
+            self, tmp_path, int_digit_limit, zeros, count):
+        path = tmp_path / "confusion.csv"
+        path.write_text(f"class,0,1\n0,1,0\n1,0,{'0' * zeros}5\n")
+        if count is None:
+            with pytest.raises(UnknownLabelError, match="out of range"):
+                read_confusion_csv(path)
+        else:
+            assert read_confusion_csv(path).counts.tolist() == [[1, 0],
+                                                                 [0, count]]
+
     def test_bad_confusion_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n1,2\n")

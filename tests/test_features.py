@@ -331,6 +331,23 @@ class TestFeatureFile:
         with pytest.raises(FeatureFileError):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("label, value", [
+        (b"0" * 700 + b"3", 3),
+        (b"-" + b"0" * 4299 + b"3", -3),
+        (b"0" * 4300 + b"3", None),
+        (b"0" * 5000 + b"3", None),
+    ], ids=["700-zeros", "4300-digits", "4301-digits", "5001-digits"])
+    def test_label_digits_do_not_follow_the_interpreter(
+            self, tmp_path, int_digit_limit, label, value):
+        # at most 4300 digits, leading zeros counted, then int64
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"#rwrl-v1,dim=1\n" + label + b",1\n")
+        if value is None:
+            with pytest.raises(FeatureFileError, match="out of range"):
+                read_feature_file(path)
+        else:
+            assert read_feature_file(path)[0].tolist() == [value]
+
     def test_float_spellings_load_as_float_reads_them(self, tmp_path):
         path = tmp_path / "spellings.txt"
         path.write_text("#rwrl-v1,dim=4\n0,+3,.5,5.,1e5\n1,-0,-.5e-3,1e+2,7\n")

@@ -304,6 +304,16 @@ def test_invalid_fields_are_corrupt(make, pattern, new):
         model_load(mutated)
 
 
+@pytest.mark.parametrize("zeros, k", [(700, 3), (5000, None)])
+def test_k_digits_do_not_follow_the_interpreter(int_digit_limit, zeros, k):
+    data = re.sub(rb"\nk 3", b"\nk " + b"0" * zeros + b"3", _knn_bytes())
+    if k is None:
+        with pytest.raises(CorruptModelError, match="out of range"):
+            model_load(data)
+    else:
+        assert model_load(data).k == k
+
+
 @pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
 def test_float_spellings_load_as_float_reads_them(field):
     make, pattern, new, loaded = FLOAT_FIELDS[field]

@@ -54,6 +54,14 @@ TOO_LONG_INTEGERS = pytest.mark.parametrize("data", [
     b"P2 1 1 255\n" + b"0" * 5000 + b"1",
     b"P2 1 1 255\n" + b"0" * 4300 + b"7",
 ], ids=["p5-width", "p2-sample", "p2-4301-digits"])
+PADDED_64 = b"0" * 4298 + b"64"     # 4300 digits
+
+
+def graymap(magic: bytes, width: bytes, height: bytes, maxval: bytes) -> bytes:
+    """A PGM page of the samples 0..63 under the given header fields."""
+    body = (bytes(range(64)) if magic == b"P5"
+            else b" ".join(b"%d" % v for v in range(64)))
+    return b" ".join((magic, width, height, maxval)) + b"\n" + body
 
 
 class TestDecode:
@@ -157,6 +165,45 @@ class TestDecode:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    @pytest.mark.parametrize("digits", [700, 4300])
+    @pytest.mark.parametrize("width, height, maxval, error", [
+        (None, b"8", b"255", TruncatedDataError),
+        (b"8", None, b"255", TruncatedDataError),
+        (None, None, b"255", TruncatedDataError),
+        (b"0", None, b"255", MalformedHeaderError),
+        (b"8", b"8", None, UnsupportedFormatError),
+    ], ids=["width", "height", "width-and-height", "zero-width", "maxval"])
+    def test_long_header_field_does_not_follow_the_interpreter(
+            self, int_digit_limit, magic, digits, width, height, maxval,
+            error):
+        # None marks the field of `digits` digits
+        long = b"1" * digits
+        with pytest.raises(error):
+            decode_image(graymap(magic, width or long, height or long,
+                                 maxval or long))
+
+    @pytest.mark.parametrize("magic", [b"P5", b"P2"])
+    @pytest.mark.parametrize("header, shape", [
+        ((PADDED_64, b"1", b"255"), (1, 64)),
+        ((b"1", PADDED_64, b"255"), (64, 1)),
+        ((b"8", b"8", PADDED_64), (8, 8)),
+    ], ids=["width", "height", "maxval"])
+    def test_zero_padded_header_field_reads_its_value(
+            self, int_digit_limit, magic, header, shape):
+        img = decode_image(graymap(magic, *header))
+        assert img.tolist() == np.arange(64).reshape(shape).tolist()
+
+    @pytest.mark.parametrize("data", [
+        b"P5 2 1 255\n\x07\x09",
+        b"P2 2 1 255\n7 9",
+        make_bmp(np.array([[7, 9]], dtype=np.uint8)),
+    ], ids=["p5", "p2", "bmp"])
+    def test_decoded_page_is_writable_and_owns_its_memory(self, data):
+        img = decode_image(data)
+        img[0, 0] = 1       # a read-only view would raise
+        assert not np.shares_memory(img, np.frombuffer(data, dtype=np.uint8))
+
     @pytest.mark.parametrize("sample, value", [
         (b"0000000255", 255),
         (b"0" * 4299 + b"7", 7),
@@ -203,6 +250,16 @@ class TestDecode:
         palette = [(v % 256,) * 3 for v in range(300)]
         with pytest.raises(MalformedHeaderError):
             decode_image(make_bmp(pixels, palette_rgb=palette))
+
+    @pytest.mark.parametrize("pixels", [[[0, 1], [2, 200]], [[0, 1], [1, 2]]])
+    def test_bmp_index_outside_the_palette_rejected(self, pixels):
+        black_white = [(255, 255, 255), (0, 0, 0)]
+        inside = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        img = decode_image(make_bmp(inside, palette_rgb=black_white))
+        assert img.tolist() == [[255, 0], [0, 255]]
+        with pytest.raises(MalformedHeaderError, match="palette"):
+            decode_image(make_bmp(np.array(pixels, dtype=np.uint8),
+                                  palette_rgb=black_white))
 
     def test_bmp_roundtrip(self):
         rng = np.random.default_rng(3)
