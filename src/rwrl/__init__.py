@@ -5,7 +5,6 @@ extract its contour, compute the 196-dimensional weighted run-length
 feature vector, then classify with a one-vs-one SVM or a k-NN baseline.
 """
 
-from .contour import extract_contour
 from .dataset import Manifest, scan_dataset, synth_generate
 from .errors import RwrlError
 from .evaluate import (
@@ -23,6 +22,7 @@ from .features import (
     DIRECTIONS,
     FEATURE_DIM,
     Direction,
+    extract_contour,
     extract_features,
     read_feature_file,
     scale_features,

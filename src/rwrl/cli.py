@@ -18,14 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, evaluate, model_io
-from .contour import extract_contour
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
     LengthMismatchError,
     RwrlError,
 )
-from .features import extract_features, read_feature_file, write_feature_file
+from .features import (
+    extract_contour,
+    extract_features,
+    read_feature_file,
+    write_feature_file,
+)
 from .knn import knn_predict_batch, knn_train
 from .raster import (
     DARK_INK,

@@ -1,4 +1,9 @@
-"""Regional weighted run-length features.
+"""Contours and regional weighted run-length features of 64x64 digits.
+
+A contour pixel is a foreground pixel with at least one background
+4-neighbor; pixels beyond the image edge count as background. This keeps
+one-pixel-wide strokes intact (an 8-neighbor test would erase diagonal
+thin strokes).
 
 A 64x64 contour image is covered by 49 windows of size 16x16 placed at
 stride 8 (each window overlaps its neighbor by 8 pixels). Every window is
@@ -30,7 +35,7 @@ from .errors import (
     LengthMismatchError,
     WrongDimensionsError,
 )
-from .raster import NORMALIZED_SIZE, PGM_MAX_DIGITS
+from .raster import NORMALIZED_SIZE, PGM_MAX_DIGITS, _as_binary
 
 WINDOW_SIZE = 16
 WINDOW_STRIDE = 8
@@ -104,16 +109,31 @@ def _features(windows: np.ndarray) -> np.ndarray:
     return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0).T
 
 
+def _normalized(img) -> np.ndarray:
+    """`img` as an array, refused unless it is 64x64."""
+    arr = np.asarray(img)
+    if arr.shape != (NORMALIZED_SIZE, NORMALIZED_SIZE):
+        raise WrongDimensionsError(
+            f"expected {NORMALIZED_SIZE}x{NORMALIZED_SIZE}, got {arr.shape}")
+    return arr
+
+
+def extract_contour(bin_img) -> np.ndarray:
+    """Return the contour pixel set of a 64x64 binary image."""
+    arr = _as_binary(_normalized(bin_img))
+    padded = np.pad(arr, 1)
+    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
+                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    return ((arr == 1) & (interior == 0)).astype(np.uint8)
+
+
 def extract_features(contour_img) -> np.ndarray:
     """The 196-value feature vector of a 64x64 contour image.
 
     Ordering: windows row-major, then the four directions per window. Runs
     never cross a window border, so overlapping windows are independent.
     """
-    bits = np.asarray(contour_img)
-    if bits.shape != (NORMALIZED_SIZE, NORMALIZED_SIZE):
-        raise WrongDimensionsError(
-            f"expected {NORMALIZED_SIZE}x{NORMALIZED_SIZE}, got {bits.shape}")
+    bits = _normalized(contour_img)
     windows = sliding_window_view(bits, (WINDOW_SIZE, WINDOW_SIZE))
     windows = windows[::WINDOW_STRIDE, ::WINDOW_STRIDE]
     stack = windows.reshape(NUM_WINDOWS, WINDOW_SIZE, WINDOW_SIZE)

@@ -75,19 +75,32 @@ def _check_digits(longest: int, what: str) -> None:
             f"{what} too long: over {PGM_MAX_DIGITS} digits")
 
 
-def _p2_samples(body: bytes, n: int) -> np.ndarray:
-    """The first n samples of a P2 body as uint16 values. A sample of 1000
-    or more is refused here, so each is at most 999."""
-    if b"#" in body:    # a comment runs to its line end and separates
-        body = _COMMENT.sub(b" ", body)
-    buf = np.frombuffer(body, dtype=np.uint8)
-    # the six bytes bytes.split() takes for whitespace: 9-13 and 32
-    sep = (buf == 32) | ((buf >= 9) & (buf <= 13))
-    # fenced by separators, token i spans edges[2i]:edges[2i + 1]
-    edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
-    if len(edges) < 2 * n:
-        raise TruncatedDataError(
-            f"expected {n} samples, found {len(edges) // 2}")
+def _p2_samples(body, n: int, count) -> np.ndarray:
+    """The first n samples of a bytes-like P2 body as uint16 values; `count`
+    is n as error messages give it. A sample of 1000 or more is refused
+    here, so each is at most 999.
+
+    Tokens are looked for in a prefix of the body, 4n bytes and then four
+    times longer, until the n-th one ends inside it: memory follows the
+    samples read, not the bytes after them.
+    """
+    size = 4 * n
+    while True:
+        whole = size >= len(body)
+        prefix = bytes(body[:size])
+        if b"#" in prefix:  # a comment runs to its line end and separates
+            prefix = _COMMENT.sub(b" ", prefix)
+        buf = np.frombuffer(prefix, dtype=np.uint8)
+        # the six bytes bytes.split() takes for whitespace: 9-13 and 32
+        sep = (buf == 32) | ((buf >= 9) & (buf <= 13))
+        # fenced by separators, token i spans edges[2i]:edges[2i + 1]
+        edges = np.flatnonzero(np.diff(sep, prepend=True, append=True))
+        if len(edges) >= 2 * n and (whole or edges[2 * n - 1] < len(buf)):
+            break
+        if whole:
+            raise TruncatedDataError(
+                f"expected {count} samples, found {len(edges) // 2}")
+        size *= 4
     starts, ends = edges[0:2 * n:2], edges[1:2 * n:2]
     # bytes past the n-th sample are not read
     head, digit = buf[:ends[-1]], ~sep[:ends[-1]]
@@ -108,12 +121,16 @@ def _p2_samples(body: bytes, n: int) -> np.ndarray:
     return samples
 
 
-def _header_value(field: bytes) -> int:
-    """A header field's value, or _HEADER_BOUND for one of more than 18
-    significant digits: larger than any file holds, and never passed to
-    int(), whose digit limit the interpreter may set as low as 640."""
+def _header_field(field: bytes) -> tuple[int, str]:
+    """A header field's value and its text in error messages. A field of
+    more than 18 significant digits is larger than any file holds: it
+    stands as _HEADER_BOUND, never passed to int(), whose digit limit the
+    interpreter may set as low as 640, and messages give its digit count."""
     digits = field.lstrip(b"0")
-    return int(digits or b"0") if len(digits) <= 18 else _HEADER_BOUND
+    if len(digits) > 18:
+        return _HEADER_BOUND, f"({len(digits)} digits)"
+    value = int(digits or b"0")
+    return value, str(value)
 
 
 def _decode_pgm(data: bytes) -> np.ndarray:
@@ -122,15 +139,16 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         raise MalformedHeaderError(
             "graymap header is not three integers after the magic")
     _check_digits(max(map(len, header.groups())), "header field")
-    width, height, maxval = map(_header_value, header.groups())
+    (width, w), (height, h), (maxval, m) = map(_header_field, header.groups())
     pos = header.end()
     if width < 1 or height < 1 or maxval < 1:
         raise MalformedHeaderError(
-            f"bad graymap dimensions {width}x{height} maxval={maxval}")
+            f"bad graymap dimensions {w}x{h} maxval={m}")
     if maxval > 255:
         raise UnsupportedFormatError("only 8-bit graymaps are supported")
 
     n = width * height
+    count = f"{w}x{h}" if max(width, height) == _HEADER_BOUND else n
     if data[:2] == b"P5":
         # exactly one whitespace byte separates the header from raw samples
         if pos >= len(data) or data[pos:pos + 1] not in b" \t\r\n\x0b\x0c":
@@ -139,10 +157,10 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         raster = data[pos:pos + n]
         if len(raster) < n:
             raise TruncatedDataError(
-                f"expected {n} pixel bytes, found {len(raster)}")
+                f"expected {count} pixel bytes, found {len(raster)}")
         pixels = np.frombuffer(raster, dtype=np.uint8, count=n)
     else:  # P2
-        pixels = _p2_samples(data[pos:], n)
+        pixels = _p2_samples(memoryview(data)[pos:], n, count)
     if pixels.max() > maxval:
         raise MalformedHeaderError("sample value exceeds declared maxval")
     # a copy: writable, and sharing no memory with `data`

@@ -59,7 +59,7 @@ def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 @dataclass
 class BinaryMachine:
-    """One trained class-pair machine; positive decisions vote `first`."""
+    """One trained class-pair machine; decisions >= 0 vote `first`."""
 
     first: int
     second: int
@@ -67,10 +67,6 @@ class BinaryMachine:
     coefficients: np.ndarray          # (m,) beta_k = y_k alpha_k, nonzero
     bias: float
     support_vectors: np.ndarray = field(init=False, repr=False)  # z-scored
-
-    def decision(self, params: KernelParams, x: np.ndarray) -> np.ndarray:
-        k = kernel_matrix(params, x, self.support_vectors)
-        return k @ self.coefficients + self.bias
 
 
 @dataclass
@@ -191,21 +187,20 @@ def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarra
     feature matrix; a single vector is one row."""
     Xs = probe_rows(model, features)
     index = {c: k for k, c in enumerate(model.classes)}
+    rows = np.arange(len(Xs))
     votes = np.zeros((len(Xs), len(model.classes)), dtype=np.int64)
     magnitude = np.zeros_like(votes, dtype=np.float64)
     for machine in model.machines:
         with np.errstate(over="ignore", invalid="ignore"):
-            f = machine.decision(model.params, Xs)
+            f = (kernel_matrix(model.params, Xs, machine.support_vectors)
+                 @ machine.coefficients + machine.bias)
         if not np.isfinite(f).all():
             raise NonFiniteKernelError(
                 f"decision of classes {machine.first} and {machine.second} "
                 "is not finite (the feature values overflow the kernel)")
-        win_first = f >= 0
-        ka, kb = index[machine.first], index[machine.second]
-        votes[win_first, ka] += 1
-        votes[~win_first, kb] += 1
-        magnitude[win_first, ka] += f[win_first]
-        magnitude[~win_first, kb] -= f[~win_first]
+        winner = np.where(f >= 0, index[machine.first], index[machine.second])
+        votes[rows, winner] += 1
+        magnitude[rows, winner] += np.abs(f)
     return votes, magnitude
 
 

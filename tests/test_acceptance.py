@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from rwrl.cli import main as cli_main
-from rwrl.contour import extract_contour
 from rwrl.dataset import synth_generate
 from rwrl.errors import EmptyImageError
 from rwrl.evaluate import (
@@ -25,6 +24,7 @@ from rwrl.evaluate import (
 from rwrl.features import (
     DIRECTIONS,
     FEATURE_DIM,
+    extract_contour,
     extract_features,
 )
 from rwrl.knn import knn_predict_batch, knn_train

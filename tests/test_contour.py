@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rwrl.contour import extract_contour
 from rwrl.errors import WrongDimensionsError
+from rwrl.features import extract_contour
 
 
 def blank():

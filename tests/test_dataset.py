@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rwrl import dataset
-from rwrl.contour import extract_contour
 from rwrl.dataset import (
     Manifest,
     glyph_template,
@@ -15,7 +14,7 @@ from rwrl.dataset import (
     synth_generate,
 )
 from rwrl.errors import MissingClassDirError, NoImagesError
-from rwrl.features import extract_features
+from rwrl.features import extract_contour, extract_features
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.raster import binarize, decode_image, normalize_digit, otsu_threshold
 

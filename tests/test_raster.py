@@ -1,5 +1,6 @@
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,48 @@ class TestDecode:
     def test_truncation_is_checked_before_digits(self):
         with pytest.raises(TruncatedDataError):
             decode_image(b"P2 3 1 255\n7 x")
+
+    def test_p2_memory_follows_the_samples_read(self):
+        # a 3.8 MiB page whose only sample is its first token
+        page = b"P2 1 1 255\n7" + b" 1" * 2_000_000
+        tracemalloc.start()
+        try:
+            img = decode_image(page)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img.tolist() == [[7]]
+        assert peak < 2 * len(page)
+
+    @pytest.mark.parametrize("body, samples", [
+        (b"\n" + b" " * 20 + b"7 9", [7, 9]),    # no token in the first 8
+        (b"   25 9", [25]),     # the first 4 bytes cut 25 after its 2
+        (b"\n1 #comment\n2", [1, 2]),   # a comment cut by the first 8
+    ], ids=["blank-prefix", "cut-sample", "cut-comment"])
+    def test_p2_samples_past_the_first_prefix(self, body, samples):
+        img = decode_image(b"P2 %d 1 255" % len(samples) + body)
+        assert img.tolist() == [samples]
+
+    def test_p2_truncation_past_the_first_prefix(self):
+        with pytest.raises(TruncatedDataError, match="expected 2 samples, "
+                           "found 1"):
+            decode_image(b"P2 2 1 255\n" + b" " * 100 + b"7")
+
+    @pytest.mark.parametrize("data, error, message", [
+        (b"P5 " + b"1" * 700 + b" 1 255\n\x00", TruncatedDataError,
+         "expected (700 digits)x1 pixel bytes, found 1"),
+        (b"P2 " + b"1" * 700 + b" 1 255\n7", TruncatedDataError,
+         "expected (700 digits)x1 samples, found 1"),
+        (b"P5 " + b"1" * 700 + b" 0 255\n\x00", MalformedHeaderError,
+         "bad graymap dimensions (700 digits)x0 maxval=255"),
+        (b"P5 2 0 " + b"0" * 9 + b"1" * 19 + b"\n\x00", MalformedHeaderError,
+         "bad graymap dimensions 2x0 maxval=(19 digits)"),
+    ], ids=["p5-width", "p2-width", "zero-height", "padded-maxval"])
+    def test_long_header_field_is_named_by_its_digit_count(
+            self, data, error, message):
+        with pytest.raises(error) as caught:
+            decode_image(data)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("data", [
         b"P5 1 12 ",        # two fields: 12 must not split into 1 and 2

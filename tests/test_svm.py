@@ -10,7 +10,9 @@ from rwrl.errors import (
 from rwrl.features import scale_features
 from rwrl.svm import (
     SMO_TOLERANCE,
+    BinaryMachine,
     KernelParams,
+    SvmModel,
     _smo,
     kernel_matrix,
     svm_decision_table,
@@ -75,7 +77,8 @@ class TestTraining:
                           KernelParams("linear", C=10.0), seed=0)
         machine = model.machines[0]
         Xs = scale_features(SEPARABLE_X, model.mean, model.std)
-        decisions = machine.decision(model.params, Xs)
+        decisions = (kernel_matrix(model.params, Xs, machine.support_vectors)
+                     @ machine.coefficients + machine.bias)
         signed = np.where(SEPARABLE_Y == machine.first, 1.0, -1.0) * decisions
         assert (signed >= 1.0 - 1e-3).all()
 
@@ -116,7 +119,9 @@ class TestTraining:
             matches = (rows[:, None, :] == machine.support_vectors[None]).all(-1)
             assert (matches.sum(axis=0) == 1).all()
             alpha = np.abs(matches.astype(float) @ machine.coefficients)
-            margin = sign * machine.decision(model.params, rows)
+            margin = sign * (kernel_matrix(model.params, rows,
+                                           machine.support_vectors)
+                             @ machine.coefficients + machine.bias)
             at_zero, at_c = alpha == 0, alpha == C
             free = ~at_zero & ~at_c
             assert (margin[at_zero] >= 1 - tol).all()
@@ -163,6 +168,34 @@ class TestPrediction:
         votes, _ = svm_decision_table(model, X[17:18])
         assert votes[0].sum() == 45
         assert svm_predict_batch(model, X[17])[0] == y[17]
+
+    def test_vote_rule(self):
+        # linear machines on the pool [[1, 0], [0, 1]], unscaled: each
+        # machine's decisions on the probes below are exact, zero included
+        machines = [
+            BinaryMachine(0, 1, np.array([0]), np.array([1.0]), -1.0),
+            BinaryMachine(0, 2, np.array([1]), np.array([2.0]), -0.5),
+            BinaryMachine(1, 2, np.array([0, 1]), np.array([1.0, -1.0]), 0.25),
+        ]
+        model = SvmModel([0, 1, 2], KernelParams("linear"), np.zeros(2),
+                         np.ones(2), np.eye(2), machines)
+        probes = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        decisions = [[0.0, -1.0, 1.0], [-0.5, 1.5, 3.5], [1.25, -0.75, 0.25]]
+        # a machine votes `first` when f >= 0, else `second`; the class it
+        # votes for adds |f|, summed in machine order
+        votes = np.zeros((3, 3), dtype=np.int64)
+        magnitude = np.zeros((3, 3))
+        for machine, row_f in zip(machines, decisions):
+            for row, f in enumerate(row_f):
+                winner = machine.first if f >= 0 else machine.second
+                votes[row, winner] += 1
+                magnitude[row, winner] += abs(f)
+        assert votes.tolist() == [[1, 1, 1], [1, 1, 1], [2, 1, 0]]
+        got_votes, got_magnitude = svm_decision_table(model, probes)
+        assert got_votes.tolist() == votes.tolist()
+        assert got_magnitude.tolist() == magnitude.tolist()
+        # equal votes: the largest magnitude wins
+        assert svm_predict_batch(model, probes).tolist() == [1, 0, 0]
 
     def test_dimension_mismatch(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
