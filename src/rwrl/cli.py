@@ -12,7 +12,6 @@ import itertools
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +261,7 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_int_from(1), default=os.cpu_count(),
+    parser.add_argument("--jobs", type=_int_from(1), default=os.cpu_count() or 1,
                         help="worker processes (default: logical CPUs)")
 
 
@@ -344,17 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every warning of the command, repeats too, as a `warning:` line
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.showwarning = lambda message, *_: _warn(str(message))
-            return args.func(args)
-    except (DimensionMismatchError, LengthMismatchError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return args.func(args)
     except (RwrlError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        mismatch = (DimensionMismatchError, LengthMismatchError)
+        return 3 if isinstance(exc, mismatch) else 2
 
 
 def entry() -> None:

@@ -55,6 +55,10 @@ class NonFiniteKernelError(RwrlError):
     """A kernel matrix or SVM decision holds NaN or infinite values."""
 
 
+class ConvergenceError(RwrlError):
+    """An SVM class pair's solver stopped at its iteration cap."""
+
+
 class EmptyModelError(RwrlError):
     """Nearest-neighbor model holds no samples."""
 

@@ -258,7 +258,10 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian kernel with radius ceil(3*sigma)."""
     radius = math.ceil(3.0 * sigma)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    # 2 sigma^2 may underflow, making the centre 0/0: it is exp(-0) = 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    k[radius] = 1.0
     return k / k.sum()
 
 

@@ -9,18 +9,17 @@ dense Gram matrix per binary problem.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .errors import NonFiniteKernelError, SingleClassError
+from .errors import ConvergenceError, NonFiniteKernelError, SingleClassError
 from .features import probe_rows, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
-SMO_MAX_ITER_FACTOR = 100   # give up after 100*n iterations
+SMO_MAX_ITER_FACTOR = 100   # ConvergenceError after 100*n iterations
 MAX_DEGREE = 2 ** 63 - 1    # model files hold int64 integers
 
 
@@ -152,14 +151,13 @@ def svm_train(features, labels, params: KernelParams | None = None,
     if params.gamma is None:
         params = replace(params, gamma=1.0 / X.shape[1])
 
-    scaled = scale_features(X, mean, std)
     solved = []
     used = np.zeros(len(X), dtype=bool)     # support vector of some machine
     for a, b in combinations(classes, 2):
         rows = np.flatnonzero((y == a) | (y == b))
         # one gather as both operands: numpy computes a @ a.T on one buffer
         # with a symmetric kernel; two gathers take GEMM, which rounds apart
-        sub = scaled[rows]
+        sub = scale_features(X[rows], mean, std)
         sub_y = np.where(y[rows] == a, 1.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = kernel_matrix(params, sub, sub)
@@ -169,10 +167,10 @@ def svm_train(features, labels, params: KernelParams | None = None,
                 "(the kernel parameters overflow)")
         beta, bias, converged = _smo(gram, sub_y, params.C)
         if not converged:
-            warnings.warn(
-                f"SMO for classes {a} and {b} stopped at the iteration "
-                f"cap of {SMO_MAX_ITER_FACTOR * len(sub_y)} before "
-                "converging", RuntimeWarning, stacklevel=2)
+            raise ConvergenceError(
+                f"SMO for classes {a} and {b} stopped at the iteration cap "
+                f"of {SMO_MAX_ITER_FACTOR * len(sub_y)} before converging "
+                f"at C={params.C:g}; a smaller C converges in fewer iterations")
         sv = beta != 0
         used[rows[sv]] = True
         solved.append((a, b, rows[sv], beta[sv], bias))

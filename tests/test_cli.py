@@ -448,19 +448,45 @@ def test_readme_flag_table_lists_every_flag():
     assert documented == accepted
 
 
-def test_every_smo_warning_is_a_warning_line(tmp_path, monkeypatch, capsys):
-    # both folds stop at the iteration cap with the same message, which
-    # Python's warning registry would show once, as a source warning
+def test_convergence_error_exits_2_writing_nothing(tmp_path, monkeypatch,
+                                                   capsys):
+    # C = 1e300 on overlapping classes stops at the SMO iteration cap
     rng = np.random.default_rng(0)
     X = np.vstack([rng.normal(0, 1, (20, 6)), rng.normal(0.3, 1, (20, 6))])
     monkeypatch.chdir(tmp_path)
     write_feature_file("f", np.repeat([0, 1], 20), X)
-    for _ in range(2):      # the registry outlives one call of main
-        assert main(["eval", "f", "out", "--cv", "2", "--kernel", "linear",
-                     "--C", "1e300"]) == 0
+    flags = ["--kernel", "linear", "--C", "1e300"]
+    for argv in (["eval", "f", "out", "--cv", "2"], ["train", "f", "model"]):
+        assert main(argv + flags) == 2
         err = capsys.readouterr().err
-        assert err.count("warning: SMO for classes 0 and 1") == 2, err
-        assert "RuntimeWarning" not in err
+        assert err.count("error: ConvergenceError: SMO for classes 0 and 1") == 1
+        assert len(err.splitlines()) == 1, err
+        assert "warning:" not in err and "RuntimeWarning" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
+def test_jobs_default_without_cpu_count(tmp_path, monkeypatch, capsys):
+    # os.cpu_count() returns None where the count cannot be determined
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["synth", str(tmp_path / "raw"), "--per-class", "1"]) == 0
+    assert main(["preprocess", str(tmp_path / "raw"),
+                 str(tmp_path / "norm")]) == 0
+    assert main(["extract", str(tmp_path / "norm"),
+                 str(tmp_path / "f.txt")]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
+def test_tiny_sigma_preprocesses_as_sigma_zero(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for bar in (3, 8, 12):
+        (raw / f"{bar}.pgm").write_bytes(encode_pgm(_ink(bar)))
+    for sigma in ("0", "1e-200"):
+        assert main(["preprocess", str(raw), str(tmp_path / sigma),
+                     "--sigma", sigma, "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert _tree_bytes(tmp_path / "1e-200") == _tree_bytes(tmp_path / "0")
+    assert len(_tree_bytes(tmp_path / "0")) == 3
 
 
 def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):

@@ -353,6 +353,14 @@ class TestGaussian:
         img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
         assert np.array_equal(gaussian_smooth(img, 0.0), img)
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-200, 5e-324])
+    def test_sigma_underflowing_its_square_is_identity(self, sigma):
+        # 2 sigma^2 is subnormal or 0: no NaN tap, no numpy warning
+        rng = np.random.default_rng(0)
+        img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+        assert np.array_equal(gaussian_smooth(img, sigma),
+                              gaussian_smooth(img, 0.0))
+
     def test_impulse_center_value(self):
         img = np.zeros((7, 7), dtype=np.uint8)
         img[3, 3] = 255

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rwrl.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     EmptyDataError,
     NonFiniteKernelError,
@@ -128,15 +131,30 @@ class TestTraining:
             assert (np.abs(margin[free] - 1) <= tol).all()
             assert (margin[at_c] <= 1 + tol).all()
 
-    def test_iteration_cap_warns_and_keeps_model(self):
+    def test_iteration_cap_raises(self):
         # a large C on overlapping classes needs more than 100 n SMO steps
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 6))
         y = np.repeat([0, 1], 20)
-        with pytest.warns(RuntimeWarning, match="classes 0 and 1"):
-            model = svm_train(X, y, KernelParams("linear", C=100.0))
-        assert len(model.machines[0].coefficients) > 0
-        assert (svm_predict_batch(model, X) == y).mean() > 0.5
+        with pytest.raises(ConvergenceError,
+                           match="classes 0 and 1 .* cap of 4000 .* C=100;"):
+            svm_train(X, y, KernelParams("linear", C=100.0))
+
+    def test_no_copy_of_all_rows(self):
+        # each class pair's rows are z-scored on their own; scale=False,
+        # as X.std alone makes a temporary the size of X
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(-10, 10, size=(10, 196))
+        X = (np.repeat(centers, 80, axis=0)
+             + rng.normal(scale=0.3, size=(800, 196)))
+        y = np.repeat(np.arange(10), 80)
+        tracemalloc.start()
+        try:
+            svm_train(X, y, scale=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
     def test_non_finite_kernel_rejected(self):
         X = np.vstack([np.eye(3), -np.eye(3)])
@@ -287,7 +305,7 @@ class TestSolver:
         assert not ((alpha > 0) & (alpha < C)).any()
 
     def test_iteration_cap(self):
-        # as test_every_smo_warning_is_a_warning_line: C = 1e300 on
+        # as test_convergence_error_exits_2_writing_nothing: C = 1e300 on
         # overlapping classes stops at the cap
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(0, 1, (10, 6)), rng.normal(0.3, 1, (10, 6))])
