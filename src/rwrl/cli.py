@@ -8,6 +8,7 @@ confusion matrix. All stages are deterministic for a given --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -37,8 +38,9 @@ from .raster import (
     binary_to_gray,
     decode_image,
     encode_pgm,
+    gaussian_smooth,
     ink,
-    preprocess_image,
+    normalize_digit,
 )
 from .svm import (
     MAX_DEGREE,
@@ -86,25 +88,60 @@ def _warn(message: str) -> None:
 # image workers (top level so they can cross process boundaries)
 # ---------------------------------------------------------------------------
 
-def _preprocess_one(in_path, out_path, sigma, polarity) -> None:
-    normalized = preprocess_image(Path(in_path).read_bytes(), sigma, polarity)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(encode_pgm(binary_to_gray(normalized)))
+CHUNK = 16  # pages per worker call: a larger stack leaves the CPU cache
+# pixels per stack: pages past 128x128 stack fewer, and from 512x512 on run
+# alone, so no stack holds float planes many times a big page's size
+STACK_PIXELS = CHUNK * 128 * 128
 
 
-def _extract_one(path: str) -> np.ndarray:
-    return extract_features(extract_contour(
-        ink(decode_image(Path(path).read_bytes()), DARK_INK)))
-
-
-def _job(task):
-    """`worker(*args)` of a task `(worker, *args)`, or its RwrlError."""
-    worker, *args = task
+def _attempt(fn, *args):
+    """`fn(*args)`, or the RwrlError it raised."""
     try:
-        return worker(*args)
+        return fn(*args)
     except RwrlError as exc:
         return exc
+
+
+def _stacked(layers, paths) -> list:
+    """`layers` of each page decoded from `paths`, run once per stack of
+    equal-shape pages, or the page's RwrlError. A stack that raises one runs
+    again page by page, so each bad page keeps its own error."""
+    out = [_attempt(decode_image, Path(path).read_bytes()) for path in paths]
+    shapes = {}
+    for i, page in enumerate(out):
+        if not isinstance(page, RwrlError):
+            shapes.setdefault(page.shape, []).append(i)
+    for idx in shapes.values():
+        size = max(1, STACK_PIXELS // out[idx[0]].size)
+        for stack in (idx[k:k + size] for k in range(0, len(idx), size)):
+            pages = [out[i] for i in stack]
+            try:
+                results = layers(np.stack(pages))
+            except RwrlError:
+                results = [_attempt(layers, page) for page in pages]
+            for i, result in zip(stack, results):
+                out[i] = result
+    return out
+
+
+def _write_normalized(bits, out_path) -> None:
+    Path(out_path).write_bytes(encode_pgm(binary_to_gray(normalize_digit(bits))))
+
+
+def _preprocess_chunk(sigma, polarity, tasks) -> list:
+    bits = _stacked(lambda stack: ink(gaussian_smooth(stack, sigma), polarity),
+                    [src for src, _ in tasks])
+    return [b if isinstance(b, RwrlError) else _attempt(_write_normalized, b, out)
+            for b, (_, out) in zip(bits, tasks)]
+
+
+def _extract_chunk(tasks) -> list:
+    # a feature is at most 16 * 16 * 16 * 8: int32 rows halve what the
+    # workers send and what the parent holds until the file is written
+    return _stacked(
+        lambda stack: extract_features(
+            extract_contour(ink(stack, DARK_INK))).astype(np.int32),
+        [path for (path,) in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +149,12 @@ def _job(task):
 # ---------------------------------------------------------------------------
 
 def _run_images(worker, tasks, jobs: int) -> list[tuple[int, object]]:
-    """`worker(path, *args)` per task `(path, *args)`: warns of each skip in
-    input order and returns (task index, result) of the images that passed."""
-    results = dataset.parallel_map(_job, [(worker, *t) for t in tasks], jobs)
+    """`worker(chunk)` over chunks of CHUNK tasks `(path, ...)`, a result or
+    an RwrlError per task: warns of each skip in input order and returns
+    (task index, result) of the images that passed."""
+    chunks = [tasks[i:i + CHUNK] for i in range(0, len(tasks), CHUNK)]
+    results = list(itertools.chain.from_iterable(
+        dataset.parallel_map(worker, chunks, jobs)))
     for task, result in zip(tasks, results):
         if isinstance(result, RwrlError):
             _warn(f"skipped {task[0]}: {type(result).__name__}: {result}")
@@ -132,17 +172,20 @@ def cmd_preprocess(args) -> int:
     for p in files:
         out = str(Path(args.out_dir) / p.relative_to(in_dir).with_suffix(".pgm"))
         if first.setdefault(out, p) is p:
-            tasks.append((str(p), out, args.sigma, args.polarity))
+            tasks.append((str(p), out))
         else:
             _warn(f"skipped {p}: output {out} clashes with {first[out]}")
-    successes = len(_run_images(_preprocess_one, tasks, args.jobs))
+    for out_dir in {Path(out).parent for _, out in tasks}:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    worker = functools.partial(_preprocess_chunk, args.sigma, args.polarity)
+    successes = len(_run_images(worker, tasks, args.jobs))
     print(f"preprocessed {successes}/{len(files)} images -> {args.out_dir}")
     return 0 if successes else 2
 
 
 def cmd_extract(args) -> int:
     entries = dataset.scan_dataset(args.in_dir).entries
-    passed = _run_images(_extract_one, [(str(p),) for p, _ in entries],
+    passed = _run_images(_extract_chunk, [(str(p),) for p, _ in entries],
                          args.jobs)
     if not passed:
         _warn("no image produced features")

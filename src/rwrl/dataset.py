@@ -5,9 +5,11 @@ class) onto a 64x64 grayscale canvas, dark ink on white. Each instance is
 perturbed by a seeded affine jitter (rotation within +/-10 degrees, scale
 0.85-1.15, translation within +/-3 px) and drawn with a stroke thickness
 between 2 and 4 px: a pixel is ink when its distance to a stroke segment is
-at most thickness/2, which is tested only inside that segment's bounding box
-(grown by thickness/2). The per-image random stream comes from (seed, class,
-index), so generation is reproducible under any scheduling.
+at most thickness/2, which is tested only near that segment: in a box that
+holds its bounding box grown by thickness/2, one box size per stroke, so
+that all segments of a stroke are tested in one array pass. The per-image
+random stream comes from (seed, class, index), so generation is
+reproducible under any scheduling.
 """
 
 from __future__ import annotations
@@ -137,17 +139,24 @@ def render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
     ink = np.zeros((CANVAS, CANVAS), dtype=bool)
     limit = thickness / 2.0
     for pts in strokes:
-        boxes = np.hstack([np.floor(np.minimum(pts[:-1], pts[1:]) - limit),
-                           np.ceil(np.maximum(pts[:-1], pts[1:]) + limit) + 1])
-        for p0, p1, (r0, c0, r1, c1) in zip(
-                pts[:-1], pts[1:], np.clip(boxes, 0, CANVAS).astype(int).tolist()):
-            seg = p1 - p0
-            norm2 = float(seg @ seg)
-            dr, dc = np.arange(r0, r1)[:, None] - p0[0], np.arange(c0, c1) - p0[1]
-            if norm2 > 0:
-                t = np.clip((dr * seg[0] + dc * seg[1]) / norm2, 0.0, 1.0)
-                dr, dc = dr - t * seg[0], dc - t * seg[1]
-            ink[r0:r1, c0:c1] |= np.sqrt(dr * dr + dc * dc) <= limit
+        seg = np.diff(pts, axis=0)
+        # `seg @ seg` per segment: BLAS may fuse it, unlike s0 * s0 + s1 * s1
+        norm2 = seg[:, None] @ seg[:, :, None]
+        p0, seg = pts[:-1, :, None, None], seg[:, :, None, None]
+        lo = np.clip(np.floor(np.minimum(pts[:-1], pts[1:]) - limit), 0, CANVAS)
+        hi = np.clip(np.ceil(np.maximum(pts[:-1], pts[1:]) + limit) + 1, 0, CANVAS)
+        # each segment scans a box of the stroke's largest size, on the
+        # canvas; no pixel outside its own box is within `limit` of it
+        size = (hi - lo).max(axis=0)
+        lo = np.minimum(lo, CANVAS - size)
+        rows = lo[:, 0, None] + np.arange(size[0])  # float64: no int casts
+        cols = lo[:, 1, None] + np.arange(size[1])
+        dr, dc = rows[:, :, None] - p0[:, 0], cols[:, None, :] - p0[:, 1]
+        t = np.clip((dr * seg[:, 0] + dc * seg[:, 1])
+                    / np.where(norm2 > 0, norm2, 1.0), 0.0, 1.0)
+        dr, dc = dr - t * seg[:, 0], dc - t * seg[:, 1]
+        s, i, j = np.nonzero(np.sqrt(dr * dr + dc * dc) <= limit)
+        ink[rows[s, i].astype(np.intp), cols[s, j].astype(np.intp)] = True
     return np.where(ink, 0, 255).astype(np.uint8)
 
 

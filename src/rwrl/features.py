@@ -17,7 +17,11 @@ band sums are combined with weights 8/4/2/1 from the center outward.
 It is computed from one table, built at import from `Direction.step`, of
 the 94 scan lines of a window (16 rows, 16 columns, 31 + 31 diagonals)
 padded with a background pixel: one run-length recurrence covers them all,
-with int8 bits and runs (<= 16), int16 weighted runs (<= 128), int64 sums.
+with int8 bits and runs (<= 16), int16 weighted line sums (<= 16 * 16 * 8)
+and int64 window sums.
+
+`extract_contour` and `extract_features` also take a (..., 64, 64) stack:
+page i of the result is bit for bit that of page i alone.
 """
 
 from __future__ import annotations
@@ -105,14 +109,14 @@ def _features(windows: np.ndarray) -> np.ndarray:
         for j in steps:
             acc = (acc + 1) * bits[j]
             runs[j] += acc
-    sums = (runs * _LINE_WEIGHTS[..., None]).sum(axis=0, dtype=np.int64)
-    return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0).T
+    sums = np.einsum("jln,jl->ln", runs, _LINE_WEIGHTS)   # int16, no temporary
+    return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0, dtype=np.int64).T
 
 
 def _normalized(img) -> np.ndarray:
-    """`img` as an array, refused unless it is 64x64."""
+    """`img` as an array, refused unless it is a 64x64 page or stack of them."""
     arr = np.asarray(img)
-    if arr.shape != (NORMALIZED_SIZE, NORMALIZED_SIZE):
+    if arr.shape[-2:] != (NORMALIZED_SIZE, NORMALIZED_SIZE):
         raise WrongDimensionsError(
             f"expected {NORMALIZED_SIZE}x{NORMALIZED_SIZE}, got {arr.shape}")
     return arr
@@ -120,10 +124,10 @@ def _normalized(img) -> np.ndarray:
 
 def extract_contour(bin_img) -> np.ndarray:
     """Return the contour pixel set of a 64x64 binary image."""
-    arr = _as_binary(_normalized(bin_img))
-    padded = np.pad(arr, 1)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    arr = _as_binary(_normalized(bin_img), stack=True)
+    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1)] * 2)
+    interior = (padded[..., :-2, 1:-1] & padded[..., 2:, 1:-1]
+                & padded[..., 1:-1, :-2] & padded[..., 1:-1, 2:])
     return ((arr == 1) & (interior == 0)).astype(np.uint8)
 
 
@@ -134,10 +138,11 @@ def extract_features(contour_img) -> np.ndarray:
     never cross a window border, so overlapping windows are independent.
     """
     bits = _normalized(contour_img)
-    windows = sliding_window_view(bits, (WINDOW_SIZE, WINDOW_SIZE))
-    windows = windows[::WINDOW_STRIDE, ::WINDOW_STRIDE]
-    stack = windows.reshape(NUM_WINDOWS, WINDOW_SIZE, WINDOW_SIZE)
-    return _features(stack).reshape(FEATURE_DIM)
+    windows = sliding_window_view(bits, (WINDOW_SIZE, WINDOW_SIZE),
+                                  axis=(-2, -1))
+    windows = windows[..., ::WINDOW_STRIDE, ::WINDOW_STRIDE, :, :]
+    stack = windows.reshape(-1, WINDOW_SIZE, WINDOW_SIZE)
+    return _features(stack).reshape(*bits.shape[:-2], FEATURE_DIM)
 
 
 def scale_features(values, mean, std) -> np.ndarray:
@@ -281,8 +286,19 @@ def format_rows(rows, sep: str, error: type[Exception]):
     X = np.asarray(rows)
     if not np.isfinite(X).all():
         raise error("non-finite value")
-    return (sep.join(str(int(f)) if f.is_integer() else repr(f)
-                     for f in map(float, row.tolist())) for row in X)
+    return (_format_row(row, sep) for row in X)
+
+
+def _format_row(row: np.ndarray, sep: str) -> str:
+    # integers within 2**53 of 0, which float() keeps exact, join as they
+    # are. One row at a time and no numpy call but tolist(): a matrix-sized
+    # temporary, or a numpy function first used here, raises the peak RSS
+    values = row.tolist()
+    if (row.dtype.kind in "iu" and -2 ** 53 <= min(values, default=0)
+            and max(values, default=0) <= 2 ** 53):
+        return sep.join(map(str, values))
+    return sep.join(str(int(f)) if f.is_integer() else repr(f)
+                    for f in map(float, values))
 
 
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,9 @@ intensities in [0, 255], binary images are 2-D uint8 arrays in {0, 1} where
 values are integers in 0..255; another value raises ValueError rather than
 wrapping to a uint8.
 
+`gaussian_smooth`, `otsu_threshold`, `binarize` and `ink` also take a
+(..., H, W) stack: page i of the result is bit for bit that of page i alone.
+
 The full chain used for a raw digit scan is:
 
     decode_image -> gaussian_smooth -> ink -> normalize_digit
@@ -45,10 +48,12 @@ DARK_INK = "dark-ink"
 LIGHT_INK = "light-ink"
 
 
-def _as_gray(img) -> np.ndarray:
+def _as_gray(img, stack: bool = False) -> np.ndarray:
+    """`img` as uint8: a page or, if `stack`, a (..., H, W) stack of pages."""
     arr = np.asarray(img)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("image must be a non-empty 2-D array")
+    if arr.size == 0 or arr.ndim < 2 or arr.ndim > 2 and not stack:
+        raise ValueError("image must be a non-empty 2-D array"
+                         + " or a stack of them" * stack)
     # a uint8 or bool page needs no scan; any other must fit uint8 exactly
     if arr.dtype not in (np.uint8, np.bool_) and not (
             (arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)).all():
@@ -56,8 +61,8 @@ def _as_gray(img) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _as_binary(img) -> np.ndarray:
-    arr = _as_gray(img)
+def _as_binary(img, stack: bool = False) -> np.ndarray:
+    arr = _as_gray(img, stack)
     if arr.max(initial=0) > 1:
         raise ValueError("binary image values must be 0 or 1")
     return arr
@@ -271,16 +276,17 @@ def gaussian_smooth(img, sigma: float) -> np.ndarray:
     sigma=0 is the identity; sigma must lie in [0, MAX_SIGMA]. Output
     values are rounded to the nearest integer and stay inside [0, 255].
     """
-    arr = _as_gray(img)
+    arr = _as_gray(img, stack=True)
     if not 0 <= sigma <= MAX_SIGMA:
         raise ValueError(f"sigma must be in [0, {MAX_SIGMA}], got {sigma}")
     if sigma == 0:
         return arr.copy()
     k = gaussian_kernel(sigma)
     radius = (len(k) - 1) // 2
-    padded = np.pad(arr.astype(np.float64), radius, mode="symmetric")
-    horiz = sliding_window_view(padded, len(k), axis=1) @ k
-    both = sliding_window_view(horiz, len(k), axis=0) @ k
+    pad = [(0, 0)] * (arr.ndim - 2) + [(radius, radius)] * 2
+    padded = np.pad(arr.astype(np.float64), pad, mode="symmetric")
+    horiz = sliding_window_view(padded, len(k), axis=-1) @ k
+    both = sliding_window_view(horiz, len(k), axis=-2) @ k
     return np.clip(np.rint(both), 0, 255).astype(np.uint8)
 
 
@@ -288,31 +294,35 @@ def otsu_threshold(img) -> int:
     """Threshold maximizing between-class variance over the 256-bin histogram.
 
     Pixels <= t form one class, pixels > t the other. Ties pick the smallest
-    t; a constant image returns its own value.
+    t; a constant image returns its own value. A stack gets an int64 array
+    of one threshold per page.
     """
-    arr = _as_gray(img)
-    hist = np.bincount(arr.ravel(), minlength=256).astype(np.float64)
-    nonzero = np.nonzero(hist)[0]
-    if len(nonzero) == 1:
-        return int(nonzero[0])
-    total = hist.sum()
-    levels = np.arange(256, dtype=np.float64)
-    w0 = np.cumsum(hist)
-    sum0 = np.cumsum(hist * levels)
-    sum_all = sum0[-1]
-    w1 = total - w0
+    arr = _as_gray(img, stack=True)
+    pages = arr.reshape(-1, arr.shape[-2] * arr.shape[-1])
+    # one bincount for all pages: page i counts its values at 256 i + value
+    offsets = np.arange(0, 256 * len(pages), 256)[:, None]
+    hist = np.bincount((pages + offsets).ravel(), minlength=256 * len(pages))
+    hist = hist.reshape(-1, 256).astype(np.float64)
+    # counts and level sums are integers below 2**53: every sum is exact
+    w0 = np.cumsum(hist, axis=1)
+    sum0 = np.cumsum(hist * np.arange(256), axis=1)
+    w1 = w0[:, -1:] - w0
     with np.errstate(divide="ignore", invalid="ignore"):
         mu0 = sum0 / w0
-        mu1 = (sum_all - sum0) / w1
+        mu1 = (sum0[:, -1:] - sum0) / w1
         var_between = w0 * w1 * (mu0 - mu1) ** 2
     var_between[~np.isfinite(var_between)] = 0.0
-    return int(np.argmax(var_between))
+    constant = (hist > 0).sum(axis=1) == 1
+    t = np.where(constant, hist.argmax(axis=1), var_between.argmax(axis=1))
+    return int(t[0]) if arr.ndim == 2 else t.reshape(arr.shape[:-2])
 
 
 def binarize(img, t: int, polarity: str = DARK_INK) -> np.ndarray:
-    """Threshold at t; dark-ink maps pixel<=t to 1, light-ink maps pixel>t."""
-    arr = _as_gray(img)
-    if not 0 <= t <= 255:
+    """Threshold at t; dark-ink maps pixel<=t to 1, light-ink maps pixel>t.
+    A stack takes one t for all pages or an array of one t per page."""
+    arr = _as_gray(img, stack=True)
+    t = np.asarray(t)[..., None, None]
+    if not ((0 <= t) & (t <= 255)).all():
         raise ValueError("threshold must be in [0, 255]")
     if polarity == DARK_INK:
         return (arr <= t).astype(np.uint8)
@@ -336,22 +346,22 @@ def normalize_digit(bin_img) -> np.ndarray:
     crop = arr[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
     h, w = crop.shape
     side = max(h, w)
-    pad_rows = side - h
-    pad_cols = side - w
-    square = np.pad(crop, ((pad_rows // 2, pad_rows - pad_rows // 2),
-                           (pad_cols // 2, pad_cols - pad_cols // 2)))
+    square = np.zeros((side, side), dtype=np.uint8)
+    top, left = (side - h) // 2, (side - w) // 2
+    square[top:top + h, left:left + w] = crop
     idx = np.arange(NORMALIZED_SIZE) * side // NORMALIZED_SIZE
-    return square[np.ix_(idx, idx)].astype(np.uint8)
+    return square[idx[:, None], idx]
 
 
 def ink(gray, polarity: str) -> np.ndarray:
     """The ink of a grayscale page, binarized at its Otsu threshold.
 
     A constant page carries no separable ink, so it is rejected as empty
-    rather than letting the degenerate threshold mark everything foreground.
+    rather than letting the degenerate threshold mark everything foreground;
+    a stack holding one is rejected whole.
     """
-    arr = _as_gray(gray)
-    if arr.min() == arr.max():
+    arr = _as_gray(gray, stack=True)
+    if (arr.min(axis=(-2, -1)) == arr.max(axis=(-2, -1))).any():
         raise EmptyImageError("blank page: image is constant")
     return binarize(arr, otsu_threshold(arr), polarity)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rwrl
-from rwrl.cli import build_parser, main
+from rwrl.cli import CHUNK, build_parser, main
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.raster import encode_pgm
 
@@ -187,6 +187,54 @@ def test_extract_skips_constant_pages(corpus, tmp_path, capsys, jobs):
     assert "black.pgm: EmptyImageError" in captured.err
     assert "wrote 60 feature rows" in captured.out
     assert out.read_bytes() == (corpus / "features.txt").read_bytes()
+
+
+@pytest.mark.parametrize("stack_pages", [CHUNK, 3])
+@pytest.mark.parametrize("command", ["preprocess", "extract"])
+def test_bad_pages_at_chunk_boundaries(corpus, tmp_path, capsys, monkeypatch,
+                                       command, stack_pages):
+    """Bad pages first, last and on both sides of the first chunk boundary
+    are skipped in input order, and the other pages' outputs are those of a
+    run without them, at either job count and with a chunk's pages split
+    into stacks of 3."""
+    monkeypatch.setattr(rwrl.cli, "STACK_PIXELS", stack_pages * 64 * 64)
+    clean, bad = tmp_path / "clean", tmp_path / "bad"
+    src = corpus / ("raw" if command == "preprocess" else "norm")
+    shutil.copytree(src, clean)
+    shutil.copytree(src, bad)
+    pages = sorted(bad.rglob("*.pgm"))
+    truncated = b"P5 64 64 255\n\x00"
+    constant = encode_pgm(np.full((64, 64), 255, dtype=np.uint8))
+    narrow = np.full((63, 64), 255, dtype=np.uint8)
+    narrow[20:40, 20:40] = 0
+    kinds = {"preprocess": [(truncated, "TruncatedDataError"),
+                            (constant, "EmptyImageError"),
+                            (truncated, "TruncatedDataError"),
+                            (constant, "EmptyImageError")],
+             "extract": [(truncated, "TruncatedDataError"),
+                         (constant, "EmptyImageError"),
+                         (encode_pgm(narrow), "WrongDimensionsError"),
+                         (truncated, "TruncatedDataError")]}[command]
+    positions = [0, CHUNK - 1, CHUNK, len(pages) - 1]
+    assert len(pages) >= 40
+    for at, (data, _) in zip(positions, kinds):
+        pages[at].write_bytes(data)
+        (clean / pages[at].relative_to(bad)).unlink()
+    skips = [(str(pages[at]), error) for at, (_, error) in zip(positions, kinds)]
+
+    def run(in_dir, name, jobs):
+        out = tmp_path / name
+        target = out if command == "preprocess" else tmp_path / f"{name}.txt"
+        assert main([command, str(in_dir), str(target), "--jobs", jobs]) == 0
+        err = capsys.readouterr().err
+        return (_tree_bytes(out) if command == "preprocess"
+                else target.read_bytes()), err
+
+    expected, _ = run(clean, "expected", "1")
+    for jobs in ("1", "2"):
+        got, err = run(bad, f"jobs{jobs}", jobs)
+        assert re.findall(r"^warning: skipped (\S+): (\w+):", err, re.M) == skips
+        assert got == expected
 
 
 def test_extract_of_constant_pages_only_exit2(tmp_path, capsys):

@@ -16,7 +16,9 @@ from rwrl.features import (
     NUM_WINDOWS,
     WEIGHT_MAP,
     Direction,
+    extract_contour,
     extract_features,
+    format_rows,
     read_feature_file,
     scale_features,
     write_feature_file,
@@ -443,3 +445,57 @@ class TestClassifierInput:
             svm_train(X, y)
         with pytest.raises(error):
             knn_train(X, y, k=1)
+
+
+class TestStacks:
+    """Page i of `extract_contour` and `extract_features` over a stack is
+    what each gives page i alone."""
+
+    def test_stack_rows_match_pages(self):
+        rng = np.random.default_rng(34)
+        density = rng.uniform(0.05, 0.6, size=(7, 1, 1))
+        pages = (rng.random((7, 64, 64)) < density).astype(np.uint8)
+        pages[0], pages[1] = 0, 1
+        contours = extract_contour(pages)
+        features = extract_features(contours)
+        assert features.shape == (7, FEATURE_DIM)
+        for page, contour, row in zip(pages, contours, features):
+            assert np.array_equal(contour, extract_contour(page))
+            assert np.array_equal(row, extract_features(contour))
+        assert np.array_equal(extract_features(contours.reshape(7, 1, 64, 64)),
+                              features[:, None])
+
+    def test_stack_of_wrong_size_rejected(self):
+        with pytest.raises(WrongDimensionsError):
+            extract_contour(np.ones((3, 63, 64), dtype=np.uint8))
+        with pytest.raises(WrongDimensionsError):
+            extract_features(np.ones((3, 64, 63), dtype=np.uint8))
+
+
+class TestFormatRows:
+    """Integer rows within 2**53 of 0 are joined as they are; every row
+    reads as the per-value rule writes it: digits for an integral float()
+    of the value, repr otherwise."""
+
+    @staticmethod
+    def per_value(row) -> str:
+        return ",".join(str(int(f)) if f.is_integer() else repr(f)
+                        for f in map(float, row.tolist()))
+
+    @pytest.mark.parametrize("row", [
+        np.array([-0.0, 3.0, 2.0 ** 53 + 1, 2.0 ** 63 - 1024,
+                  -(2.0 ** 63 - 1024)]),
+        np.array([2 ** 53, -2 ** 53, 2 ** 53 + 1, -(2 ** 53 + 1),
+                  2 ** 63 - 1024, -(2 ** 63 - 1024), 2 ** 63 - 1, -2 ** 63],
+                 dtype=np.int64),
+        np.array([7.0, 1e300, -2.0]),
+        np.array([2 ** 64 - 1, 5], dtype=np.uint64),
+        np.array([True, False]),
+        np.arange(-300, 300, 7, dtype=np.int16),
+        np.random.default_rng(35).integers(-2 ** 53, 2 ** 53, size=50),
+        np.zeros(0, dtype=np.int64),
+    ], ids=["floats", "int64-bounds", "1e300", "uint64", "bool", "int16",
+            "random", "empty"])
+    def test_paths_agree(self, row):
+        lines = list(format_rows(np.stack([row, row]), ",", ValueError))
+        assert lines == [self.per_value(row)] * 2

@@ -558,3 +558,60 @@ class TestImageValues:
         bits = ink(page, DARK_INK)
         assert np.array_equal(normalize_digit(bits.astype(bool)),
                               normalize_digit(bits))
+
+
+def _mixed_pages(seed: int, n: int, shape: tuple[int, int]) -> np.ndarray:
+    """n seeded pages: one constant, one two-level and random ones."""
+    rng = np.random.default_rng(seed)
+    pages = rng.integers(0, 256, size=(n, *shape), dtype=np.uint8)
+    pages[0] = 77
+    pages[1] = np.where(rng.random(shape) < 0.3, 20, 230)
+    return pages
+
+
+class TestStacks:
+    """Page i of a stacked layer's result is what the layer gives page i
+    alone, bit for bit, for a (B, H, W) and a (..., H, W) stack."""
+
+    @pytest.mark.parametrize("sigma", [0, 1.0, 2.5])
+    @pytest.mark.parametrize("shape", [(64, 64), (9, 13), (3, 5), (1, 7)])
+    def test_gaussian_smooth(self, sigma, shape):
+        # the (3, 5) and (1, 7) pages are narrower than the radius at 2.5
+        pages = _mixed_pages(31, 6, shape)
+        stacked = gaussian_smooth(pages, sigma)
+        for page, out in zip(pages, stacked):
+            assert np.array_equal(out, gaussian_smooth(page, sigma))
+        assert np.array_equal(gaussian_smooth(pages.reshape(2, 3, *shape), sigma),
+                              stacked.reshape(2, 3, *shape))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (5, 3)])
+    def test_otsu_threshold(self, shape):
+        pages = _mixed_pages(32, 8, shape)
+        t = otsu_threshold(pages)
+        assert t.tolist() == [otsu_threshold(page) for page in pages]
+        assert t[0] == 77 and isinstance(otsu_threshold(pages[0]), int)
+        assert np.array_equal(otsu_threshold(pages.reshape(2, 4, *shape)),
+                              t.reshape(2, 4))
+
+    @pytest.mark.parametrize("polarity", [DARK_INK, LIGHT_INK])
+    def test_binarize_and_ink(self, polarity):
+        pages = _mixed_pages(33, 8, (12, 9))
+        t = otsu_threshold(pages)
+        for page, ti, out in zip(pages, t, binarize(pages, t, polarity)):
+            assert np.array_equal(out, binarize(page, int(ti), polarity))
+        for page, out in zip(pages, binarize(pages, 128, polarity)):
+            assert np.array_equal(out, binarize(page, 128, polarity))
+        for page, out in zip(pages[1:], ink(pages[1:], polarity)):
+            assert np.array_equal(out, ink(page, polarity))
+        with pytest.raises(EmptyImageError, match="constant"):
+            ink(pages, polarity)
+
+    def test_stack_threshold_out_of_range(self):
+        with pytest.raises(ValueError, match="threshold"):
+            binarize(np.zeros((2, 3, 3), dtype=np.uint8), [10, 256])
+
+    @pytest.mark.parametrize("apply", [normalize_digit, encode_pgm],
+                             ids=["normalize", "encode"])
+    def test_page_functions_refuse_stacks(self, apply):
+        with pytest.raises(ValueError, match="2-D"):
+            apply(np.ones((2, 8, 8), dtype=np.uint8))
