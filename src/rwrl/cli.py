@@ -3,6 +3,10 @@
 Subcommands mirror the pipeline stages: synth -> preprocess -> extract ->
 train/predict/eval, plus report for re-deriving metric tables from a saved
 confusion matrix. All stages are deterministic for a given --seed.
+
+The module imports only what the parser needs; each subcommand imports the
+layers it runs, before any worker process forks, so a process loads and
+compiles no layer it does not use.
 """
 
 from __future__ import annotations
@@ -11,26 +15,17 @@ import argparse
 import functools
 import itertools
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dataset, evaluate, model_io
 from .errors import (
     DimensionMismatchError,
     EmptyDataError,
     LengthMismatchError,
     RwrlError,
 )
-from .features import (
-    extract_contour,
-    extract_features,
-    read_feature_file,
-    write_feature_file,
-)
-from .knn import knn_predict_batch, knn_train
 from .raster import (
     DARK_INK,
     LIGHT_INK,
@@ -42,25 +37,20 @@ from .raster import (
     ink,
     normalize_digit,
 )
-from .svm import (
-    MAX_DEGREE,
-    KernelParams,
-    SvmModel,
-    svm_predict_batch,
-    svm_train,
-)
 
 _KERNEL_NAMES = {"poly": "polynomial", "linear": "linear", "rbf": "rbf"}
 
 
-def _int_from(low: int, high: float = math.inf):
-    """argparse type: an integer in [low, high]."""
+def _int_from(low: int, high=math.inf):
+    """argparse type: an integer in [low, high], where `high` may also be a
+    function that returns the bound when a value is parsed."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        bound = high() if callable(high) else high
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"must be <= {bound}, got {value}")
         return value
     return integer
 
@@ -136,6 +126,7 @@ def _preprocess_chunk(sigma, polarity, tasks) -> list:
 
 
 def _extract_chunk(tasks) -> list:
+    from .features import extract_contour, extract_features
     # a feature is at most 16 * 16 * 16 * 8: int32 rows halve what the
     # workers send and what the parent holds until the file is written
     return _stacked(
@@ -152,9 +143,10 @@ def _run_images(worker, tasks, jobs: int) -> list[tuple[int, object]]:
     """`worker(chunk)` over chunks of CHUNK tasks `(path, ...)`, a result or
     an RwrlError per task: warns of each skip in input order and returns
     (task index, result) of the images that passed."""
+    from .dataset import parallel_map
     chunks = [tasks[i:i + CHUNK] for i in range(0, len(tasks), CHUNK)]
     results = list(itertools.chain.from_iterable(
-        dataset.parallel_map(worker, chunks, jobs)))
+        parallel_map(worker, chunks, jobs)))
     for task, result in zip(tasks, results):
         if isinstance(result, RwrlError):
             _warn(f"skipped {task[0]}: {type(result).__name__}: {result}")
@@ -163,8 +155,9 @@ def _run_images(worker, tasks, jobs: int) -> list[tuple[int, object]]:
 
 
 def cmd_preprocess(args) -> int:
+    from .dataset import image_files
     in_dir = Path(args.in_dir)
-    files = dataset.image_files(in_dir.rglob("*"))
+    files = image_files(in_dir.rglob("*"))
     if not files:
         _warn(f"no input images under {in_dir}")
         return 2
@@ -184,7 +177,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    entries = dataset.scan_dataset(args.in_dir).entries
+    from .dataset import scan_dataset
+    from .features import write_feature_file
+    entries = scan_dataset(args.in_dir).entries
     passed = _run_images(_extract_chunk, [(str(p),) for p, _ in entries],
                          args.jobs)
     if not passed:
@@ -196,38 +191,47 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _kernel_params(args) -> KernelParams:
-    return KernelParams(_KERNEL_NAMES[args.kernel], args.degree, args.gamma,
-                        args.coef0, getattr(args, "C"))
-
-
-def _train_model(args, X, y):
+def _classifier(args):
+    """`fit(X, y)` and `predict(model, X)` of --classifier, importing only
+    that classifier's module."""
+    scale = not args.no_scale
     if args.classifier == "svm":
-        return svm_train(X, y, _kernel_params(args), scale=not args.no_scale)
-    return knn_train(X, y, k=args.k, scale=not args.no_scale)
+        from .svm import KernelParams, svm_predict_batch, svm_train
+
+        def fit(X, y):
+            params = KernelParams(_KERNEL_NAMES[args.kernel], args.degree,
+                                  args.gamma, args.coef0, getattr(args, "C"))
+            return svm_train(X, y, params, scale=scale)
+        return fit, svm_predict_batch
+    from .knn import knn_predict_batch, knn_train
+    return (lambda X, y: knn_train(X, y, k=args.k, scale=scale),
+            knn_predict_batch)
 
 
 def cmd_train(args) -> int:
+    from .features import read_feature_file
+    from .model_io import model_save
+    fit, _ = _classifier(args)
     y, X = read_feature_file(args.features)
-    model = _train_model(args, X, y)
-    Path(args.model).write_bytes(model_io.model_save(model))
+    Path(args.model).write_bytes(model_save(fit(X, y)))
     print(f"trained {args.classifier} on {len(y)} samples -> {args.model}")
     return 0
 
 
-def _predict_with(model, X) -> np.ndarray:
-    if isinstance(model, SvmModel):
-        return svm_predict_batch(model, X)
-    return knn_predict_batch(model, X)
-
-
 def cmd_predict(args) -> int:
-    model = model_io.model_load(Path(args.model).read_bytes())
+    from .evaluate import write_csv
+    from .features import read_feature_file
+    from .knn import knn_predict_batch
+    from .model_io import model_load
+    from .svm import SvmModel, svm_predict_batch
+    model = model_load(Path(args.model).read_bytes())
     y, X = read_feature_file(args.features)
     if not len(y):
         raise EmptyDataError("feature file holds no rows to predict")
-    predicted = _predict_with(model, X)
-    evaluate.write_csv(args.out_csv, itertools.chain(
+    predict = (svm_predict_batch if isinstance(model, SvmModel)
+               else knn_predict_batch)
+    predicted = predict(model, X)
+    write_csv(args.out_csv, itertools.chain(
         [("index", "true", "predicted")], zip(itertools.count(), y, predicted)))
     accuracy = float((predicted == y).mean())
     print(f"accuracy {accuracy:.4f} ({len(y)} samples) -> {args.out_csv}")
@@ -236,16 +240,20 @@ def cmd_predict(args) -> int:
 
 def _write_reports(out_dir, cm):
     """Metrics of `cm` written under out_dir: (overall metrics, paths)."""
+    from . import evaluate
     per_class = evaluate.class_metrics(cm)
     overall = evaluate.overall_metrics(cm)
     return overall, evaluate.write_reports(out_dir, cm, per_class, overall)
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate
+    from .features import read_feature_file
+    fit, predict = _classifier(args)
     y, X = read_feature_file(args.features)
 
     def fit_predict(train_X, train_y, test_X):
-        return _predict_with(_train_model(args, train_X, train_y), test_X)
+        return predict(fit(train_X, train_y), test_X)
 
     folds = (evaluate.stratified_kfold(y, args.cv, args.seed)
              if args.cv is not None
@@ -264,15 +272,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest = dataset.synth_generate(args.seed, args.per_class, args.out_dir,
-                                      jobs=args.jobs)
+    from .dataset import synth_generate
+    manifest = synth_generate(args.seed, args.per_class, args.out_dir,
+                              jobs=args.jobs)
     print(f"generated {len(manifest)} images -> {args.out_dir}")
     return 0
 
 
 def cmd_report(args) -> int:
-    _, paths = _write_reports(args.out_dir,
-                              evaluate.read_confusion_csv(args.confusion))
+    from .evaluate import read_confusion_csv
+    _, paths = _write_reports(args.out_dir, read_confusion_csv(args.confusion))
     print(Path(paths["report"]).read_text(encoding="ascii"))
     return 0
 
@@ -281,12 +290,19 @@ def cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _max_degree() -> int:
+    # read from svm only when --degree is given, so that parsing loads no
+    # classifier
+    from .svm import MAX_DEGREE
+    return MAX_DEGREE
+
+
 def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--classifier", choices=("svm", "knn"), default="svm",
                         help="classifier to train (default: svm)")
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         default="poly", help="SVM kernel (default: poly)")
-    parser.add_argument("--degree", type=_int_from(1, MAX_DEGREE), default=3,
+    parser.add_argument("--degree", type=_int_from(1, _max_degree), default=3,
                         help="polynomial kernel degree (default: 3)")
     parser.add_argument("--gamma", type=_float_from(0, inclusive=False),
                         default=None,
@@ -304,8 +320,8 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_int_from(1), default=os.cpu_count() or 1,
-                        help="worker processes (default: logical CPUs)")
+    parser.add_argument("--jobs", type=_int_from(1), default=None,
+                        help="worker processes (default: usable CPUs)")
 
 
 def build_parser() -> argparse.ArgumentParser:

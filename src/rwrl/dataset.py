@@ -31,14 +31,23 @@ CANVAS = 64
 _CENTER = (CANVAS - 1) / 2.0
 
 
-def parallel_map(fn, items, jobs: int) -> list:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else all logical CPUs, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def parallel_map(fn, items, jobs: int | None) -> list:
     """`[fn(item) for item in items]`, spread over worker processes.
 
-    At most `jobs` workers start, and never more than there are items or
-    logical CPUs.
+    At most `jobs` workers start (one per usable CPU if None), and never
+    more than there are items or usable CPUs.
     """
     items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    cpus = usable_cpus()
+    workers = min(cpus if jobs is None else jobs, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     # imported here so that commands which never fan out skip loading
@@ -166,7 +175,8 @@ def _render_task(task) -> None:
     Path(path).write_bytes(encode_pgm(render_glyph(label, rng)))
 
 
-def synth_generate(seed: int, per_class: int, out_dir, jobs: int = 1) -> Manifest:
+def synth_generate(seed: int, per_class: int, out_dir,
+                   jobs: int | None = 1) -> Manifest:
     """Render `per_class` images per digit class under out_dir/<label>/.
 
     Each image draws from its own (seed, class, index) stream, so the output

@@ -14,8 +14,8 @@ of the maximal foreground run through it, clipped at the window border;
 band sums are combined with weights 8/4/2/1 from the center outward.
 
 49 windows x 4 directions gives a 196-dimensional integer feature vector.
-It is computed from one table, built at import from `Direction.step`, of
-the 94 scan lines of a window (16 rows, 16 columns, 31 + 31 diagonals)
+It is computed from one table, built on first use from `Direction.step`,
+of the 94 scan lines of a window (16 rows, 16 columns, 31 + 31 diagonals)
 padded with a background pixel: one run-length recurrence covers them all,
 with int8 bits and runs (<= 16), int16 weighted line sums (<= 16 * 16 * 8)
 and int64 window sums.
@@ -27,6 +27,7 @@ page i of the result is bit for bit that of page i alone.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 
 import numpy as np
@@ -75,8 +76,10 @@ _TO_EDGE = np.minimum(np.arange(WINDOW_SIZE), np.arange(WINDOW_SIZE)[::-1])
 WEIGHT_MAP = 2 ** (np.minimum.outer(_TO_EDGE, _TO_EDGE) // 2)
 
 
-def _scan_lines() -> tuple[np.ndarray, np.ndarray]:
-    """The scan-line table and the first line of each direction in it.
+@functools.cache
+def _scan_lines() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan-line table, transposed to (16 steps, 94 lines), the first
+    line of each direction in it, and the weight of each of its pixels.
 
     Pixels with equal dc*r - dr*c form one line of step (dr, dc); row-major
     order walks it from one end or the other, which leaves runs unchanged.
@@ -90,27 +93,26 @@ def _scan_lines() -> tuple[np.ndarray, np.ndarray]:
         starts.append(len(table))
         table += [line + [pad] * (WINDOW_SIZE - len(line))
                   for line in lines.values()]
-    return np.array(table), np.array(starts)
-
-
-_LINES, _DIRECTION_STARTS = _scan_lines()
-_LINE_WEIGHTS = np.append(WEIGHT_MAP.ravel(), 0).astype(np.int16)[_LINES.T]
+    by_step = np.array(table).T
+    weights = np.append(WEIGHT_MAP.ravel(), 0).astype(np.int16)[by_step]
+    return by_step, np.array(starts), weights
 
 
 def _features(windows: np.ndarray) -> np.ndarray:
     """Weighted run-length sums, (n, 4), of an (n, 16, 16) window stack."""
+    by_step, starts, weights = _scan_lines()
     n = len(windows)
     flat = np.zeros((WINDOW_SIZE * WINDOW_SIZE + 1, n), dtype=np.int8)
     flat[:-1] = (windows != 0).reshape(n, -1).T
-    bits = flat[_LINES.T]                      # (16 steps, 94 lines, n)
+    bits = flat[by_step]                       # (16 steps, 94 lines, n)
     runs = -bits
     for steps in (range(WINDOW_SIZE), range(WINDOW_SIZE - 1, -1, -1)):
         acc = np.zeros(bits.shape[1:], dtype=np.int8)
         for j in steps:
             acc = (acc + 1) * bits[j]
             runs[j] += acc
-    sums = np.einsum("jln,jl->ln", runs, _LINE_WEIGHTS)   # int16, no temporary
-    return np.add.reduceat(sums, _DIRECTION_STARTS, axis=0, dtype=np.int64).T
+    sums = np.einsum("jln,jl->ln", runs, weights)   # int16, no temporary
+    return np.add.reduceat(sums, starts, axis=0, dtype=np.int64).T
 
 
 def _normalized(img) -> np.ndarray:

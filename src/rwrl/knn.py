@@ -62,23 +62,26 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     """
     if len(model.samples) == 0:
         raise EmptyModelError("model holds no samples")
-    Xs = probe_rows(model, features)
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    probe_rows(model, X[:0])    # refuses a wrong dimension, rows or not
     classes = np.asarray(model.classes, dtype=np.int64)
     class_of = np.searchsorted(classes, model.labels)
     S = model.samples
     n = len(S)
     k = min(model.k, n)
     step = max(1, CHUNK_BYTES // (PAIR_BYTES * n))
-    out = np.empty(len(Xs), dtype=np.int64)
+    out = np.empty(len(X), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         s_norms = np.einsum("ij,ij->i", S, S)
-        for start in range(0, len(Xs), step):
-            rows = Xs[start:start + step]
+    for start in range(0, len(X), step):
+        # z-scored per chunk: no copy of all rows lives through the loop
+        rows = probe_rows(model, X[start:start + step])
+        with np.errstate(over="ignore", invalid="ignore"):
             nearest = class_of[_k_nearest(rows, S, s_norms, model.labels, k)]
-            counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)
-            # argmax takes the nearest neighbor among those of a top-voted class
-            first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
-            out[start:start + step] = classes[nearest[np.arange(len(rows)), first]]
+        counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)
+        # argmax takes the nearest neighbor among those of a top-voted class
+        first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
+        out[start:start + step] = classes[nearest[np.arange(len(rows)), first]]
     return out
 
 

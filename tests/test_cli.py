@@ -434,6 +434,13 @@ def test_directories_named_like_images_skipped(tmp_path, capsys):
     assert "wrote 20 feature rows" in out
 
 
+def _rwrl_subprocess(script, *args):
+    path = [str(Path(rwrl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
 def test_commands_do_not_load_numpy_ma(corpus, tmp_path):
     # np.unique imports numpy.ma on its first call, about 15 ms per process
     script = """
@@ -450,11 +457,74 @@ for argv in (["train", features, out + "/svm.txt"],
     assert main(argv) == 0, argv
 assert "numpy.ma" not in sys.modules
 """
-    path = [str(Path(rwrl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run([sys.executable, "-c", script,
-                             str(corpus / "features.txt"), str(tmp_path)],
-                            env=env, capture_output=True, text=True)
+    result = _rwrl_subprocess(script, corpus / "features.txt", tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+# the rwrl layers each command loads, besides cli, errors and raster
+_LOADED = {
+    "help": set(),
+    "synth": {"dataset"},
+    "preprocess": {"dataset"},
+    "extract": {"dataset", "features"},
+    "eval-svm": {"features", "evaluate", "svm"},
+    "eval-knn": {"features", "evaluate", "knn"},
+    "train-svm": {"features", "model_io", "svm", "knn"},
+    "train-knn": {"features", "model_io", "svm", "knn"},
+    "predict": {"features", "model_io", "svm", "knn", "evaluate"},
+    "report": {"features", "evaluate"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LOADED))
+def test_command_loads_only_its_layers(corpus, tmp_path, command):
+    features, out = corpus / "features.txt", tmp_path
+    if command in ("predict", "report"):
+        assert main(["eval", str(features), str(out / "ev"),
+                     "--holdout", "4"]) == 0
+        assert main(["train", str(features), str(out / "m.txt")]) == 0
+    argv = {
+        "help": ["--help"],
+        "synth": ["synth", out / "raw", "--per-class", "1", "--jobs", "1"],
+        "preprocess": ["preprocess", corpus / "raw", out / "n", "--jobs", "1"],
+        "extract": ["extract", corpus / "norm", out / "f.txt", "--jobs", "1"],
+        "eval-svm": ["eval", features, out / "e", "--holdout", "4"],
+        "eval-knn": ["eval", features, out / "e", "--holdout", "4",
+                     "--classifier", "knn"],
+        "train-svm": ["train", features, out / "s.txt"],
+        "train-knn": ["train", features, out / "k.txt", "--classifier", "knn"],
+        "predict": ["predict", out / "m.txt", features, out / "p.csv"],
+        "report": ["report", out / "ev" / "confusion.csv", out / "r"],
+    }[command]
+    script = """
+import sys
+from rwrl.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+assert code == 0, code
+print(" ".join(sorted(name for name in sys.modules if name.startswith("rwrl."))))
+"""
+    result = _rwrl_subprocess(script, *argv)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert loaded == {f"rwrl.{name}" for name in
+                      _LOADED[command] | {"cli", "errors", "raster"}}
+
+
+def test_import_rwrl_loads_layers_on_use():
+    script = """
+import sys
+import rwrl
+assert [name for name in sys.modules if name.startswith("rwrl")] == ["rwrl"]
+assert set(rwrl.__all__) <= set(dir(rwrl)), set(rwrl.__all__) - set(dir(rwrl))
+unresolved = [name for name in rwrl.__all__ if not hasattr(rwrl, name)]
+assert not unresolved, unresolved
+assert rwrl.svm.svm_train is rwrl.svm_train
+assert rwrl.evaluate.write_reports
+"""
+    result = _rwrl_subprocess(script)
     assert result.returncode == 0, result.stderr
 
 
@@ -516,6 +586,7 @@ def test_convergence_error_exits_2_writing_nothing(tmp_path, monkeypatch,
 def test_jobs_default_without_cpu_count(tmp_path, monkeypatch, capsys):
     # os.cpu_count() returns None where the count cannot be determined
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert main(["synth", str(tmp_path / "raw"), "--per-class", "1"]) == 0
     assert main(["preprocess", str(tmp_path / "raw"),
                  str(tmp_path / "norm")]) == 0

@@ -81,15 +81,21 @@ class TestSynth:
         for (p1, _), (p2, _) in zip(serial.entries, parallel.entries):
             assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("jobs, n_items, cpus, workers", [
-        (64, 10, 3, 3),
-        (64, 2, 8, 2),
-        (4, 100, 8, 4),
-        (2, 5, 1, None),
-        (8, 1, 8, None),
+    # cpus: os.cpu_count(); affinity: CPUs the process may run on, None
+    # where the platform has no sched_getaffinity
+    @pytest.mark.parametrize("jobs, n_items, cpus, affinity, workers", [
+        (64, 10, 3, None, 3),
+        (64, 2, 8, None, 2),
+        (4, 100, 8, None, 4),
+        (2, 5, 1, None, None),
+        (8, 1, 8, None, None),
+        (None, 10, None, None, None),
+        (None, 10, 8, None, 8),
+        (64, 10, 8, 3, 3),
+        (None, 10, 2, 1, None),
     ])
     def test_parallel_map_worker_bound(self, monkeypatch, jobs, n_items, cpus,
-                                       workers):
+                                       affinity, workers):
         import concurrent.futures
         started = []
 
@@ -108,6 +114,11 @@ class TestSynth:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(affinity)), raising=False)
         items = list(range(n_items))
         assert parallel_map(str, items, jobs) == [str(i) for i in items]
         assert started == ([] if workers is None else [workers])
