@@ -12,50 +12,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassMetrics",
-    "ConfusionMatrix",
-    "Direction",
-    "DIRECTIONS",
-    "FEATURE_DIM",
-    "KernelParams",
-    "KnnModel",
-    "Manifest",
-    "OverallMetrics",
-    "RwrlError",
-    "SvmModel",
-    "binarize",
-    "class_metrics",
-    "confusion",
-    "decode_image",
-    "encode_pgm",
-    "extract_contour",
-    "extract_features",
-    "gaussian_smooth",
-    "holdout_split",
-    "ink",
-    "kernel_matrix",
-    "knn_predict_batch",
-    "knn_train",
-    "model_load",
-    "model_save",
-    "normalize_digit",
-    "otsu_threshold",
-    "overall_metrics",
-    "preprocess_image",
-    "read_feature_file",
-    "scale_features",
-    "scan_dataset",
-    "score_folds",
-    "stratified_kfold",
-    "svm_predict_batch",
-    "svm_train",
-    "synth_generate",
-    "write_feature_file",
-    "__version__",
-]
-
-# submodule -> the public names it defines
+# submodule -> the public names it defines, each listed once here
 _LAYERS = {
     "dataset": ("Manifest", "scan_dataset", "synth_generate"),
     "errors": ("RwrlError",),
@@ -73,6 +30,7 @@ _LAYERS = {
             "svm_train"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+__all__ = [*_LAYER_OF, "__version__"]
 
 
 def __getattr__(name: str):

@@ -219,8 +219,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .evaluate import write_csv
-    from .features import read_feature_file
+    from .features import read_feature_file, write_csv
     from .knn import knn_predict_batch
     from .model_io import model_load
     from .svm import SvmModel, svm_predict_batch
@@ -248,7 +247,7 @@ def _write_reports(out_dir, cm):
 
 def cmd_eval(args) -> int:
     from . import evaluate
-    from .features import read_feature_file
+    from .features import read_feature_file, write_csv
     fit, predict = _classifier(args)
     y, X = read_feature_file(args.features)
 
@@ -262,7 +261,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     if args.cv is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        evaluate.write_csv(out_dir / "folds.csv", [("fold", "accuracy")] + [
+        write_csv(out_dir / "folds.csv", [("fold", "accuracy")] + [
             (i, f"{acc:.4f}") for i, acc in enumerate(fold_acc)])
         for i, acc in enumerate(fold_acc):
             print(f"fold {i} accuracy {acc:.4f}")

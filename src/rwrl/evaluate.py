@@ -8,7 +8,6 @@ prediction convention, and a normal-approximation 95% confidence interval.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, fields
@@ -23,7 +22,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownLabelError,
 )
-from .features import parse_ints
+from .features import parse_ints, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +251,11 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
         [cls, *row] for cls, row in zip(cm.classes, cm.counts.tolist())])
 
 
-def write_csv(path, rows) -> None:
-    """Rows of fields as an ASCII CSV with LF line ends, the writer of every
-    table rwrl writes but `synth`'s CRLF manifest."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
 def read_confusion_csv(path) -> ConfusionMatrix:
-    with open(path, "r", newline="", encoding="ascii", errors="replace") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except csv.Error as exc:
-            raise UnknownLabelError(f"unreadable confusion CSV: {exc}") from None
+    # text mode reads LF, CRLF and CR line ends; str.splitlines() would
+    # also split at form feeds and other separators
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
     classes = parse_ints(rows[0][1:], UnknownLabelError)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -275,10 +276,19 @@ def write_feature_file(path, labels, features) -> None:
     if X.ndim != 2 or len(y) != len(X):
         raise LengthMismatchError("labels and feature rows disagree")
     lines = format_rows(X, ",", FeatureFileError)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{FEATURE_FILE_VERSION},dim={X.shape[1]}\n")
-        fh.writelines(f"{int(label)},{line}\n"
-                      for label, line in zip(y.tolist(), lines))
+    write_csv(path, itertools.chain(
+        [(FEATURE_FILE_VERSION, f"dim={X.shape[1]}")],
+        zip(map(int, y.tolist()), lines)))
+
+
+def write_csv(path, rows) -> None:
+    """Each row's fields joined by `,`, one LF-ended ASCII line per row,
+    streamed as `rows` yields them: the writer of every rwrl table. It
+    quotes nothing, as no rwrl field holds a comma, quote or line end.
+    `synth`'s manifest alone keeps the `csv` module: its paths may need
+    quoting, and golden digests pin its CRLF bytes."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def format_rows(rows, sep: str, error: type[Exception]):

@@ -441,8 +441,10 @@ def _rwrl_subprocess(script, *args):
                           env=env, capture_output=True, text=True)
 
 
-def test_commands_do_not_load_numpy_ma(corpus, tmp_path):
-    # np.unique imports numpy.ma on its first call, about 15 ms per process
+@pytest.fixture(scope="module")
+def table_command_modules(corpus, tmp_path_factory):
+    """The modules loaded in one process once train, predict, eval and
+    report have run."""
     script = """
 import sys
 from rwrl.cli import main
@@ -455,10 +457,23 @@ for argv in (["train", features, out + "/svm.txt"],
              ["eval", features, out + "/cv", "--cv", "2"],
              ["report", out + "/holdout/confusion.csv", out + "/again"]):
     assert main(argv) == 0, argv
-assert "numpy.ma" not in sys.modules
+print(" ".join(sorted(sys.modules)))
 """
-    result = _rwrl_subprocess(script, corpus / "features.txt", tmp_path)
+    result = _rwrl_subprocess(script, corpus / "features.txt",
+                              tmp_path_factory.mktemp("tables"))
     assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_commands_do_not_load_numpy_ma(table_command_modules):
+    # np.unique imports numpy.ma on its first call, about 15 ms per process
+    assert "numpy.ma" not in table_command_modules
+
+
+def test_table_commands_do_not_load_csv(table_command_modules):
+    # every table goes through features.write_csv and read_confusion_csv;
+    # only synth's manifest, written by dataset, uses the csv module
+    assert "csv" not in table_command_modules
 
 
 # the rwrl layers each command loads, besides cli, errors and raster
@@ -471,7 +486,7 @@ _LOADED = {
     "eval-knn": {"features", "evaluate", "knn"},
     "train-svm": {"features", "model_io", "svm", "knn"},
     "train-knn": {"features", "model_io", "svm", "knn"},
-    "predict": {"features", "model_io", "svm", "knn", "evaluate"},
+    "predict": {"features", "model_io", "svm", "knn"},
     "report": {"features", "evaluate"},
 }
 

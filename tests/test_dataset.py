@@ -142,6 +142,10 @@ class TestSynth:
             strokes = glyph_template(label)
             assert strokes and all(len(s) >= 2 for s in strokes)
 
+    def test_no_template_past_nine(self):
+        with pytest.raises(ValueError):
+            glyph_template(10)
+
     def test_render_has_ink_and_margin(self):
         for label in range(10):
             img = render_glyph(label, np.random.default_rng([1, label, 0]))

@@ -100,6 +100,10 @@ class TestHoldoutSplit:
         with pytest.raises(TooFewSamplesError):
             holdout_split(np.array([0, 0, 1]), 1, seed=0)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError):
+            holdout_split(np.array([0, 0, 1, 1]), -1, seed=0)
+
 
 class TestConfusion:
     def test_empty(self):
@@ -303,11 +307,15 @@ class TestReports:
         assert restored.classes == cm.classes
         assert np.array_equal(restored.counts, cm.counts)
 
-    @pytest.mark.parametrize("zeros, count", [(700, 5), (5000, None)])
+    @pytest.mark.parametrize("digits, count", [
+        ("0" * 700 + "5", 5),
+        ("0" * 5000 + "5", None),
+        ("9223372036854775808", None),      # 19 digits, one past int64
+    ], ids=["700-5", "5000-None", "past-int64"])
     def test_count_digits_do_not_follow_the_interpreter(
-            self, tmp_path, int_digit_limit, zeros, count):
+            self, tmp_path, int_digit_limit, digits, count):
         path = tmp_path / "confusion.csv"
-        path.write_text(f"class,0,1\n0,1,0\n1,0,{'0' * zeros}5\n")
+        path.write_text(f"class,0,1\n0,1,0\n1,0,{digits}\n")
         if count is None:
             with pytest.raises(UnknownLabelError, match="out of range"):
                 read_confusion_csv(path)
@@ -339,11 +347,13 @@ class TestReports:
         "class,0,1\n0,5000000000000000000,1\n1,1,5000000000000000000\n",
         "class,0,0\n0,1,2\n0,3,4\n",
         "class,0,1\n0,1,0\n",
+        # no field is quoted: the csv module's unquoting read this as 1
+        'class,0,1\n0,"1",0\n1,0,2\n',
     ], ids=["cell", "class", "fraction", "negative", "blank-row",
             "oversized-field", "plus-class", "plus-row-class",
             "underscore-class", "plus-count", "underscore-count",
             "spaced-count", "count-5000-digits", "total-past-int64",
-            "repeated-class", "missing-row"])
+            "repeated-class", "missing-row", "quoted-count"])
     def test_malformed_confusion_csv(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -244,6 +244,10 @@ class TestScaleFeatures:
         with pytest.raises(LengthMismatchError):
             scale_features(np.ones(4), np.ones(3), np.ones(3))
 
+    def test_negative_std(self):
+        with pytest.raises(ValueError):
+            scale_features(np.ones(3), np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
 
 class TestFeatureFile:
     def test_roundtrip(self, tmp_path):
@@ -270,6 +274,12 @@ class TestFeatureFile:
         path = tmp_path / "features.txt"
         with pytest.raises(FeatureFileError):
             write_feature_file(path, [0, 1], [[value, 1.0], [2.0, 3.0]])
+        assert not path.exists()
+
+    def test_fewer_labels_than_rows_not_written(self, tmp_path):
+        path = tmp_path / "features.txt"
+        with pytest.raises(LengthMismatchError):
+            write_feature_file(path, [0], np.zeros((2, 3)))
         assert not path.exists()
 
     def test_missing_header(self, tmp_path):
@@ -338,7 +348,10 @@ class TestFeatureFile:
         (b"-" + b"0" * 4299 + b"3", -3),
         (b"0" * 4300 + b"3", None),
         (b"0" * 5000 + b"3", None),
-    ], ids=["700-zeros", "4300-digits", "4301-digits", "5001-digits"])
+        (b"9223372036854775808", None),     # 19 digits, one past int64
+        (b"-9223372036854775809", None),
+    ], ids=["700-zeros", "4300-digits", "4301-digits", "5001-digits",
+            "past-int64", "below-int64"])
     def test_label_digits_do_not_follow_the_interpreter(
             self, tmp_path, int_digit_limit, label, value):
         # at most 4300 digits, leading zeros counted, then int64

@@ -304,9 +304,13 @@ def test_invalid_fields_are_corrupt(make, pattern, new):
         model_load(mutated)
 
 
-@pytest.mark.parametrize("zeros, k", [(700, 3), (5000, None)])
-def test_k_digits_do_not_follow_the_interpreter(int_digit_limit, zeros, k):
-    data = re.sub(rb"\nk 3", b"\nk " + b"0" * zeros + b"3", _knn_bytes())
+@pytest.mark.parametrize("digits, k", [
+    (b"0" * 700 + b"3", 3),
+    (b"0" * 5000 + b"3", None),
+    (b"9223372036854775808", None),     # 19 digits, one past int64
+], ids=["700-3", "5000-None", "past-int64"])
+def test_k_digits_do_not_follow_the_interpreter(int_digit_limit, digits, k):
+    data = re.sub(rb"\nk 3", b"\nk " + digits, _knn_bytes())
     if k is None:
         with pytest.raises(CorruptModelError, match="out of range"):
             model_load(data)

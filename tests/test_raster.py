@@ -112,6 +112,10 @@ class TestDecode:
         with pytest.raises(MalformedHeaderError):
             decode_image(b"")
 
+    def test_text_input(self):
+        with pytest.raises(TypeError):
+            decode_image("P5 1 1 255 x")
+
     def test_unknown_magic(self):
         with pytest.raises(MalformedHeaderError):
             decode_image(b"XY whatever")
