@@ -347,7 +347,7 @@ class TestReports:
         "class,0,1\n0,5000000000000000000,1\n1,1,5000000000000000000\n",
         "class,0,0\n0,1,2\n0,3,4\n",
         "class,0,1\n0,1,0\n",
-        # no field is quoted: the csv module's unquoting read this as 1
+        # no rwrl table quotes a field, so "1" is no count
         'class,0,1\n0,"1",0\n1,0,2\n',
     ], ids=["cell", "class", "fraction", "negative", "blank-row",
             "oversized-field", "plus-class", "plus-row-class",
