@@ -130,11 +130,10 @@ def glyph_template(label: int) -> list[np.ndarray]:
     raise ValueError(f"no template for label {label}")
 
 
-def _jitter(strokes: list[np.ndarray], rng: np.random.Generator
-            ) -> tuple[list[np.ndarray], float]:
+def _jitter(strokes: list[np.ndarray], rng) -> tuple[list[np.ndarray], float]:
     angle = math.radians(rng.uniform(-10.0, 10.0))
     scale = rng.uniform(0.85, 1.15)
-    shift = rng.uniform(-3.0, 3.0, size=2)
+    shift = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)])
     thickness = rng.uniform(2.0, 4.0)
     rot = np.array([[math.cos(angle), -math.sin(angle)],
                     [math.sin(angle), math.cos(angle)]])
@@ -142,8 +141,11 @@ def _jitter(strokes: list[np.ndarray], rng: np.random.Generator
             for pts in strokes], thickness
 
 
-def render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
-    """One jittered 64x64 grayscale instance: ink 0 on background 255."""
+def render_glyph(label: int, rng) -> np.ndarray:
+    """One jittered 64x64 grayscale instance: ink 0 on background 255.
+
+    `rng` is any object with a `uniform(low, high)` draw, such as a
+    `pcg.Stream` or a numpy `Generator`; it is called five times."""
     strokes, thickness = _jitter(glyph_template(label), rng)
     ink = np.zeros((CANVAS, CANVAS), dtype=bool)
     limit = thickness / 2.0
@@ -170,8 +172,9 @@ def render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _render_task(task) -> None:
+    from .pcg import Stream
     seed, label, index, path = task
-    rng = np.random.default_rng([seed, label, index])
+    rng = Stream([seed, label, index])
     Path(path).write_bytes(encode_pgm(render_glyph(label, rng)))
 
 
@@ -186,6 +189,7 @@ def synth_generate(seed: int, per_class: int, out_dir,
         raise ValueError("per_class must be >= 1")
     if not 0 <= seed < 2 ** 32:
         raise ValueError("seed must be in 0..2**32-1")
+    from . import pcg   # loaded before the pool forks, not in each worker
     out_dir = Path(out_dir)
     tasks = []
     entries: list[tuple[Path, int]] = []

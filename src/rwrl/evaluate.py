@@ -31,15 +31,17 @@ from .features import parse_ints, write_csv
 
 def _class_ranks(y, seed: int, minimum: int, need: str) -> np.ndarray:
     """Each sample's place in its class's seeded order (one permutation per
-    class, classes ascending); a class under `minimum` samples raises."""
-    rng = np.random.default_rng(seed)
+    class, classes ascending, drawn as numpy's default_rng(seed) drew
+    them); a class under `minimum` samples raises."""
+    from .pcg import Stream     # here, so that `report` never loads it
+    rng = Stream(seed)
     rank = np.empty(len(y), dtype=np.int64)
     for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
         if len(idx) < minimum:
             raise TooFewSamplesError(
                 f"class {cls} has {len(idx)} samples, needs {need}")
-        rank[rng.permutation(idx)] = np.arange(len(idx))
+        rank[rng.permutation(idx.tolist())] = np.arange(len(idx))
     return rank
 
 

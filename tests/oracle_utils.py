@@ -5,7 +5,8 @@ geometry, bands and run lengths are defined per pixel, run lengths also
 come from enumerating maximal runs along scan lines, convolution is done
 densely per pixel, resampling walks destination pixels one by one,
 glyphs are rendered by measuring every segment against the whole canvas,
-and the SMO solver keeps its multipliers in [0, C] with label-sign branches.
+the SMO solver keeps its multipliers in [0, C] with label-sign branches,
+and the seeded splits draw from numpy's own `default_rng`.
 """
 
 import math
@@ -230,6 +231,30 @@ def full_canvas_render_glyph(label: int, rng: np.random.Generator) -> np.ndarray
             dist = np.sqrt((rel * rel).sum(axis=-1))
             ink |= dist <= limit
     return np.where(ink, 0, 255).astype(np.uint8)
+
+
+def numpy_class_ranks(labels, seed: int) -> np.ndarray:
+    """Each sample's place in its class's order as numpy draws it: one
+    `default_rng(seed).permutation` per class, classes ascending."""
+    y = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    rank = np.empty(len(y), dtype=np.int64)
+    for cls in sorted(set(y.tolist())):
+        idx = np.flatnonzero(y == cls)
+        rank[rng.permutation(idx)] = np.arange(len(idx))
+    return rank
+
+
+def numpy_stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
+    rank = numpy_class_ranks(labels, seed)
+    return [np.flatnonzero(rank % k == m) for m in range(k)]
+
+
+def numpy_holdout_split(labels, train_per_class: int, seed: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    rank = numpy_class_ranks(labels, seed)
+    return (np.flatnonzero(rank < train_per_class),
+            np.flatnonzero(rank >= train_per_class))
 
 
 def smo_alpha_reference(K: np.ndarray, y: np.ndarray, C: float

@@ -443,8 +443,8 @@ def _rwrl_subprocess(script, *args):
 
 @pytest.fixture(scope="module")
 def table_command_modules(corpus, tmp_path_factory):
-    """The modules loaded in one process once train, predict, eval and
-    report have run."""
+    """The modules loaded in one process once train, predict, eval (with
+    each classifier) and report have run."""
     script = """
 import sys
 from rwrl.cli import main
@@ -455,6 +455,7 @@ for argv in (["train", features, out + "/svm.txt"],
              ["predict", out + "/knn.txt", features, out + "/pred.csv"],
              ["eval", features, out + "/holdout", "--holdout", "4"],
              ["eval", features, out + "/cv", "--cv", "2"],
+             ["eval", features, out + "/knn", "--cv", "2", "--classifier", "knn"],
              ["report", out + "/holdout/confusion.csv", out + "/again"]):
     assert main(argv) == 0, argv
 print(" ".join(sorted(sys.modules)))
@@ -476,14 +477,31 @@ def test_table_commands_do_not_load_csv(table_command_modules):
     assert "csv" not in table_command_modules
 
 
+@pytest.mark.parametrize("module", ["numpy.random", "secrets", "hashlib"])
+def test_commands_do_not_load_numpy_random(table_command_modules, tmp_path,
+                                           module):
+    # rwrl.pcg draws the seeded splits and glyphs; numpy.random costs each
+    # process about 6 MB, OpenSSL loaded through secrets and hashlib included
+    script = """
+import sys
+from rwrl.cli import main
+assert main(["synth", sys.argv[1], "--per-class", "1", "--jobs", "1"]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+    result = _rwrl_subprocess(script, tmp_path / "raw")
+    assert result.returncode == 0, result.stderr
+    assert module not in set(result.stdout.splitlines()[-1].split())
+    assert module not in table_command_modules
+
+
 # the rwrl layers each command loads, besides cli, errors and raster
 _LOADED = {
     "help": set(),
-    "synth": {"dataset"},
+    "synth": {"dataset", "pcg"},
     "preprocess": {"dataset"},
     "extract": {"dataset", "features"},
-    "eval-svm": {"features", "evaluate", "svm"},
-    "eval-knn": {"features", "evaluate", "knn"},
+    "eval-svm": {"features", "evaluate", "pcg", "svm"},
+    "eval-knn": {"features", "evaluate", "knn", "pcg"},
     "train-svm": {"features", "model_io", "svm", "knn"},
     "train-knn": {"features", "model_io", "svm", "knn"},
     "predict": {"features", "model_io", "svm", "knn"},
@@ -660,7 +678,7 @@ def test_preprocess_skips_bad_palette_bmp(tmp_path, capsys):
     ["synth", "out", "--jobs", "0"],
     ["preprocess", "in", "out", "--jobs", "-2"],
     ["extract", "in", "out.txt", "--jobs", "0"],
-    # numpy's default_rng refuses a negative seed
+    # seeds are non-negative: the parser refuses -1 before any draw
     ["eval", "f.txt", "out", "--holdout", "1", "--seed", "-1"],
     ["eval", "f.txt", "out", "--cv", "2", "--seed", "-1"],
     ["synth", "out", "--seed", "-1"],
