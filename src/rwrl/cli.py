@@ -4,8 +4,10 @@ Subcommands mirror the pipeline stages: synth -> preprocess -> extract ->
 train/predict/eval, plus report for re-deriving metric tables from a saved
 confusion matrix. All stages are deterministic for a given --seed.
 
-The module imports only what the parser needs; each subcommand imports the
-layers it runs, before any worker process forks, so a process loads and
+The module imports only the standard library and `errors`, which holds the
+flag bounds, so `--help`, `<command> --help` and every usage error (exit 2)
+return before numpy loads. Each subcommand and worker imports the layers it
+runs, a subcommand before any worker process forks, so a process loads and
 compiles no layer it does not use.
 """
 
@@ -18,39 +20,28 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
+    DARK_INK,
+    LIGHT_INK,
+    MAX_DEGREE,
+    MAX_SIGMA,
     DimensionMismatchError,
     EmptyDataError,
     LengthMismatchError,
     RwrlError,
-)
-from .raster import (
-    DARK_INK,
-    LIGHT_INK,
-    MAX_SIGMA,
-    binary_to_gray,
-    decode_image,
-    encode_pgm,
-    gaussian_smooth,
-    ink,
-    normalize_digit,
 )
 
 _KERNEL_NAMES = {"poly": "polynomial", "linear": "linear", "rbf": "rbf"}
 
 
 def _int_from(low: int, high=math.inf):
-    """argparse type: an integer in [low, high], where `high` may also be a
-    function that returns the bound when a value is parsed."""
+    """argparse type: an integer in [low, high]."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        bound = high() if callable(high) else high
-        if value > bound:
-            raise argparse.ArgumentTypeError(f"must be <= {bound}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return integer
 
@@ -96,6 +87,8 @@ def _stacked(layers, paths) -> list:
     """`layers` of each page decoded from `paths`, run once per stack of
     equal-shape pages, or the page's RwrlError. A stack that raises one runs
     again page by page, so each bad page keeps its own error."""
+    import numpy as np
+    from .raster import decode_image
     out = [_attempt(decode_image, Path(path).read_bytes()) for path in paths]
     shapes = {}
     for i, page in enumerate(out):
@@ -115,10 +108,12 @@ def _stacked(layers, paths) -> list:
 
 
 def _write_normalized(bits, out_path) -> None:
+    from .raster import binary_to_gray, encode_pgm, normalize_digit
     Path(out_path).write_bytes(encode_pgm(binary_to_gray(normalize_digit(bits))))
 
 
 def _preprocess_chunk(sigma, polarity, tasks) -> list:
+    from .raster import gaussian_smooth, ink
     bits = _stacked(lambda stack: ink(gaussian_smooth(stack, sigma), polarity),
                     [src for src, _ in tasks])
     return [b if isinstance(b, RwrlError) else _attempt(_write_normalized, b, out)
@@ -126,7 +121,9 @@ def _preprocess_chunk(sigma, polarity, tasks) -> list:
 
 
 def _extract_chunk(tasks) -> list:
+    import numpy as np
     from .features import extract_contour, extract_features
+    from .raster import ink
     # a feature is at most 16 * 16 * 16 * 8: int32 rows halve what the
     # workers send and what the parent holds until the file is written
     return _stacked(
@@ -186,7 +183,7 @@ def cmd_extract(args) -> int:
         _warn("no image produced features")
         return 2
     write_feature_file(args.out_file, [entries[i][1] for i, _ in passed],
-                       np.array([feats for _, feats in passed]))
+                       [feats for _, feats in passed])
     print(f"wrote {len(passed)} feature rows -> {args.out_file}")
     return 0
 
@@ -289,19 +286,12 @@ def cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _max_degree() -> int:
-    # read from svm only when --degree is given, so that parsing loads no
-    # classifier
-    from .svm import MAX_DEGREE
-    return MAX_DEGREE
-
-
 def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--classifier", choices=("svm", "knn"), default="svm",
                         help="classifier to train (default: svm)")
     parser.add_argument("--kernel", choices=sorted(_KERNEL_NAMES),
                         default="poly", help="SVM kernel (default: poly)")
-    parser.add_argument("--degree", type=_int_from(1, _max_degree), default=3,
+    parser.add_argument("--degree", type=_int_from(1, MAX_DEGREE), default=3,
                         help="polynomial kernel degree (default: 3)")
     parser.add_argument("--gamma", type=_float_from(0, inclusive=False),
                         default=None,

@@ -171,18 +171,14 @@ def training_rows(features, labels, scale: bool) -> tuple[
     """A classifier's checked training input: the float64 rows (the input
     itself if it is float64), the int64 labels, the sorted class list, and
     the training mean and std per dimension, (0, 1) when not scaling. A
-    label whose int64 value differs from it (0.5, NaN, 2.0**63) raises
-    ValueError."""
+    label outside `_int_labels`' rule raises ValueError."""
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if X.ndim != 2 or len(X) == 0:
         raise EmptyDataError("training data is empty")
     if labels.shape != (len(X),):
         raise DimensionMismatchError(f"{len(X)} rows but {labels.size} labels")
-    with np.errstate(invalid="ignore"):     # NaN or past int64: refused below
-        y = labels.astype(np.int64, copy=False)
-    if not (y == labels).all():
-        raise ValueError("labels must be integers within int64")
+    y = _int_labels(labels, ValueError)
     if scale:
         with np.errstate(over="ignore", invalid="ignore"):
             mean, std = X.mean(axis=0), X.std(axis=0)
@@ -192,6 +188,21 @@ def training_rows(features, labels, scale: bool) -> tuple[
     else:
         mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
     return X, y, sorted(set(y.tolist())), mean, std
+
+
+def _int_labels(labels, error: type[Exception]) -> np.ndarray:
+    """`labels` as int64 (the input itself if it is int64), the rule of every
+    label a classifier trains on or a feature file holds: a label whose int64
+    value differs from it (0.5, NaN, 2.0**63) raises `error`."""
+    labels = np.asarray(labels)
+    try:
+        with np.errstate(invalid="ignore"):     # NaN or past int64: refused
+            y = labels.astype(np.int64, copy=False)
+        if (y == labels).all():
+            return y
+    except (TypeError, ValueError, OverflowError):  # None, "a", 2**64
+        pass
+    raise error("labels must be integers within int64")
 
 
 def probe_rows(model, features) -> np.ndarray:
@@ -270,15 +281,17 @@ def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
 # ---------------------------------------------------------------------------
 
 def write_feature_file(path, labels, features) -> None:
-    """Write labeled feature rows as text with a `#rwrl-v1` header."""
+    """Write labeled feature rows as text with a `#rwrl-v1` header. A label
+    outside `_int_labels`' rule or a non-finite value raises FeatureFileError
+    before the file is opened."""
     X = np.asarray(features)
     y = np.asarray(labels)
-    if X.ndim != 2 or len(y) != len(X):
+    if X.ndim != 2 or y.shape != (len(X),):
         raise LengthMismatchError("labels and feature rows disagree")
+    y = _int_labels(y, FeatureFileError)
     lines = format_rows(X, ",", FeatureFileError)
     write_csv(path, itertools.chain(
-        [(FEATURE_FILE_VERSION, f"dim={X.shape[1]}")],
-        zip(map(int, y.tolist()), lines)))
+        [(FEATURE_FILE_VERSION, f"dim={X.shape[1]}")], zip(y.tolist(), lines)))
 
 
 def write_csv(path, rows) -> None:

@@ -26,6 +26,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    DARK_INK,
+    LIGHT_INK,
+    MAX_SIGMA,
     EmptyImageError,
     MalformedHeaderError,
     TruncatedDataError,
@@ -33,7 +36,6 @@ from .errors import (
 )
 
 NORMALIZED_SIZE = 64
-MAX_SIGMA = 64  # px; smoothing time and memory grow with sigma
 
 PGM_MAX_DIGITS = 4300  # per PGM integer, leading zeros counted
 _HEADER_BOUND = 10 ** 18  # any header field of 19 or more significant digits
@@ -43,9 +45,6 @@ _COMMENT = re.compile(rb"#[^\r\n]*")
 # which runs to its line end, so no digit run is split or lent to a field
 _PGM_HEADER = re.compile(rb"P[25]%s*(\d+)%s+(\d+)%s+(\d+)(?=\s|#|\Z)"
                          % ((rb"(?:\s|#[^\r\n]*(?![^\r\n]))",) * 3))
-
-DARK_INK = "dark-ink"
-LIGHT_INK = "light-ink"
 
 
 def _as_gray(img, stack: bool = False) -> np.ndarray:

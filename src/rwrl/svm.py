@@ -14,13 +14,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConvergenceError, NonFiniteKernelError, SingleClassError
+from .errors import (MAX_DEGREE, ConvergenceError, NonFiniteKernelError,
+                     SingleClassError)
 from .features import probe_rows, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
 SMO_MAX_ITER_FACTOR = 100   # ConvergenceError after 100*n iterations
-MAX_DEGREE = 2 ** 63 - 1    # model files hold int64 integers
 
 
 @dataclass

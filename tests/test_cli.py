@@ -29,9 +29,12 @@ def corpus(tmp_path_factory):
     return root
 
 
+_COMMANDS = ("preprocess", "extract", "train", "predict", "eval", "synth",
+             "report")
+
+
 def test_help_exits_zero(capsys):
-    for command in ("preprocess", "extract", "train", "predict", "eval",
-                    "synth", "report"):
+    for command in _COMMANDS:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
@@ -494,18 +497,18 @@ print(" ".join(sorted(sys.modules)))
     assert module not in table_command_modules
 
 
-# the rwrl layers each command loads, besides cli, errors and raster
+# the rwrl layers each command loads, besides cli and errors
 _LOADED = {
     "help": set(),
-    "synth": {"dataset", "pcg"},
-    "preprocess": {"dataset"},
-    "extract": {"dataset", "features"},
-    "eval-svm": {"features", "evaluate", "pcg", "svm"},
-    "eval-knn": {"features", "evaluate", "knn", "pcg"},
-    "train-svm": {"features", "model_io", "svm", "knn"},
-    "train-knn": {"features", "model_io", "svm", "knn"},
-    "predict": {"features", "model_io", "svm", "knn"},
-    "report": {"features", "evaluate"},
+    "synth": {"dataset", "pcg", "raster"},
+    "preprocess": {"dataset", "raster"},
+    "extract": {"dataset", "features", "raster"},
+    "eval-svm": {"features", "evaluate", "pcg", "raster", "svm"},
+    "eval-knn": {"features", "evaluate", "knn", "pcg", "raster"},
+    "train-svm": {"features", "model_io", "raster", "svm", "knn"},
+    "train-knn": {"features", "model_io", "raster", "svm", "knn"},
+    "predict": {"features", "model_io", "raster", "svm", "knn"},
+    "report": {"features", "evaluate", "raster"},
 }
 
 
@@ -543,7 +546,31 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("rwrl.")))
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.splitlines()[-1].split())
     assert loaded == {f"rwrl.{name}" for name in
-                      _LOADED[command] | {"cli", "errors", "raster"}}
+                      _LOADED[command] | {"cli", "errors"}}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    *(([command, "--help"], 0) for command in _COMMANDS),
+    (["preprocess", "in", "out", "--jobs", "0"], 2),
+    (["preprocess", "in", "out", "--sigma", "65"], 2),
+    (["train", "f.txt", "m.txt", "--degree", "9223372036854775808"], 2),
+    (["preprocess", "in", "out", "--polarity", "x"], 2),
+    (["bogus"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_parse_path_does_not_load_numpy(argv, code):
+    # the parser's bounds live in rwrl.errors, so help and usage errors
+    # return before numpy loads
+    script = """
+import sys
+from rwrl.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules)
+"""
+    result = _rwrl_subprocess(script, *argv)
+    assert result.stdout.split()[-2:] == [str(code), "False"], result.stderr
 
 
 def test_import_rwrl_loads_layers_on_use():

@@ -276,10 +276,36 @@ class TestFeatureFile:
             write_feature_file(path, [0, 1], [[value, 1.0], [2.0, 3.0]])
         assert not path.exists()
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [np.nan, 1.0],
+                                        [0.0, 2.0 ** 63], [0, 2 ** 64],
+                                        ["0", "1"], [None, 1]],
+                             ids=["fractions", "nan", "2**63", "int 2**64",
+                                  "text", "None"])
+    def test_label_outside_int64_not_written(self, tmp_path, labels):
+        # the rule training_rows applies: a label must equal its int64 value
+        path = tmp_path / "features.txt"
+        with pytest.raises(FeatureFileError):
+            write_feature_file(path, labels, np.zeros((2, 3)))
+        assert not path.exists()
+
+    def test_int64_labels_roundtrip(self, tmp_path):
+        y = np.array([-2 ** 63, 2 ** 63 - 1, 0])
+        path = tmp_path / "features.txt"
+        write_feature_file(path, y, np.zeros((3, 2)))
+        assert np.array_equal(read_feature_file(path)[0], y)
+        write_feature_file(path, [3.0, -0.0, 2.0 ** 62], np.zeros((3, 2)))
+        assert read_feature_file(path)[0].tolist() == [3, 0, 2 ** 62]
+
     def test_fewer_labels_than_rows_not_written(self, tmp_path):
         path = tmp_path / "features.txt"
         with pytest.raises(LengthMismatchError):
             write_feature_file(path, [0], np.zeros((2, 3)))
+        assert not path.exists()
+
+    def test_label_column_not_written(self, tmp_path):
+        path = tmp_path / "features.txt"
+        with pytest.raises(LengthMismatchError):
+            write_feature_file(path, [[0], [1]], np.zeros((2, 3)))
         assert not path.exists()
 
     def test_missing_header(self, tmp_path):

@@ -1,11 +1,12 @@
 """Seeded mutation fuzz over every byte format the toolkit reads.
 
 Each case flips, replaces, inserts or deletes a few bytes of a valid PGM,
-BMP, model or feature file and feeds the result to the reader (and, for
-images and models, to the stage that consumes it). The contract under test
-is the README's: malformed input ends as an `RwrlError`, never as another
-exception, and what is accepted is usable. The mutation count is fixed, so
-the run is deterministic and takes a few seconds.
+BMP, model, feature file or confusion CSV and feeds the result to the
+reader (and, for images, models and confusion CSVs, to the stage that
+consumes it). The contract under test is the README's: malformed input
+ends as an `RwrlError`, never as another exception, and what is accepted
+is usable. The mutation count is fixed, so the run is deterministic and
+takes a few seconds.
 """
 
 import re
@@ -14,6 +15,14 @@ import numpy as np
 import pytest
 
 from rwrl.errors import RwrlError
+from rwrl.evaluate import (
+    class_metrics,
+    confusion,
+    overall_metrics,
+    read_confusion_csv,
+    write_confusion_csv,
+    write_reports,
+)
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
@@ -210,6 +219,30 @@ def test_feature_file_mutations_raise_only_rwrl_errors(tmp_path):
             assert all(re.fullmatch("[-+.e0-9]+", v) for v in values), line
 
     failures = fuzz("features", path.read_bytes(), run)
+    assert not failures, failures[:5]
+
+
+def test_confusion_csv_mutations_raise_only_rwrl_errors(tmp_path):
+    path = tmp_path / "confusion.csv"
+    write_confusion_csv(path, confusion([0, 0, 1, 4, 4, 4, 4],
+                                        [0, 1, 1, 4, 0, 4, 1], [0, 1, 4]))
+
+    def run(data: bytes) -> None:
+        # what `rwrl report` does with the file
+        path.write_bytes(data)
+        cm = read_confusion_csv(path)
+        write_reports(tmp_path / "reports", cm, class_metrics(cm),
+                      overall_metrics(cm))
+        assert len(set(cm.classes)) == len(cm.classes)
+        assert (cm.counts >= 0).all()
+        # what loads obeys the integer rule, read from the text as the
+        # reader splits it: universal newlines, no stripping
+        text = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+        header, *rows = text.removesuffix("\n").split("\n")
+        for field in header.split(",")[1:] + ",".join(rows).split(","):
+            assert re.fullmatch("-?[0-9]+", field), text
+
+    failures = fuzz("confusion", path.read_bytes(), run)
     assert not failures, failures[:5]
 
 
