@@ -25,7 +25,7 @@ _LAYERS = {
     "knn": ("KnnModel", "knn_predict_batch", "knn_train"),
     "model_io": ("model_load", "model_save"),
     "raster": ("binarize", "decode_image", "encode_pgm", "gaussian_smooth",
-               "ink", "normalize_digit", "otsu_threshold", "preprocess_image"),
+               "ink", "normalize_digit", "otsu_threshold"),
     "svm": ("KernelParams", "SvmModel", "kernel_matrix", "svm_predict_batch",
             "svm_train"),
 }

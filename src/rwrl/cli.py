@@ -182,6 +182,7 @@ def cmd_extract(args) -> int:
     if not passed:
         _warn("no image produced features")
         return 2
+    # a list of rows is written as it is: each row is held once
     write_feature_file(args.out_file, [entries[i][1] for i, _ in passed],
                        [feats for _, feats in passed])
     print(f"wrote {len(passed)} feature rows -> {args.out_file}")

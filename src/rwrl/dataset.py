@@ -14,7 +14,6 @@ reproducible under any scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -207,8 +206,9 @@ def synth_generate(seed: int, per_class: int, out_dir,
 
 
 def write_manifest_csv(path, manifest: Manifest, relative_to) -> None:
+    """A `path,label` line per entry after the header, each ending in CRLF.
+    It quotes nothing: `synth`'s paths are `<label>/<index>.pgm`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("path", "label"))
-        for file, label in manifest.entries:
-            writer.writerow((file.relative_to(relative_to).as_posix(), label))
+        fh.write("path,label\r\n")
+        fh.writelines(f"{file.relative_to(relative_to).as_posix()},{label}\r\n"
+                      for file, label in manifest.entries)

@@ -35,13 +35,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    PGM_MAX_DIGITS,
     DimensionMismatchError,
     EmptyDataError,
     FeatureFileError,
     LengthMismatchError,
     WrongDimensionsError,
 )
-from .raster import NORMALIZED_SIZE, PGM_MAX_DIGITS, _as_binary
 
 WINDOW_SIZE = 16
 WINDOW_STRIDE = 8
@@ -118,6 +118,7 @@ def _features(windows: np.ndarray) -> np.ndarray:
 
 def _normalized(img) -> np.ndarray:
     """`img` as an array, refused unless it is a 64x64 page or stack of them."""
+    from .raster import NORMALIZED_SIZE
     arr = np.asarray(img)
     if arr.shape[-2:] != (NORMALIZED_SIZE, NORMALIZED_SIZE):
         raise WrongDimensionsError(
@@ -127,6 +128,7 @@ def _normalized(img) -> np.ndarray:
 
 def extract_contour(bin_img) -> np.ndarray:
     """Return the contour pixel set of a 64x64 binary image."""
+    from .raster import _as_binary
     arr = _as_binary(_normalized(bin_img), stack=True)
     padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1)] * 2)
     interior = (padded[..., :-2, 1:-1] & padded[..., 2:, 1:-1]
@@ -171,10 +173,11 @@ def training_rows(features, labels, scale: bool) -> tuple[
     """A classifier's checked training input: the float64 rows (the input
     itself if it is float64), the int64 labels, the sorted class list, and
     the training mean and std per dimension, (0, 1) when not scaling. A
-    label outside `_int_labels`' rule raises ValueError."""
+    matrix with no row or no column raises EmptyDataError, and a label
+    outside `_int_labels`' rule ValueError."""
     X = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if X.ndim != 2 or len(X) == 0:
+    if X.ndim != 2 or X.size == 0:
         raise EmptyDataError("training data is empty")
     if labels.shape != (len(X),):
         raise DimensionMismatchError(f"{len(X)} rows but {labels.size} labels")
@@ -281,25 +284,29 @@ def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
 # ---------------------------------------------------------------------------
 
 def write_feature_file(path, labels, features) -> None:
-    """Write labeled feature rows as text with a `#rwrl-v1` header. A label
-    outside `_int_labels`' rule or a non-finite value raises FeatureFileError
-    before the file is opened."""
-    X = np.asarray(features)
+    """Write labeled feature rows as text with a `#rwrl-v1` header.
+    `features` is a (rows, dim) matrix or a list of rows of one length,
+    which is written as it is, never stacked into a second copy. A label
+    outside `_int_labels`' rule, a non-finite value or rows of no column
+    raise FeatureFileError before the file is opened."""
+    rows, shape = _as_rows(features)
     y = np.asarray(labels)
-    if X.ndim != 2 or y.shape != (len(X),):
+    if shape is None or y.shape != shape[:1]:
         raise LengthMismatchError("labels and feature rows disagree")
+    if shape[1] == 0:
+        raise FeatureFileError("feature rows need at least one column")
     y = _int_labels(y, FeatureFileError)
-    lines = format_rows(X, ",", FeatureFileError)
+    lines = format_rows(rows, ",", FeatureFileError)
     write_csv(path, itertools.chain(
-        [(FEATURE_FILE_VERSION, f"dim={X.shape[1]}")], zip(y.tolist(), lines)))
+        [(FEATURE_FILE_VERSION, f"dim={shape[1]}")], zip(y.tolist(), lines)))
 
 
 def write_csv(path, rows) -> None:
     """Each row's fields joined by `,`, one LF-ended ASCII line per row,
     streamed as `rows` yields them: the writer of every rwrl table. It
     quotes nothing, as no rwrl field holds a comma, quote or line end.
-    `synth`'s manifest alone keeps the `csv` module: its paths may need
-    quoting, and golden digests pin its CRLF bytes."""
+    `synth`'s manifest alone has its own writer, as golden digests pin its
+    CRLF lines."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
@@ -307,11 +314,26 @@ def write_csv(path, rows) -> None:
 def format_rows(rows, sep: str, error: type[Exception]):
     """Lines of `rows` values joined by `sep`: digits for an integral value,
     repr otherwise, which `parse_rows` reads back exactly (-0.0 as 0). A
-    non-finite value raises `error` before any line is made."""
-    X = np.asarray(rows)
-    if not np.isfinite(X).all():
-        raise error("non-finite value")
-    return (_format_row(row, sep) for row in X)
+    non-finite value raises `error` before any line is made; an integer
+    row needs no check."""
+    rows, _ = _as_rows(rows)
+    for block in rows if isinstance(rows, list) else [rows]:
+        if block.dtype.kind not in "biu" and not np.isfinite(block).all():
+            raise error("non-finite value")
+    return (_format_row(row, sep) for row in rows)
+
+
+def _as_rows(rows) -> tuple:
+    """`rows` as an array, or a list as a list of arrays, which shares the
+    rows it is given; and its (rows, width) shape, None unless it is 2-D."""
+    if not isinstance(rows, list):
+        rows = np.asarray(rows)
+        return rows, rows.shape if rows.ndim == 2 else None
+    rows = [np.asarray(row) for row in rows]
+    shapes = {row.shape for row in rows}
+    if len(shapes) == 1 and len(shape := shapes.pop()) == 1:
+        return rows, (len(rows), *shape)
+    return rows, None
 
 
 def _format_row(row: np.ndarray, sep: str) -> str:

@@ -60,7 +60,7 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     ``sqrt(((s - q) ** 2).sum())``, so the labels are the ones a full
     distance matrix would give.
     """
-    if len(model.samples) == 0:
+    if model.samples.size == 0:
         raise EmptyModelError("model holds no samples")
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     probe_rows(model, X[:0])    # refuses a wrong dimension, rows or not

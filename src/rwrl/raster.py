@@ -29,6 +29,7 @@ from .errors import (
     DARK_INK,
     LIGHT_INK,
     MAX_SIGMA,
+    PGM_MAX_DIGITS,
     EmptyImageError,
     MalformedHeaderError,
     TruncatedDataError,
@@ -37,7 +38,6 @@ from .errors import (
 
 NORMALIZED_SIZE = 64
 
-PGM_MAX_DIGITS = 4300  # per PGM integer, leading zeros counted
 _HEADER_BOUND = 10 ** 18  # any header field of 19 or more significant digits
 
 _COMMENT = re.compile(rb"#[^\r\n]*")
@@ -363,10 +363,3 @@ def ink(gray, polarity: str) -> np.ndarray:
     if (arr.min(axis=(-2, -1)) == arr.max(axis=(-2, -1))).any():
         raise EmptyImageError("blank page: image is constant")
     return binarize(arr, otsu_threshold(arr), polarity)
-
-
-def preprocess_image(data: bytes, sigma: float = 1.0,
-                     polarity: str = DARK_INK) -> np.ndarray:
-    """Run the full chain from encoded bytes to a normalized 64x64 binary image."""
-    return normalize_digit(ink(gaussian_smooth(decode_image(data), sigma),
-                               polarity))

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them live). The heavyweight criteria
 share one synthetic corpus (seed 1, 600 images per class) built once per
-session.
+session by the `rwrl` commands.
 """
 
+import contextlib
+import io
 import sys
 import time
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from rwrl.cli import main as cli_main
-from rwrl.dataset import synth_generate
+from rwrl.dataset import scan_dataset
 from rwrl.errors import EmptyImageError
 from rwrl.evaluate import (
     ConfusionMatrix,
@@ -23,12 +25,12 @@ from rwrl.evaluate import (
 )
 from rwrl.features import (
     DIRECTIONS,
-    FEATURE_DIM,
     extract_contour,
     extract_features,
+    read_feature_file,
 )
 from rwrl.knn import knn_predict_batch, knn_train
-from rwrl.raster import normalize_digit, preprocess_image
+from rwrl.raster import DARK_INK, decode_image, ink, normalize_digit
 from rwrl.svm import KernelParams, svm_predict_batch, svm_train
 
 from oracle_utils import (
@@ -56,30 +58,28 @@ def report(name: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """Seed-1 synthetic corpus, 600 images/class, pushed through the full
-    preprocess -> contour -> extract pipeline."""
+    """Seed-1 synthetic corpus, 600 images/class, run through `rwrl synth`,
+    `rwrl preprocess` and `rwrl extract` as a user runs them."""
     root = tmp_path_factory.mktemp("acceptance-corpus")
+    raw, norm, path = (str(root / name) for name in ("raw", "norm", "f.txt"))
     t0 = time.time()
-    manifest = synth_generate(1, 600, root)
-    features = np.empty((len(manifest), FEATURE_DIM), dtype=np.int64)
-    labels = np.empty(len(manifest), dtype=np.int64)
-    contours = []
-    failures = []
-    for i, (path, label) in enumerate(manifest.entries):
-        try:
-            normalized = preprocess_image(path.read_bytes())
-            contour = extract_contour(normalized)
-            features[i] = extract_features(contour)
-            labels[i] = label
-            if len(contours) < 1000:
-                contours.append(contour)
-        except Exception as exc:  # count, do not abort: criterion 5 needs this
-            failures.append((str(path), repr(exc)))
-    print(f"[corpus] 6000 images generated+extracted in "
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        codes = [cli_main(argv) for argv in (
+            ["synth", raw, "--per-class", "600", "--seed", "1"],
+            ["preprocess", raw, norm], ["extract", norm, path])]
+    # count, do not abort: criterion 5 needs this
+    failures = [line for line in stderr.getvalue().splitlines()
+                if line.startswith("warning: skipped")]
+    labels, features = read_feature_file(path)
+    pages = [decode_image(p.read_bytes())
+             for p, _ in scan_dataset(norm).entries[:1000]]
+    contours = extract_contour(ink(np.stack(pages), DARK_INK))
+    print(f"[corpus] {len(labels)} images generated+extracted in "
           f"{time.time() - t0:.1f}s, {len(failures)} failures",
           file=sys.stderr)
     return {"features": features, "labels": labels, "failures": failures,
-            "contours": contours, "root": root}
+            "codes": codes, "contours": contours}
 
 
 def test_metric_table_reproduction():
@@ -161,9 +161,9 @@ def test_region_partition():
 
 
 def test_pipeline_soundness(corpus):
-    """At least 100 images per class survive the full pipeline with zero
-    errors; blank inputs give the zero vector and EmptyImage at
-    normalization."""
+    """All 6000 images, at least 100 per class, survive `rwrl synth`,
+    `preprocess` and `extract` with exit 0 and no skip warning; blank
+    inputs give the zero vector and EmptyImage at normalization."""
     counts = np.bincount(corpus["labels"], minlength=10)
     zero_vector = extract_features(np.zeros((64, 64), dtype=np.uint8))
     try:
@@ -171,11 +171,14 @@ def test_pipeline_soundness(corpus):
         empty_raised = False
     except EmptyImageError:
         empty_raised = True
-    ok = (not corpus["failures"] and (counts >= 100).all()
+    ok = (corpus["codes"] == [0, 0, 0] and not corpus["failures"]
+          and counts.sum() == 6000 and (counts >= 100).all()
           and not zero_vector.any() and empty_raised)
     report("pipeline-soundness", ok,
            f"{int(counts.sum())} images, {len(corpus['failures'])} failures")
+    assert corpus["codes"] == [0, 0, 0]
     assert not corpus["failures"], corpus["failures"][:3]
+    assert counts.sum() == 6000
     assert (counts >= 100).all()
     assert not zero_vector.any()
     assert empty_raised

@@ -475,8 +475,8 @@ def test_commands_do_not_load_numpy_ma(table_command_modules):
 
 
 def test_table_commands_do_not_load_csv(table_command_modules):
-    # every table goes through features.write_csv and read_confusion_csv;
-    # only synth's manifest, written by dataset, uses the csv module
+    # every table goes through features.write_csv and read_confusion_csv,
+    # and synth's manifest through dataset.write_manifest_csv
     assert "csv" not in table_command_modules
 
 
@@ -497,18 +497,19 @@ print(" ".join(sorted(sys.modules)))
     assert module not in table_command_modules
 
 
-# the rwrl layers each command loads, besides cli and errors
+# the rwrl layers each command loads, besides cli and errors: only the
+# image commands load raster, and no command loads the csv module
 _LOADED = {
     "help": set(),
     "synth": {"dataset", "pcg", "raster"},
     "preprocess": {"dataset", "raster"},
     "extract": {"dataset", "features", "raster"},
-    "eval-svm": {"features", "evaluate", "pcg", "raster", "svm"},
-    "eval-knn": {"features", "evaluate", "knn", "pcg", "raster"},
-    "train-svm": {"features", "model_io", "raster", "svm", "knn"},
-    "train-knn": {"features", "model_io", "raster", "svm", "knn"},
-    "predict": {"features", "model_io", "raster", "svm", "knn"},
-    "report": {"features", "evaluate", "raster"},
+    "eval-svm": {"features", "evaluate", "pcg", "svm"},
+    "eval-knn": {"features", "evaluate", "knn", "pcg"},
+    "train-svm": {"features", "model_io", "svm", "knn"},
+    "train-knn": {"features", "model_io", "svm", "knn"},
+    "predict": {"features", "model_io", "svm", "knn"},
+    "report": {"features", "evaluate"},
 }
 
 
@@ -540,7 +541,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 assert code == 0, code
-print(" ".join(sorted(name for name in sys.modules if name.startswith("rwrl."))))
+print(" ".join(sorted(name for name in sys.modules
+                      if name.startswith("rwrl.") or name == "csv")))
 """
     result = _rwrl_subprocess(script, *argv)
     assert result.returncode == 0, result.stderr

@@ -403,6 +403,64 @@ class TestFeatureFile:
         assert labels.tolist() == [-3, 0]
 
 
+class TestFeatureFileRoundTrip:
+    """Seeded property: what `write_feature_file` accepts,
+    `read_feature_file` returns equal; what the reader would refuse, the
+    writer refuses first and leaves no file behind."""
+
+    @staticmethod
+    def draw(rng) -> tuple[np.ndarray, np.ndarray]:
+        rows = int(rng.choice([0, 1, 2, 9]))
+        shape = (rows, int(rng.choice([1, 2, 5, FEATURE_DIM])))
+        labels = rng.integers(-2 ** 63, 2 ** 63, size=rows, dtype=np.int64)
+        kind = rng.integers(3)
+        if kind == 0:       # integers up to 2**53, which floats hold exactly
+            X = rng.integers(-2 ** 53, 2 ** 53, size=shape, endpoint=True)
+        else:
+            X = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+            if kind == 2:   # integral floats past 2**53 too
+                X = np.round(X * 10.0 ** -rng.integers(280, 300, shape))
+                labels = labels.astype(np.float64) // 2 ** 11
+            X[rng.random(shape) < 0.2] = -0.0
+        return labels, X
+
+    def test_accepted_rows_read_back_equal(self, tmp_path):
+        rng = np.random.default_rng(270)
+        path = tmp_path / "features.txt"
+        for case in range(60):
+            labels, X = self.draw(rng)
+            # a matrix, or its rows as they are when it has any
+            for features in (X, list(X))[:1 + bool(len(X))]:
+                write_feature_file(path, labels, features)
+                y, read = read_feature_file(path)
+                assert np.array_equal(y, labels), case
+                assert read.shape == X.shape and np.array_equal(read, X), case
+
+    @pytest.mark.parametrize("where, value", [
+        ("width", 0), ("value", np.nan), ("value", np.inf),
+        ("value", -np.inf), ("label", 0.5), ("label", np.nan),
+        ("label", 2.0 ** 63)])
+    def test_refused_rows_leave_no_file(self, tmp_path, where, value):
+        rng = np.random.default_rng(list(f"{where}{value}".encode()))
+        path = tmp_path / "features.txt"
+        for case in range(20):
+            labels, X = self.draw(rng)
+            if where == "width":
+                X = X[:, :0]
+            elif not X.size:
+                continue
+            elif where == "label":
+                labels = labels.astype(np.float64)
+                labels[rng.integers(len(labels))] = value
+            else:
+                X = X.astype(np.float64)
+                X[tuple(rng.integers(X.shape))] = value
+            for features in (X, list(X))[:1 + bool(len(X))]:
+                with pytest.raises(FeatureFileError):
+                    write_feature_file(path, labels, features)
+                assert not path.exists(), case
+
+
 class TestScaleFeaturesMemory:
     def test_peak_is_one_result(self):
         rng = np.random.default_rng(9)
@@ -466,6 +524,7 @@ class TestClassifierInput:
 
     @pytest.mark.parametrize("X, y, error", [
         (np.zeros((0, 2)), np.zeros(0, dtype=int), EmptyDataError),
+        (np.zeros((4, 0)), np.array([0, 0, 1, 1]), EmptyDataError),
         (np.zeros(4), np.array([0, 0, 1, 1]), EmptyDataError),
         (np.zeros((4, 2)), np.array([0, 0, 1]), DimensionMismatchError),
         (np.zeros((4, 2)), np.array([[0, 0, 1, 1]]), DimensionMismatchError),
@@ -476,9 +535,9 @@ class TestClassifierInput:
         (np.zeros((4, 2)), np.array([0.0, 0.5, 1.0, 1.7]), ValueError),
         (np.zeros((4, 2)), np.array([0.0, np.nan, 1.0, 1.0]), ValueError),
         (np.zeros((4, 2)), np.array([0.0, 0.0, 1.0, 2.0 ** 63]), ValueError),
-    ], ids=["empty", "one-dimensional", "short-labels", "label-matrix",
-            "scalar-label", "overflowing-statistics", "fractional", "nan",
-            "past-int64"])
+    ], ids=["empty", "no-columns", "one-dimensional", "short-labels",
+            "label-matrix", "scalar-label", "overflowing-statistics",
+            "fractional", "nan", "past-int64"])
     def test_training_errors_agree(self, X, y, error):
         with pytest.raises(error):
             svm_train(X, y)

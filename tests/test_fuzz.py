@@ -9,11 +9,13 @@ is usable. The mutation count is fixed, so the run is deterministic and
 takes a few seconds.
 """
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
+from rwrl.cli import _preprocess_chunk
 from rwrl.errors import RwrlError
 from rwrl.evaluate import (
     class_metrics,
@@ -26,7 +28,7 @@ from rwrl.evaluate import (
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
-from rwrl.raster import decode_image, encode_pgm, preprocess_image
+from rwrl.raster import DARK_INK, decode_image, encode_pgm
 from rwrl.svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 
 from oracle_utils import encode_pgm_ascii, read_pgm_reference
@@ -82,9 +84,15 @@ def model_inputs() -> dict[str, bytes]:
     }
 
 
-def run_image(data: bytes) -> None:
-    decode_image(data)
-    preprocess_image(data)
+def run_image(tmp_path, data: bytes) -> None:
+    """What `rwrl preprocess` does with the page: its worker's RwrlError
+    for it is raised."""
+    page = tmp_path / "page"
+    page.write_bytes(data)
+    [result] = _preprocess_chunk(1.0, DARK_INK,
+                                 [(str(page), str(tmp_path / "out.pgm"))])
+    if isinstance(result, RwrlError):
+        raise result
 
 
 def run_model(data: bytes) -> None:
@@ -111,8 +119,9 @@ def fuzz(name: str, data: bytes, run) -> list[str]:
 
 
 @pytest.mark.parametrize("name", sorted(image_inputs()))
-def test_image_mutations_raise_only_rwrl_errors(name):
-    failures = fuzz(name, image_inputs()[name], run_image)
+def test_image_mutations_raise_only_rwrl_errors(tmp_path, name):
+    failures = fuzz(name, image_inputs()[name],
+                    functools.partial(run_image, tmp_path))
     assert not failures, failures[:5]
 
 
@@ -250,16 +259,17 @@ def test_confusion_csv_mutations_raise_only_rwrl_errors(tmp_path):
                          ids=["2**62", "10**20"])
 @pytest.mark.parametrize("field", ["width", "height", "maxval"])
 @pytest.mark.parametrize("name", ["pgm2", "pgm5"])
-def test_huge_image_header_integer_raises_rwrl_error(name, field, value):
+def test_huge_image_header_integer_raises_rwrl_error(tmp_path, name, field,
+                                                    value):
     magic, *header, body = image_inputs()[name].split(None, 4)
 
     def page(header) -> bytes:
         return b" ".join([magic, *header]) + b"\n" + body
 
-    run_image(page(header))     # the rebuilt page itself is valid
+    run_image(tmp_path, page(header))   # the rebuilt page itself is valid
     header[("width", "height", "maxval").index(field)] = str(value).encode()
     with pytest.raises(RwrlError):
-        run_image(page(header))
+        run_image(tmp_path, page(header))
 
 
 @pytest.mark.parametrize("value", [2 ** 62, 10 ** 20],

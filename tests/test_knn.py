@@ -52,11 +52,13 @@ def test_k1_training_accuracy_is_perfect():
     assert (knn_predict_batch(model, X) == y).all()
 
 
-def test_empty_model_rejected():
-    model = KnnModel(1, [0], np.zeros(2), np.ones(2),
-                     np.empty((0, 2)), np.empty(0, dtype=np.int64))
+@pytest.mark.parametrize("rows, dim", [(0, 2), (3, 0)],
+                         ids=["no-rows", "no-columns"])
+def test_empty_model_rejected(rows, dim):
+    model = KnnModel(1, [0], np.zeros(dim), np.ones(dim),
+                     np.empty((rows, dim)), np.zeros(rows, dtype=np.int64))
     with pytest.raises(EmptyModelError):
-        knn_predict_batch(model, np.zeros(2))
+        knn_predict_batch(model, np.zeros(dim))
 
 
 def test_k_bounds_checked():

@@ -58,9 +58,13 @@ class TestTraining:
         with pytest.raises(SingleClassError):
             svm_train(np.zeros((3, 2)), np.zeros(3, dtype=int))
 
-    def test_empty_rejected(self):
+    @pytest.mark.parametrize("scale", [True, False])
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 0)],
+                             ids=["no-rows", "no-columns"])
+    def test_empty_rejected(self, shape, scale):
+        # no column would make the default gamma 1 / 0
         with pytest.raises(EmptyDataError):
-            svm_train(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            svm_train(np.zeros(shape), np.arange(shape[0]) % 2, scale=scale)
 
     def test_label_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
