@@ -22,7 +22,7 @@ from .errors import (
     TooFewSamplesError,
     UnknownLabelError,
 )
-from .features import parse_ints, write_csv
+from .features import _int_labels, parse_ints, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +249,14 @@ def write_reports(out_dir, cm: ConfusionMatrix,
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
-    write_csv(path, [["class", *cm.classes]] + [
-        [cls, *row] for cls, row in zip(cm.classes, cm.counts.tolist())])
+    """A matrix that read_confusion_csv would refuse raises
+    UnknownLabelError before the file is opened; classes and counts follow
+    `features._int_labels`' rule."""
+    classes = _int_labels(cm.classes, UnknownLabelError).tolist()
+    counts = _int_labels(cm.counts, UnknownLabelError)
+    _check_counts(classes, counts)
+    write_csv(path, [["class", *classes]] + [
+        [cls, *row] for cls, row in zip(classes, counts.tolist())])
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:
@@ -261,8 +267,6 @@ def read_confusion_csv(path) -> ConfusionMatrix:
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
     classes = parse_ints(rows[0][1:], UnknownLabelError)
-    if len(set(classes)) != len(classes):
-        raise UnknownLabelError("confusion matrix CSV repeats a class")
     if len(rows) != len(classes) + 1:
         raise UnknownLabelError("confusion matrix CSV has wrong row count")
     counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
@@ -272,8 +276,18 @@ def read_confusion_csv(path) -> ConfusionMatrix:
             raise UnknownLabelError("confusion matrix CSV rows disagree "
                                     "with the header")
         counts[k] = values[1:]
+    _check_counts(classes, counts)
+    return ConfusionMatrix(classes, counts)
+
+
+def _check_counts(classes: list[int], counts: np.ndarray) -> None:
+    """The value rules of a confusion CSV, which both its writer and its
+    reader apply."""
+    if len(set(classes)) != len(classes):
+        raise UnknownLabelError("confusion matrix CSV repeats a class")
+    if counts.shape != (len(classes), len(classes)):
+        raise UnknownLabelError("confusion counts disagree with the classes")
     if (counts < 0).any():
         raise UnknownLabelError("confusion matrix CSV holds a negative count")
     if sum(counts.ravel().tolist()) > np.iinfo(np.int64).max:
         raise UnknownLabelError("confusion matrix CSV counts sum past int64")
-    return ConfusionMatrix(classes, counts)

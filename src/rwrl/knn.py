@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from .features import probe_rows, scale_features, training_rows
 CHUNK_BYTES = 1 << 20
 # Bytes per (row, sample) pair of a chunk at its peak: when every pair is a
 # candidate, the ranking holds five 8-byte arrays of them (row, column,
-# distance, label and sort order); the filter's two float64 bounds, its
-# masks and its candidate list take less.
+# distance, label and sort order), and the filter as many at its end (two
+# float64 bounds, the flat candidates and their row and column arrays).
 PAIR_BYTES = 40
 
 
@@ -26,10 +27,10 @@ class KnnModel:
     std: np.ndarray
     pool: np.ndarray        # (n, d) raw rows
     labels: np.ndarray      # (n,)
-    samples: np.ndarray = field(init=False, repr=False)  # z-scored pool
 
-    def __post_init__(self):
-        self.samples = scale_features(self.pool, self.mean, self.std)
+    @cached_property
+    def samples(self) -> np.ndarray:    # z-scored on the first prediction
+        return scale_features(self.pool, self.mean, self.std)
 
     @property
     def dim(self) -> int:
@@ -60,7 +61,7 @@ def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
     ``sqrt(((s - q) ** 2).sum())``, so the labels are the ones a full
     distance matrix would give.
     """
-    if model.samples.size == 0:
+    if model.pool.size == 0:
         raise EmptyModelError("model holds no samples")
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     probe_rows(model, X[:0])    # refuses a wrong dimension, rows or not
@@ -95,29 +96,26 @@ def _k_nearest(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,
     distance matrix, computed in slabs whose two gathered rows per
     candidate fill at most CHUNK_BYTES.
     """
-    n, d = S.shape
-    flat = _candidates(Q, S, s_norms, k)
-    slab = max(1, CHUNK_BYTES // (16 * d))
-    dist = np.empty(len(flat))
-    for start in range(0, len(flat), slab):
-        row, col = np.divmod(flat[start:start + slab], n)
-        diff = S[col]
-        diff -= Q[row]
+    row, col = _candidates(Q, S, s_norms, k)
+    slab = max(1, CHUNK_BYTES // (16 * S.shape[1]))
+    dist = np.empty(len(row))
+    for start in range(0, len(row), slab):
+        diff = S[col[start:start + slab]]
+        diff -= Q[row[start:start + slab]]
         diff **= 2
         dist[start:start + slab] = np.sqrt(diff.sum(axis=-1))
     if not np.isfinite(dist).all():
         raise FeatureFileError("feature values overflow the k-NN distance")
-    row, col = np.divmod(flat, n)
-    del flat, diff
+    del diff
     order = np.lexsort((col, labels[col], dist, row))
     per_row = np.bincount(row, minlength=len(Q))    # each at least k
     return col[order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]]
 
 
 def _candidates(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,
-                k: int) -> np.ndarray:
-    """Flat indices ``row * n + col``, ascending, of every sample that a
-    rounding bound cannot rule out of the k nearest of query row ``row``."""
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column arrays, row-major, of every (row, sample) pair that a
+    rounding bound cannot rule out of the k nearest of that query row."""
     # With u = ε/2 the unit roundoff, N = |q|² + |s|² and η = 2^-1075 the
     # largest error of an underflowing product, the approximation
     # A = (−2 q·s + |q|²) + |s|² differs from the exact D = |s − q|² by at
@@ -158,4 +156,4 @@ def _candidates(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,
     upper[unbounded] = np.inf
     lower[unbounded] = -np.inf
     upper.partition(k - 1, axis=1)
-    return np.flatnonzero(lower <= upper[:, k - 1:k])
+    return np.divmod(np.flatnonzero(lower <= upper[:, k - 1:k]), len(S))

@@ -11,8 +11,8 @@ and in training order, as LIBSVM's model shares them. Last come a
 order, ``machine a b nsv=M bias=B`` and M ``pool-index coefficient``
 rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
 ``machine`` line stand in the writer's order, each once. Every value reads
-back exactly, and a model z-scores its pool when it is built, as in
-training, so it predicts bit-identically.
+back exactly, and a loaded model z-scores its pool as a trained one does,
+so it predicts bit-identically.
 """
 
 from __future__ import annotations
@@ -32,8 +32,13 @@ _END = "end"
 
 
 def model_save(model) -> bytes:
-    """Serialize an SvmModel or KnnModel to bytes."""
+    """Serialize an SvmModel or KnnModel to bytes. A model that breaks a
+    rule model_load checks raises CorruptModelError instead."""
+    if not isinstance(model, (SvmModel, KnnModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    _check_header(model.classes, model.mean, model.std, model.pool)
     if isinstance(model, SvmModel):
+        _check_machines(model.classes, len(model.pool), model.machines)
         p = model.params
         head = [SVM_VERSION,
                 f"kernel {p.kind} degree={int(p.degree)} "
@@ -45,11 +50,10 @@ def model_save(model) -> bytes:
                         f"nsv={len(m.coefficients)} bias={float(m.bias)!r}")
             tail.extend(f"{i} {coef!r}" for i, coef in
                         zip(m.pool_index.tolist(), m.coefficients.tolist()))
-    elif isinstance(model, KnnModel):
+    else:
+        _check_knn(model.k, model.classes, len(model.pool), model.labels)
         head = [KNN_VERSION, f"k {model.k}"]
         tail = ["labels " + " ".join(map(str, model.labels.tolist()))]
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
     mean, std = format_rows([model.mean, model.std], " ", CorruptModelError)
     lines = [*head,
              "classes " + " ".join(str(c) for c in model.classes),
@@ -58,6 +62,50 @@ def model_save(model) -> bytes:
              *format_rows(model.pool, " ", CorruptModelError),
              *tail, _END]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# The value rules of a model file, each stated once: model_save applies
+# them to the model it is given and model_load to the fields it has read,
+# before either builds anything. The loader's record and field syntax, and
+# format_rows' refusal of a non-finite row, cover the rest.
+
+def _check_header(classes, mean, std, pool) -> None:
+    classes = list(classes)
+    if not classes or classes != sorted(set(classes)):
+        raise CorruptModelError("class list is empty or not ascending")
+    if len(mean) < 1:
+        raise CorruptModelError("dim is below 1")
+    if np.shape(std) != np.shape(mean) or np.shape(pool)[1:] != np.shape(mean):
+        raise CorruptModelError("scaling statistics or pool disagree with dim")
+    if (np.asarray(std) < 0).any():
+        raise CorruptModelError("negative std")
+
+
+def _check_machines(classes, pool_size: int, machines) -> None:
+    """One machine per class pair, in svm_train's order, with finite
+    coefficients and bias and each index inside the pool."""
+    pairs = list(combinations(classes, 2))
+    if [(m.first, m.second) for m in machines] != pairs:
+        raise CorruptModelError("machines are not the class pairs in order")
+    for m in machines:
+        index, coefs = np.asarray(m.pool_index), np.asarray(m.coefficients)
+        if (index.dtype.kind not in "iu" or index.ndim != 1
+                or index.shape != coefs.shape):
+            raise CorruptModelError(
+                "pool indices are not integers, one per coefficient")
+        if not (np.isfinite(coefs).all() and np.isfinite(m.bias)):
+            raise CorruptModelError("non-finite machine coefficient or bias")
+        if ((index < 0) | (index >= pool_size)).any():
+            raise CorruptModelError(f"pool index outside 0..{pool_size - 1}")
+
+
+def _check_knn(k: int, classes, pool_size: int, labels) -> None:
+    if len(labels) != pool_size:
+        raise CorruptModelError(f"{len(labels)} labels for {pool_size} rows")
+    if not 1 <= k <= pool_size:
+        raise CorruptModelError(f"k={k} outside 1..{pool_size}")
+    if not set(np.asarray(labels).tolist()) <= set(classes):
+        raise CorruptModelError("sample label outside the class list")
 
 
 class _Reader:
@@ -91,18 +139,13 @@ class _Reader:
     def header(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """Class list, mean, std and raw pool rows, checked against dim."""
         classes = parse_ints(self.expect("classes"), CorruptModelError)
-        if not classes or classes != sorted(set(classes)):
-            raise CorruptModelError("class list is empty or not ascending")
         dim = self.integer("dim")
-        if dim < 1:
-            raise CorruptModelError(f"dim {dim} is below 1")
         mean = parse_floats(self.expect("mean"), CorruptModelError)
         std = parse_floats(self.expect("std"), CorruptModelError)
         if len(mean) != dim or len(std) != dim:
             raise CorruptModelError("scaling statistics disagree with dim")
-        if (std < 0).any():
-            raise CorruptModelError("negative std")
         _, pool = self.rows(self.integer("pool"), dim, keyed=False)
+        _check_header(classes, mean, std, pool)
         return classes, mean, std, pool
 
     def rows(self, count: int, dim: int, keyed: bool = True
@@ -156,21 +199,19 @@ def _load_svm(reader: _Reader) -> SvmModel:
         raise CorruptModelError(f"bad kernel parameters: {exc}") from None
     classes, mean, std, pool = reader.header()
     machines = []
-    # one machine per class pair, in svm_train's order
-    for first, second in combinations(classes, 2):
+    for _ in combinations(classes, 2):
         head = reader.expect("machine")
-        if parse_ints(head[:2], CorruptModelError) != [first, second]:
-            raise CorruptModelError(
-                f"expected the machine of classes {first} and {second}")
+        pair = parse_ints(head[:2], CorruptModelError)
+        if len(pair) != 2:
+            raise CorruptModelError("a machine record names two classes")
         nsv, bias = _values(head[2:], ("nsv", "bias"))
         nsv = parse_ints([nsv], CorruptModelError)[0]
         bias = parse_floats([bias], CorruptModelError).item()
         keys, coefs = reader.rows(nsv, 1)
         index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
-        if ((index < 0) | (index >= len(pool))).any():
-            raise CorruptModelError(f"pool index outside 0..{len(pool) - 1}")
-        machines.append(BinaryMachine(first, second, index, coefs.ravel(), bias))
+        machines.append(BinaryMachine(*pair, index, coefs.ravel(), bias))
     reader.end()
+    _check_machines(classes, len(pool), machines)
     return SvmModel(classes, params, mean, std, pool, machines)
 
 
@@ -179,11 +220,6 @@ def _load_knn(reader: _Reader) -> KnnModel:
     classes, mean, std, pool = reader.header()
     labels = np.array(parse_ints(reader.expect("labels"), CorruptModelError),
                       dtype=np.int64)
-    if len(labels) != len(pool):
-        raise CorruptModelError(f"{len(labels)} labels for {len(pool)} rows")
-    if not 1 <= k <= len(labels):
-        raise CorruptModelError(f"k={k} outside 1..{len(labels)}")
-    if not set(labels.tolist()) <= set(classes):
-        raise CorruptModelError("sample label outside the class list")
     reader.end()
+    _check_knn(k, classes, len(pool), labels)
     return KnnModel(k, classes, mean, std, pool, labels)

