@@ -236,7 +236,7 @@ def cmd_predict(args) -> int:
 
 
 def _write_reports(out_dir, cm):
-    """Metrics of `cm` written under out_dir: (overall metrics, paths)."""
+    """Metrics of `cm` written under out_dir: (overall metrics, report)."""
     from . import evaluate
     per_class = evaluate.class_metrics(cm)
     overall = evaluate.overall_metrics(cm)
@@ -278,8 +278,8 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     from .evaluate import read_confusion_csv
-    _, paths = _write_reports(args.out_dir, read_confusion_csv(args.confusion))
-    print(Path(paths["report"]).read_text(encoding="ascii"))
+    _, report = _write_reports(args.out_dir, read_confusion_csv(args.confusion))
+    print(report)
     return 0
 
 

@@ -227,25 +227,20 @@ def render_report(cm: ConfusionMatrix, per_class: dict[int, ClassMetrics],
 
 def write_reports(out_dir, cm: ConfusionMatrix,
                   per_class: dict[int, ClassMetrics],
-                  overall: OverallMetrics) -> dict[str, str]:
-    """Write report.txt plus per_class / overall / confusion CSVs (4 decimals)."""
+                  overall: OverallMetrics) -> str:
+    """Write report.txt plus per_class / overall / confusion CSVs (4
+    decimals); returns the text of report.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": out_dir / "report.txt",
-        "per_class": out_dir / "per_class.csv",
-        "overall": out_dir / "overall.csv",
-        "confusion": out_dir / "confusion.csv",
-    }
-    paths["report"].write_text(render_report(cm, per_class, overall),
-                               encoding="ascii")
-    write_csv(paths["per_class"], [("class",) + PER_CLASS_COLUMNS] + [
+    report = render_report(cm, per_class, overall)
+    (out_dir / "report.txt").write_text(report, encoding="ascii")
+    write_csv(out_dir / "per_class.csv", [("class",) + PER_CLASS_COLUMNS] + [
         [cls] + [f"{v:.4f}" for v in _row(per_class[cls])]
         for cls in cm.classes])
-    write_csv(paths["overall"],
+    write_csv(out_dir / "overall.csv",
               [OVERALL_COLUMNS, [f"{v:.4f}" for v in _row(overall)]])
-    write_confusion_csv(paths["confusion"], cm)
-    return {name: str(path) for name, path in paths.items()}
+    write_confusion_csv(out_dir / "confusion.csv", cm)
+    return report
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:

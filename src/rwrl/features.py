@@ -275,8 +275,8 @@ def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
         return keys, np.array(rows)
     try:
         return keys, np.empty((0, dim))
-    except ValueError:      # numpy: dim * 8 bytes past its array size limit
-        raise error(f"dim={dim} is too large") from None
+    except ValueError:      # a negative dim, or dim * 8 bytes past numpy's limit
+        raise error(f"dim={dim} is out of range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ so it predicts bit-identically.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
@@ -39,11 +40,9 @@ def model_save(model) -> bytes:
     _check_header(model.classes, model.mean, model.std, model.pool)
     if isinstance(model, SvmModel):
         _check_machines(model.classes, len(model.pool), model.machines)
-        p = model.params
-        head = [SVM_VERSION,
-                f"kernel {p.kind} degree={int(p.degree)} "
-                f"gamma={float(p.gamma)!r} coef0={float(p.coef0)!r} "
-                f"C={float(p.C)!r}"]
+        p = _check_kernel(*astuple(model.params))
+        head = [SVM_VERSION, f"kernel {p.kind} degree={p.degree} "
+                f"gamma={p.gamma!r} coef0={p.coef0!r} C={p.C!r}"]
         tail = []
         for m in model.machines:
             tail.append(f"machine {m.first} {m.second} "
@@ -68,6 +67,17 @@ def model_save(model) -> bytes:
 # them to the model it is given and model_load to the fields it has read,
 # before either builds anything. The loader's record and field syntax, and
 # format_rows' refusal of a non-finite row, cover the rest.
+
+def _check_kernel(kind, degree, gamma, coef0, C) -> KernelParams:
+    """KernelParams' own rule, with gamma resolved: the parameters as the
+    int and floats that a kernel line holds."""
+    if gamma is None:
+        raise CorruptModelError("bad kernel parameters: gamma is unresolved")
+    try:
+        return KernelParams(kind, degree, gamma, coef0, C)
+    except ValueError as exc:
+        raise CorruptModelError(f"bad kernel parameters: {exc}") from None
+
 
 def _check_header(classes, mean, std, pool) -> None:
     classes = list(classes)
@@ -142,8 +152,6 @@ class _Reader:
         dim = self.integer("dim")
         mean = parse_floats(self.expect("mean"), CorruptModelError)
         std = parse_floats(self.expect("std"), CorruptModelError)
-        if len(mean) != dim or len(std) != dim:
-            raise CorruptModelError("scaling statistics disagree with dim")
         _, pool = self.rows(self.integer("pool"), dim, keyed=False)
         _check_header(classes, mean, std, pool)
         return classes, mean, std, pool
@@ -191,12 +199,8 @@ def _values(fields, keys) -> list[str]:
 def _load_svm(reader: _Reader) -> SvmModel:
     fields = reader.expect("kernel")
     degree, *floats = _values(fields[1:], ("degree", "gamma", "coef0", "C"))
-    try:
-        params = KernelParams(fields[0],
-                              parse_ints([degree], CorruptModelError)[0],
-                              *parse_floats(floats, CorruptModelError))
-    except ValueError as exc:
-        raise CorruptModelError(f"bad kernel parameters: {exc}") from None
+    params = _check_kernel(fields[0], parse_ints([degree], CorruptModelError)[0],
+                           *parse_floats(floats, CorruptModelError))
     classes, mean, std, pool = reader.header()
     machines = []
     for _ in combinations(classes, 2):

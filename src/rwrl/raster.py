@@ -258,17 +258,6 @@ def binary_to_gray(bin_img) -> np.ndarray:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian kernel with radius ceil(3*sigma)."""
-    radius = math.ceil(3.0 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    # 2 sigma^2 may underflow, making the centre 0/0: it is exp(-0) = 1
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    k[radius] = 1.0
-    return k / k.sum()
-
-
 def gaussian_smooth(img, sigma: float) -> np.ndarray:
     """Separable Gaussian blur; the image is reflected at its borders.
 
@@ -280,8 +269,14 @@ def gaussian_smooth(img, sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be in [0, {MAX_SIGMA}], got {sigma}")
     if sigma == 0:
         return arr.copy()
-    k = gaussian_kernel(sigma)
-    radius = (len(k) - 1) // 2
+    # normalized 1-D kernel of radius ceil(3 sigma)
+    radius = math.ceil(3.0 * sigma)
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    # 2 sigma^2 may underflow, making the centre 0/0: it is exp(-0) = 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    k[radius] = 1.0
+    k /= k.sum()
     pad = [(0, 0)] * (arr.ndim - 2) + [(radius, radius)] * 2
     padded = np.pad(arr.astype(np.float64), pad, mode="symmetric")
     horiz = sliding_window_view(padded, len(k), axis=-1) @ k

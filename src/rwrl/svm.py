@@ -34,15 +34,19 @@ class KernelParams:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}")
-        # as the CLI flags and the model file's float rule: finite values
+        if not (1 <= self.degree <= MAX_DEGREE and self.degree % 1 == 0):
+            raise ValueError(f"degree must be an integer in 1..{MAX_DEGREE}")
+        # as the CLI flags and the model file's float rule: finite values,
+        # held as the int and floats that a model file's kernel line writes
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and > 0")
         if not math.isfinite(self.coef0):
             raise ValueError("coef0 must be finite")
         if not 0 < self.C < math.inf:
             raise ValueError("C must be finite and > 0")
+        self.degree, self.coef0, self.C = (int(self.degree),
+                                           float(self.coef0), float(self.C))
+        self.gamma = self.gamma if self.gamma is None else float(self.gamma)
 
 
 def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -195,7 +195,7 @@ def test_end_to_end_learning(corpus):
     train_idx, test_idx = holdout_split(y, 500, seed=1)
 
     svm_model = svm_train(X[train_idx], y[train_idx],
-                          KernelParams("polynomial"), seed=1)
+                          KernelParams("polynomial"))
     svm_acc = float((svm_predict_batch(svm_model, X[test_idx])
                      == y[test_idx]).mean())
     knn_model = knn_train(X[train_idx], y[train_idx], k=3)
@@ -203,8 +203,7 @@ def test_end_to_end_learning(corpus):
                      == y[test_idx]).mean())
 
     def fit_predict(train_X, train_y, test_X):
-        model = svm_train(train_X, train_y, KernelParams("polynomial"),
-                          seed=1)
+        model = svm_train(train_X, train_y, KernelParams("polynomial"))
         return svm_predict_batch(model, test_X)
 
     _, fold_acc = score_folds(X, y, stratified_kfold(y, 3, seed=1),

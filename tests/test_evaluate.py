@@ -286,15 +286,16 @@ class TestReports:
         cm = reference_cm()
         per_class = class_metrics(cm)
         overall = overall_metrics(cm)
-        paths = write_reports(tmp_path, cm, per_class, overall)
-        with open(paths["per_class"], newline="") as fh:
+        report = write_reports(tmp_path, cm, per_class, overall)
+        assert report == (tmp_path / "report.txt").read_text(encoding="ascii")
+        with open(tmp_path / "per_class.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
         for row in rows:
             m = per_class[int(row["class"])]
             assert float(row["TPR"]) == round(m.tpr, 4)
             assert float(row["MCC"]) == round(m.mcc, 4)
-        with open(paths["overall"], newline="") as fh:
+        with open(tmp_path / "overall.csv", newline="") as fh:
             overall_row = next(csv.DictReader(fh))
         assert float(overall_row["accuracy"]) == round(overall.accuracy, 4)
         assert float(overall_row["kappa"]) == round(overall.kappa, 4)
@@ -394,8 +395,9 @@ class TestConfusionCsvRoundTrip:
         ([0, 0], [[1, 0], [0, 1]]),
         ([0, 0.5], [[1, 0], [0, 1]]),
         ([0, 1], [[2 ** 62, 2 ** 62], [2 ** 62, 0]]),
+        ([0, 1, 2], [[1, 0], [0, 1]]),
     ], ids=["negative-count", "repeated-class", "fractional-class",
-            "total-past-int64"])
+            "total-past-int64", "counts-not-classes-square"])
     def test_refused_matrices_leave_no_file(self, tmp_path, classes, counts):
         path = tmp_path / "confusion.csv"
         with pytest.raises(UnknownLabelError):

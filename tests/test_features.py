@@ -308,6 +308,12 @@ class TestFeatureFile:
             write_feature_file(path, [[0], [1]], np.zeros((2, 3)))
         assert not path.exists()
 
+    def test_ragged_rows_not_written(self, tmp_path):
+        path = tmp_path / "features.txt"
+        with pytest.raises(LengthMismatchError):
+            write_feature_file(path, [0, 1], [np.zeros(3), np.zeros(2)])
+        assert not path.exists()
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,2,3\n")

@@ -79,7 +79,7 @@ def model_inputs() -> dict[str, bytes]:
     X = rng.normal(size=(9, 3)).round(2)
     y = np.repeat([0, 4, 7], 3)
     return {
-        "svm": model_save(svm_train(X, y, KernelParams("linear"), seed=0)),
+        "svm": model_save(svm_train(X, y, KernelParams("linear"))),
         "knn": model_save(knn_train(X, y, k=2)),
     }
 

@@ -67,7 +67,7 @@ def golden_digests(tmp_path) -> dict[str, str]:
     y, X = read_feature_file(feats)
     train, _ = holdout_split(y, 5, seed=2)
 
-    svm = svm_train(X[train], y[train], KernelParams("polynomial"), seed=3)
+    svm = svm_train(X[train], y[train], KernelParams("polynomial"))
     knn = knn_train(X[train], y[train], k=3)
 
     # small integer features put many neighbors at equal distances and
@@ -78,7 +78,7 @@ def golden_digests(tmp_path) -> dict[str, str]:
     probes = rng.integers(0, 3, size=(200, 4))
     ties = [knn_predict_batch(knn_train(tie_X, tie_y, k=k, scale=False),
                               probes) for k in (1, 2, 4, 7)]
-    tie_svm = svm_train(tie_X, tie_y, KernelParams("linear"), seed=3)
+    tie_svm = svm_train(tie_X, tie_y, KernelParams("linear"))
     # midpoints of two digits are ambiguous for both classifiers
     rows = np.vstack([X, (X + X[rng.permutation(len(X))]) / 2])
     reports = tmp_path / "eval"

@@ -21,8 +21,7 @@ def small_problem(seed=0):
 
 def test_svm_roundtrip_bit_identical_predictions():
     X, y = small_problem()
-    model = svm_train(X, y, KernelParams("polynomial", degree=3, C=2.0),
-                      seed=3)
+    model = svm_train(X, y, KernelParams("polynomial", degree=3, C=2.0))
     restored = model_load(model_save(model))
     rng = np.random.default_rng(99)
     probes = rng.uniform(-6, 6, size=(100, 6))
@@ -44,14 +43,14 @@ def test_knn_roundtrip_bit_identical_predictions():
 
 def test_truncated_file_is_corrupt():
     X, y = small_problem()
-    data = model_save(svm_train(X, y, KernelParams("linear"), seed=0))
+    data = model_save(svm_train(X, y, KernelParams("linear")))
     with pytest.raises(CorruptModelError):
         model_load(data[:len(data) // 2])
 
 
 def test_missing_end_marker_is_corrupt():
     X, y = small_problem()
-    data = model_save(svm_train(X, y, KernelParams("linear"), seed=0))
+    data = model_save(svm_train(X, y, KernelParams("linear")))
     trimmed = b"\n".join(data.splitlines()[:-1]) + b"\n"
     with pytest.raises(CorruptModelError):
         model_load(trimmed)
@@ -59,7 +58,7 @@ def test_missing_end_marker_is_corrupt():
 
 def test_wrong_version_tag():
     X, y = small_problem()
-    data = model_save(svm_train(X, y, KernelParams("linear"), seed=0))
+    data = model_save(svm_train(X, y, KernelParams("linear")))
     bumped = data.replace(b"#rwrl-svm-v3", b"#rwrl-svm-v9", 1)
     with pytest.raises(VersionMismatchError):
         model_load(bumped)
@@ -200,7 +199,7 @@ def _knn_bytes():
 
 def _svm_bytes():
     X, y = small_problem(seed=2)
-    return model_save(svm_train(X, y, KernelParams("linear"), seed=0))
+    return model_save(svm_train(X, y, KernelParams("linear")))
 
 
 def _knn_dim_one():
@@ -358,6 +357,24 @@ def _pool_index_past_pool(model):
     model.machines[0].pool_index = index
 
 
+def _float_pool_index(model):
+    machine = model.machines[0]
+    machine.pool_index = machine.pool_index.astype(np.float64)
+
+
+def test_numpy_float_kernel_params_write_as_python_floats():
+    X, y = small_problem()
+    model = svm_train(X, y, KernelParams("rbf", gamma=0.1, coef0=0.3, C=2.0))
+    data = model_save(model)
+    numpy_params = KernelParams("rbf", gamma=np.float64(0.1),
+                                coef0=np.float64(0.3), C=np.float64(2.0))
+    assert model_save(svm_train(X, y, numpy_params)) == data
+    # set on a built model, past KernelParams' own conversion
+    for name in ("gamma", "coef0", "C"):
+        setattr(model.params, name, np.float64(getattr(model.params, name)))
+    assert model_save(model) == data
+
+
 class TestModelRoundTrip:
     """Seeded property: what `model_save` writes, `model_load` reads back
     equal and predicting the same labels; a model whose file the loader
@@ -414,10 +431,15 @@ class TestModelRoundTrip:
         (_four_row_knn, lambda m: m.labels.__setitem__(0, 7)),
         (_four_row_knn, lambda m: m.std.__setitem__(0, -1.0)),
         (_four_row_knn, lambda m: setattr(m, "classes", [0, 0, 1])),
+        (_two_class_svm, lambda m: setattr(m.params, "degree", 2.5)),
+        (_two_class_svm, lambda m: setattr(m.params, "gamma", None)),
+        (_two_class_svm, _float_pool_index),
+        (_four_row_knn, lambda m: setattr(m, "std", m.std[:-1])),
     ], ids=["svm-nan-bias", "svm-inf-bias", "svm-classes-descending",
             "svm-pool-index-past-pool", "knn-k-above-rows",
             "knn-label-outside-classes", "knn-negative-std",
-            "knn-repeated-class"])
+            "knn-repeated-class", "svm-degree-2.5", "svm-gamma-unresolved",
+            "svm-pool-index-float", "knn-std-short"])
     def test_writer_refuses_what_the_loader_refuses(self, monkeypatch, make,
                                                     spoil):
         model = make()
@@ -429,6 +451,9 @@ class TestModelRoundTrip:
         with monkeypatch.context() as unchecked:
             for rule in ("_check_header", "_check_machines", "_check_knn"):
                 unchecked.setattr(model_io, rule, lambda *args: None)
+            # the kernel rule's stand-in hands back the params as they are
+            unchecked.setattr(model_io, "_check_kernel",
+                              lambda *fields: model.params)
             data = model_save(model)
         with pytest.raises(CorruptModelError):
             model_load(data)

@@ -13,9 +13,12 @@ from rwrl.pcg import Stream
 from oracle_utils import numpy_holdout_split, numpy_stratified_kfold
 
 _FUZZ = random.Random(25)
-# edges of SeedSequence's 32-bit words, then random widths up to 100 bits
+# edges of SeedSequence's 32-bit words, random widths up to 100 bits, then
+# seeds past four words, whose extra words SeedSequence mixes in a second
+# loop (`rwrl eval --seed` has no upper bound)
 SEEDS = ([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64, 2 ** 64 + 3]
-         + [_FUZZ.getrandbits(_FUZZ.randint(8, 100)) for _ in range(13)])
+         + [_FUZZ.getrandbits(_FUZZ.randint(8, 100)) for _ in range(13)]
+         + [2 ** 128, 2 ** 128 + 12345, 2 ** 200 - 1])
 
 
 def _labels(seed: int) -> np.ndarray:

@@ -45,13 +45,13 @@ def ten_class_blobs(n_per_class=6, seed=0):
 class TestTraining:
     def test_linear_separable(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
-                          KernelParams("linear", C=10.0), seed=0)
+                          KernelParams("linear", C=10.0))
         assert (svm_predict_batch(model, SEPARABLE_X) == SEPARABLE_Y).all()
 
     def test_xor_with_quadratic_kernel(self):
         model = svm_train(XOR_X, XOR_Y,
                           KernelParams("polynomial", degree=2, coef0=1.0,
-                                       C=10.0), seed=0)
+                                       C=10.0))
         assert (svm_predict_batch(model, XOR_X) == XOR_Y).all()
 
     def test_single_class_rejected(self):
@@ -72,7 +72,7 @@ class TestTraining:
 
     def test_dual_constraints_hold(self):
         X, y = ten_class_blobs(seed=3)
-        model = svm_train(X, y, KernelParams("rbf", gamma=0.5, C=2.0), seed=1)
+        model = svm_train(X, y, KernelParams("rbf", gamma=0.5, C=2.0))
         for machine in model.machines:
             alphas = np.abs(machine.coefficients)
             assert (alphas <= 2.0 + 1e-9).all()
@@ -81,7 +81,7 @@ class TestTraining:
 
     def test_separable_margins(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
-                          KernelParams("linear", C=10.0), seed=0)
+                          KernelParams("linear", C=10.0))
         machine = model.machines[0]
         Xs = scale_features(SEPARABLE_X, model.mean, model.std)
         decisions = (kernel_matrix(model.params, Xs, machine.support_vectors)
@@ -170,10 +170,10 @@ class TestTraining:
         rng = np.random.default_rng(5)
         probes = rng.uniform(-1, 6, size=(40, 2))
         base = svm_train(SEPARABLE_X, SEPARABLE_Y,
-                         KernelParams("linear", C=10.0), seed=0)
+                         KernelParams("linear", C=10.0))
         doubled = svm_train(np.vstack([SEPARABLE_X, SEPARABLE_X]),
                             np.concatenate([SEPARABLE_Y, SEPARABLE_Y]),
-                            KernelParams("linear", C=10.0), seed=0)
+                            KernelParams("linear", C=10.0))
         assert (svm_predict_batch(base, probes)
                 == svm_predict_batch(doubled, probes)).all()
 
@@ -181,12 +181,12 @@ class TestTraining:
 class TestPrediction:
     def test_training_points_recovered(self):
         X, y = ten_class_blobs(seed=6)
-        model = svm_train(X, y, KernelParams("polynomial"), seed=0)
+        model = svm_train(X, y, KernelParams("polynomial"))
         assert (svm_predict_batch(model, X) == y).all()
 
     def test_vote_counts_sum(self):
         X, y = ten_class_blobs(seed=8)
-        model = svm_train(X, y, KernelParams("polynomial"), seed=0)
+        model = svm_train(X, y, KernelParams("polynomial"))
         votes, _ = svm_decision_table(model, X[17:18])
         assert votes[0].sum() == 45
         assert svm_predict_batch(model, X[17])[0] == y[17]
@@ -221,7 +221,7 @@ class TestPrediction:
 
     def test_dimension_mismatch(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
-                          KernelParams("linear"), seed=0)
+                          KernelParams("linear"))
         with pytest.raises(DimensionMismatchError):
             svm_predict_batch(model, np.zeros(5))
 
@@ -248,6 +248,16 @@ class TestKernels:
         with pytest.raises(ValueError, match="degree"):
             KernelParams("linear", degree=2 ** 63)
         assert KernelParams("linear", degree=2 ** 63 - 1).degree == 2 ** 63 - 1
+
+    def test_degree_is_an_integer(self):
+        # a kernel line writes the degree as an integer: 2.5 would be
+        # trained with ** 2.5 and saved as some other degree
+        for degree in (2.5, np.nan, np.float64(1.5)):
+            with pytest.raises(ValueError, match="integer"):
+                KernelParams("polynomial", degree=degree)
+        for degree in (3.0, np.int64(3), np.float64(3.0)):
+            stored = KernelParams("polynomial", degree=degree).degree
+            assert stored == 3 and type(stored) is int, degree
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
