@@ -66,7 +66,7 @@ def _warn(message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# image workers (top level so they can cross process boundaries)
+# image workers: each maps one chunk of pages
 # ---------------------------------------------------------------------------
 
 CHUNK = 16  # pages per worker call: a larger stack leaves the CPU cache

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,22 +40,99 @@ def usable_cpus() -> int:
 
 
 def parallel_map(fn, items, jobs: int | None) -> list:
-    """`[fn(item) for item in items]`, spread over worker processes.
+    """`[fn(item) for item in items]`, spread over forked worker processes.
 
     At most `jobs` workers start (one per usable CPU if None), and never
-    more than there are items or usable CPUs.
+    more than there are items or usable CPUs; off Linux none starts, and
+    the items are mapped in this process. Worker `w` maps items w,
+    w + workers, ... and sends each result, or the exception `fn` raised,
+    down its own pipe; this process maps nothing and reads the results in
+    item order, re-raising such an exception. A worker that ends early, or
+    a result or exception that cannot cross the pipe, raises
+    ChildProcessError. No worker outlives the call.
     """
     items = list(items)
-    cpus = usable_cpus()
+    # forking a numpy process is unsafe on macOS, and Windows has no fork
+    cpus = usable_cpus() if sys.platform == "linux" else 1
     workers = min(cpus if jobs is None else jobs, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
-    # imported here so that commands which never fan out skip loading
-    # multiprocessing (about 14 ms of start-up)
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+    import pickle
+    import signal
+    readers, pids, done = [], [], False
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items, w, workers, readers, write_fd)
+            finally:
+                os.close(write_fd)   # the worker's end: _serve never returns
+            pids.append(pid)
+        results = []
+        for i in range(len(items)):
+            w = i % workers
+            try:
+                sent, value = pickle.load(readers[w])
+            except EOFError:
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                pids[w] = None
+                how = (f"killed by {signal.Signals(-code).name}" if code < 0
+                       else f"exit status {code}")
+                raise ChildProcessError(
+                    f"worker {w} ended before item {i}: {how}") from None
+            except Exception as exc:
+                raise ChildProcessError(f"worker {w} sent item {i} unreadably: "
+                                        f"{type(exc).__name__}: {exc}") from exc
+            if not sent:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:
+        # on an abort each worker is killed: one still mapping would
+        # otherwise run on until its next write failed with EPIPE
+        for reader in readers:
+            reader.close()
+        for pid in filter(None, pids):
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, items, w: int, workers: int, readers, write_fd: int) -> None:
+    """Worker `w` of parallel_map: sends `(True, result)`, or `(False,
+    exception)` and then stops, per item as one pickle, and exits without
+    returning."""
+    import pickle
+    code = 1
+    try:
+        for reader in readers:   # this pipe's and the earlier workers'
+            reader.close()
+        with open(write_fd, "wb") as out:
+            for i in range(w, len(items), workers):
+                try:
+                    message = (True, fn(items[i]))
+                except Exception as exc:
+                    message = (False, exc)
+                try:
+                    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    what = ("result" if message[0]
+                            else f"{type(message[1]).__name__} raised")
+                    message = (False, ChildProcessError(
+                        f"worker {w} cannot send the {what} for item {i}: "
+                        f"{type(exc).__name__}: {exc}"))
+                    data = pickle.dumps(message)
+                out.write(data)
+                out.flush()
+                if not message[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def image_files(paths) -> list[Path]:
@@ -188,7 +266,7 @@ def synth_generate(seed: int, per_class: int, out_dir,
         raise ValueError("per_class must be >= 1")
     if not 0 <= seed < 2 ** 32:
         raise ValueError("seed must be in 0..2**32-1")
-    from . import pcg   # loaded before the pool forks, not in each worker
+    from . import pcg   # loaded before the workers fork, not in each one
     out_dir = Path(out_dir)
     tasks = []
     entries: list[tuple[Path, int]] = []

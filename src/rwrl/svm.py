@@ -38,15 +38,22 @@ class KernelParams:
             raise ValueError(f"degree must be an integer in 1..{MAX_DEGREE}")
         # as the CLI flags and the model file's float rule: finite values,
         # held as the int and floats that a model file's kernel line writes
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and > 0")
-        if not math.isfinite(self.coef0):
-            raise ValueError("coef0 must be finite")
-        if not 0 < self.C < math.inf:
-            raise ValueError("C must be finite and > 0")
-        self.degree, self.coef0, self.C = (int(self.degree),
-                                           float(self.coef0), float(self.C))
-        self.gamma = self.gamma if self.gamma is None else float(self.gamma)
+        self.degree = int(self.degree)
+        if self.gamma is not None:
+            self.gamma = _finite("gamma", self.gamma, 0.0)
+        self.coef0 = _finite("coef0", self.coef0, -math.inf)
+        self.C = _finite("C", self.C, 0.0)
+
+
+def _finite(name: str, value, low: float) -> float:
+    """`value` as a float, if it is finite and above `low`; an int past
+    float range is refused, not left to overflow."""
+    try:
+        if low < value < math.inf:
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite" + (" and > 0" if low == 0 else ""))
 
 
 def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:

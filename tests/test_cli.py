@@ -1,7 +1,9 @@
 import argparse
+import errno
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import rwrl
+from rwrl import dataset
 from rwrl.cli import CHUNK, build_parser, main
 from rwrl.features import read_feature_file, write_feature_file
 from rwrl.raster import encode_pgm
@@ -495,6 +498,76 @@ print(" ".join(sorted(sys.modules)))
     assert result.returncode == 0, result.stderr
     assert module not in set(result.stdout.splitlines()[-1].split())
     assert module not in table_command_modules
+
+
+def test_image_commands_load_no_process_pool(tmp_path):
+    # the workers are forked with os.fork and send results down pipes:
+    # concurrent.futures and multiprocessing cost the parent about 2 MB
+    script = """
+import sys
+from rwrl.cli import main
+raw, norm, out = sys.argv[1:]
+assert main(["synth", raw, "--per-class", "4", "--jobs", "2"]) == 0
+assert main(["preprocess", raw, norm, "--jobs", "2"]) == 0
+assert main(["extract", norm, out, "--jobs", "2"]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+    result = _rwrl_subprocess(script, tmp_path / "raw", tmp_path / "norm",
+                              tmp_path / "features.txt")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert not {m for m in loaded
+                if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+@pytest.mark.parametrize("case, error", [
+    ("killed", "ChildProcessError: worker 1 ended before item 3: "
+               "killed by SIGKILL"),
+    ("oserror", "PermissionError: [Errno 13] page 3 is read-only"),
+    ("result", "ChildProcessError: worker 1 cannot send the result for "
+               "item 3: "),
+    ("exception", "ChildProcessError: worker 1 cannot send the ValueError "
+                  "raised for item 3: "),
+], ids=["killed", "oserror", "result", "exception"])
+def test_worker_failure_exits_2(tmp_path, monkeypatch, capsys, case, error):
+    """A worker that dies, raises an OSError, or returns or raises what
+    cannot be pickled ends the command with exit 2 and one error line, and
+    leaves no child process behind."""
+    def chunk(sigma, polarity, tasks):
+        if Path(tasks[0][0]).stem != "3":
+            return [None]
+        if case == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if case == "oserror":
+            raise PermissionError(errno.EACCES, "page 3 is read-only")
+        if case == "result":
+            return [lambda: None]
+        raise ValueError(lambda: None)
+
+    monkeypatch.setattr(rwrl.cli, "CHUNK", 1)
+    monkeypatch.setattr(rwrl.cli, "_preprocess_chunk", chunk)
+    monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for i in range(8):   # item i is page i.pgm, which the chunk never reads
+        (raw / f"{i}.pgm").write_bytes(b"")
+    argv = ["preprocess", str(raw), str(tmp_path / "norm"), "--jobs", "2"]
+
+    def hung(signum, frame):
+        pytest.fail("preprocess did not return within 60 s")
+
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        assert main(argv) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # the rwrl layers each command loads, besides cli and errors: only the

@@ -1,4 +1,5 @@
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,11 @@ def pipeline_features(path):
     gray = decode_image(path.read_bytes())
     bits = binarize(gray, otsu_threshold(gray))
     return extract_features(extract_contour(normalize_digit(bits)))
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):   # pickled as (a,): it dumps but cannot load
+        super().__init__(a)
 
 
 class TestScan:
@@ -96,23 +102,8 @@ class TestSynth:
     ])
     def test_parallel_map_worker_bound(self, monkeypatch, jobs, n_items, cpus,
                                        affinity, workers):
-        import concurrent.futures
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        forks = self._count_forks(monkeypatch)
+        monkeypatch.setattr(sys, "platform", "linux")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -121,7 +112,53 @@ class TestSynth:
                                 lambda pid: set(range(affinity)), raising=False)
         items = list(range(n_items))
         assert parallel_map(str, items, jobs) == [str(i) for i in items]
-        assert started == ([] if workers is None else [workers])
+        assert len(forks) == (workers or 0)
+
+    def test_parallel_map_forks_only_on_linux(self, monkeypatch):
+        # macOS cannot fork a numpy process safely, and Windows has no fork
+        forks = self._count_forks(monkeypatch)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 4)
+        assert parallel_map(str, range(10), 4) == [str(i) for i in range(10)]
+        assert forks == []
+
+    @staticmethod
+    def _count_forks(monkeypatch) -> list:
+        """The pids os.fork returns in this process from now on."""
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+    def test_parallel_map_result_that_cannot_load(self, monkeypatch):
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 2)
+        with pytest.raises(ChildProcessError, match="^worker 0 sent item 2 "
+                                                    "unreadably: TypeError"):
+            parallel_map(lambda i: _TwoArgError(i, i) if i == 2 else i,
+                         range(8), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks only on Linux")
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_map_equals_serial_map(self, monkeypatch, jobs):
+        monkeypatch.setattr(dataset, "usable_cpus", lambda: 3)
+        forks = self._count_forks(monkeypatch)
+        for n in range(10):
+            items = [(i, "x" * i) for i in range(n)]
+            expected = [(s, i * i) for i, s in items]
+            assert parallel_map(lambda t: (t[1], t[0] ** 2), items,
+                                jobs) == expected
+        assert len(forks) == sum(min(jobs, n) for n in range(2, 10))
+        with pytest.raises(ChildProcessError):   # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_classes_pairwise_distinct(self, tmp_path):
         manifest = synth_generate(5, 1, tmp_path)

@@ -279,6 +279,15 @@ class TestKernels:
             with pytest.raises(ValueError):
                 KernelParams(kind, **values)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 10 ** 400), ("coef0", 10 ** 400), ("coef0", -10 ** 400),
+        ("C", 10 ** 400)], ids=["gamma", "coef0", "coef0-negative", "C"])
+    def test_int_past_float_range_rejected(self, field, value):
+        # float() of such an int raises OverflowError, not the ValueError
+        # every other unusable value raises
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            KernelParams("rbf", **{field: value})
+
 
 class TestSolver:
     """`_smo` solves in beta = y alpha what the alpha-form reference solves,
