@@ -207,8 +207,8 @@ def _classifier(args):
 
 
 def cmd_train(args) -> int:
-    from .features import read_feature_file
     from .model_io import model_save
+    from .reader import read_feature_file
     fit, _ = _classifier(args)
     y, X = read_feature_file(args.features)
     Path(args.model).write_bytes(model_save(fit(X, y)))
@@ -217,9 +217,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .features import read_feature_file, write_csv
+    from .features import write_csv
     from .knn import knn_predict_batch
     from .model_io import model_load
+    from .reader import read_feature_file
     from .svm import SvmModel, svm_predict_batch
     model = model_load(Path(args.model).read_bytes())
     y, X = read_feature_file(args.features)
@@ -245,7 +246,8 @@ def _write_reports(out_dir, cm):
 
 def cmd_eval(args) -> int:
     from . import evaluate
-    from .features import read_feature_file, write_csv
+    from .features import write_csv
+    from .reader import read_feature_file
     fit, predict = _classifier(args)
     y, X = read_feature_file(args.features)
 

@@ -22,7 +22,8 @@ from .errors import (
     TooFewSamplesError,
     UnknownLabelError,
 )
-from .features import _int_labels, parse_ints, write_csv
+from .features import _int_labels, write_csv
+from .reader import parse_ints
 
 
 # ---------------------------------------------------------------------------

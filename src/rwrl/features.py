@@ -29,13 +29,11 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    PGM_MAX_DIGITS,
     DimensionMismatchError,
     EmptyDataError,
     FeatureFileError,
@@ -50,9 +48,6 @@ NUM_WINDOWS = GRID_SIDE * GRID_SIDE
 FEATURE_DIM = NUM_WINDOWS * 4
 
 FEATURE_FILE_VERSION = "#rwrl-v1"
-_HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
-_INTEGER = re.compile("(-?)0*([0-9]+)")  # sign, digits past leading zeros
-_FLOAT_BYTES = b"0123456789.e+-"
 
 
 class Direction(enum.Enum):
@@ -218,69 +213,9 @@ def probe_rows(model, features) -> np.ndarray:
     return scale_features(X, model.mean, model.std)
 
 
-def parse_ints(fields, error: type[Exception]) -> list[int]:
-    """Decimal integers that fit int64, the rule of every integer field in
-    feature, model and confusion files: ASCII digits after an optional
-    minus sign, so `+3`, `1_0` or ` 2` raises `error`, as do more than
-    PGM_MAX_DIGITS digits, leading zeros counted. rwrl counts them: int()
-    sees no leading zero and at most 19 digits, whatever its own limit."""
-    values = []
-    for field in fields:
-        match = _INTEGER.fullmatch(field)
-        if match is None:
-            raise error(f"non-integer field {field!r}")
-        sign, digits = match.groups()
-        if len(field) - len(sign) > PGM_MAX_DIGITS or len(digits) > 19:
-            raise error("integer field out of range")
-        values.append(int(sign + digits))
-    try:
-        return np.array(values, dtype=np.int64).tolist()
-    except OverflowError:
-        raise error("integer field out of range") from None
-
-
-def parse_floats(fields, error: type[Exception]) -> np.ndarray:
-    """Finite floats, the rule of every float field in feature and model
-    files: what `float()` reads from the bytes `0-9 . e + -` alone, so `+3`,
-    `.5` and `1e5` load while `1_0`, ` 2`, `1E5`, `inf` or `0x1p3` raises
-    `error`. `format_rows` writes nothing else."""
-    # one byte-set test per line: a regex per field costs 20x more
-    text = "".join(fields).encode("ascii", "replace")
-    if text.translate(None, _FLOAT_BYTES):
-        raise error("field outside the float rule [-+.e0-9]")
-    try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:
-        raise error("non-numeric field") from None
-    if not np.isfinite(values).all():
-        raise error("non-finite value")
-    return values
-
-
-def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
-               keyed: bool = True) -> tuple[list[str], np.ndarray]:
-    """The key field and `dim` floats of each line split at `sep` (None:
-    whitespace), or the floats alone unless `keyed`. Returns the keys and
-    a (lines, dim) array, converted line by line: nothing sized by `dim`
-    is allocated before a line of that width is read."""
-    keys, rows = [], []
-    for n, line in enumerate(lines, start=1):
-        fields = line.split(sep)
-        if len(fields) != dim + keyed:
-            raise error(f"row {n} has {len(fields)} fields, "
-                        f"expected {dim + keyed}")
-        keys += fields[:keyed]
-        rows.append(parse_floats(fields[keyed:], error))
-    if rows:
-        return keys, np.array(rows)
-    try:
-        return keys, np.empty((0, dim))
-    except ValueError:      # a negative dim, or dim * 8 bytes past numpy's limit
-        raise error(f"dim={dim} is out of range") from None
-
-
 # ---------------------------------------------------------------------------
-# feature files: one `label,f1,...,fN` line per sample
+# feature files: one `label,f1,...,fN` line per sample, read back by
+# `reader.read_feature_file`
 # ---------------------------------------------------------------------------
 
 def write_feature_file(path, labels, features) -> None:
@@ -313,7 +248,7 @@ def write_csv(path, rows) -> None:
 
 def format_rows(rows, sep: str, error: type[Exception]):
     """Lines of `rows` values joined by `sep`: digits for an integral value,
-    repr otherwise, which `parse_rows` reads back exactly (-0.0 as 0). A
+    repr otherwise, which `reader` reads back exactly (-0.0 as 0). A
     non-finite value raises `error` before any line is made; an integer
     row needs no check."""
     rows, _ = _as_rows(rows)
@@ -346,19 +281,3 @@ def _format_row(row: np.ndarray, sep: str) -> str:
         return sep.join(map(str, values))
     return sep.join(str(int(f)) if f.is_integer() else repr(f)
                     for f in map(float, values))
-
-
-def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a feature file back into (labels, feature matrix)."""
-    # non-ASCII bytes decode to U+FFFD, which no numeric field accepts
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        header = _HEADER.fullmatch(fh.readline().strip())
-        if header is None:
-            raise FeatureFileError(
-                f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
-        dim = parse_ints([header[1]], FeatureFileError)[0]
-        if dim < 1:
-            raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
-        labels, X = parse_rows((s for s in map(str.strip, fh) if s), dim,
-                               ",", FeatureFileError)
-    return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X

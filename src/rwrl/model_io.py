@@ -12,24 +12,32 @@ order, ``machine a b nsv=M bias=B`` and M ``pool-index coefficient``
 rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
 ``machine`` line stand in the writer's order, each once. Every value reads
 back exactly, and a loaded model z-scores its pool as a trained one does,
-so it predicts bit-identically.
+so it predicts bit-identically. The loader reads the file record by record
+from a byte offset; pool rows of short integers, as integer features
+write them, are read in bulk by `reader._int_rows`, and every other row
+field by field.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 
 from .errors import CorruptModelError, VersionMismatchError
-from .features import format_rows, parse_floats, parse_ints, parse_rows
+from .features import format_rows
 from .knn import KnnModel
+from .reader import _int_rows, parse_floats, parse_ints, parse_rows
 from .svm import BinaryMachine, KernelParams, SvmModel
 
 SVM_VERSION = "#rwrl-svm-v3"
 KNN_VERSION = "#rwrl-knn-v2"
 _END = "end"
+# a line and the ASCII line end of str.splitlines() after it, if any
+_LINE = re.compile(
+    rb"([^\n\r\x0b\x0c\x1c-\x1e]*)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e])?")
 
 
 def model_save(model) -> bytes:
@@ -119,19 +127,21 @@ def _check_knn(k: int, classes, pool_size: int, labels) -> None:
 
 
 class _Reader:
+    """A model file's records, one line each, read from a byte offset. A
+    line ends where `str.splitlines` ends one."""
+
     def __init__(self, data: bytes):
-        try:
-            self.lines = data.decode("ascii").splitlines()
-        except UnicodeDecodeError:
-            raise CorruptModelError("model file is not ASCII text") from None
-        self.pos = 0
+        if not data.isascii():
+            raise CorruptModelError("model file is not ASCII text")
+        self.data = data
+        self.at = 0
 
     def next(self) -> str:
-        if self.pos >= len(self.lines):
+        if self.at >= len(self.data):
             raise CorruptModelError("model file ends prematurely")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+        line = _LINE.match(self.data, self.at)
+        self.at = line.end()
+        return line[1].decode("ascii")
 
     def expect(self, key: str) -> list[str]:
         fields = self.next().split()
@@ -159,19 +169,22 @@ class _Reader:
     def rows(self, count: int, dim: int, keyed: bool = True
              ) -> tuple[list[str], np.ndarray]:
         """`count` rows of `dim` floats, each after one key field if `keyed`:
-        the key fields and a (count, dim) array."""
+        the key fields and a (count, dim) array. Unkeyed rows of integers
+        are read in bulk when `_int_rows` takes them."""
         if count < 0:
             raise CorruptModelError(f"negative row count {count}")
-        if count > len(self.lines) - self.pos:
-            raise CorruptModelError("model file ends prematurely")
-        self.pos += count
-        return parse_rows(self.lines[self.pos - count:self.pos], dim, None,
-                          CorruptModelError, keyed)
+        if not keyed:
+            bulk = _int_rows(self.data, self.at, count, dim, False, b" ")
+            if bulk is not None:
+                self.at, _, rows = bulk
+                return [], rows
+        lines = [self.next() for _ in range(count)]
+        return parse_rows(lines, dim, None, CorruptModelError, keyed)
 
     def end(self) -> None:
         if self.next().strip() != _END:
             raise CorruptModelError("missing end marker")
-        if self.pos != len(self.lines):
+        if self.at != len(self.data):
             raise CorruptModelError("data after the end marker")
 
 

@@ -1,0 +1,210 @@
+"""The field rules of every rwrl text table, and the feature file reader.
+
+Integer and float fields of feature, model and confusion files follow
+`parse_ints` and `parse_floats`. Rows of numbers are read by `parse_rows`,
+field by field, except rows whose fields are all integers of at most 15
+digits, LF-ended and joined by one separator byte: those are read in bulk
+(`_int_rows`), a block of lines per numpy pass, straight into one matrix,
+with the values `float()` gives. Any other input goes field by field.
+
+Only the commands that read a table (train, predict, eval, report) import
+this module; `extract` writes feature files and never compiles it.
+"""
+
+from __future__ import annotations
+
+import io
+import re
+from pathlib import Path
+
+import numpy as np
+
+from .errors import PGM_MAX_DIGITS, FeatureFileError
+from .features import FEATURE_FILE_VERSION
+
+_HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
+_INTEGER = re.compile("(-?)0*([0-9]+)")  # sign, digits past leading zeros
+_FLOAT_BYTES = b"0123456789.e+-"
+
+# Bulk reading: 10**15 < 2**53, so float64 holds every integer of at most
+# 15 digits exactly and each partial sum below is exact. A block of about
+# _BLOCK bytes of lines is converted per pass: its temporaries take about
+# 0.5 MiB.
+_BULK_DIGITS = 15
+_BLOCK = 1 << 14
+_LF, _MINUS, _ZERO = 10, ord("-"), np.uint8(ord("0"))
+
+
+def parse_ints(fields, error: type[Exception]) -> list[int]:
+    """Decimal integers that fit int64, the rule of every integer field in
+    feature, model and confusion files: ASCII digits after an optional
+    minus sign, so `+3`, `1_0` or ` 2` raises `error`, as do more than
+    PGM_MAX_DIGITS digits, leading zeros counted. rwrl counts them: int()
+    sees no leading zero and at most 19 digits, whatever its own limit."""
+    values = []
+    for field in fields:
+        match = _INTEGER.fullmatch(field)
+        if match is None:
+            raise error(f"non-integer field {field!r}")
+        sign, digits = match.groups()
+        if len(field) - len(sign) > PGM_MAX_DIGITS or len(digits) > 19:
+            raise error("integer field out of range")
+        values.append(int(sign + digits))
+    try:
+        return np.array(values, dtype=np.int64).tolist()
+    except OverflowError:
+        raise error("integer field out of range") from None
+
+
+def parse_floats(fields, error: type[Exception]) -> np.ndarray:
+    """Finite floats, the rule of every float field in feature and model
+    files: what `float()` reads from the bytes `0-9 . e + -` alone, so `+3`,
+    `.5` and `1e5` load while `1_0`, ` 2`, `1E5`, `inf` or `0x1p3` raises
+    `error`. `format_rows` writes nothing else."""
+    # one byte-set test per line: a regex per field costs 20x more
+    text = "".join(fields).encode("ascii", "replace")
+    if text.translate(None, _FLOAT_BYTES):
+        raise error("field outside the float rule [-+.e0-9]")
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        raise error("non-numeric field") from None
+    if not np.isfinite(values).all():
+        raise error("non-finite value")
+    return values
+
+
+def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
+               keyed: bool = True) -> tuple[list[str], np.ndarray]:
+    """The key field and `dim` floats of each line split at `sep` (None:
+    whitespace), or the floats alone unless `keyed`: the per-field path,
+    for rows the bulk path does not take. Returns the keys and a
+    (lines, dim) array, built from one array per line: nothing sized by
+    `dim` is allocated before a line of that width is read."""
+    keys, rows = [], []
+    for n, line in enumerate(lines, start=1):
+        fields = line.split(sep)
+        if len(fields) != dim + keyed:
+            raise error(f"row {n} has {len(fields)} fields, "
+                        f"expected {dim + keyed}")
+        keys += fields[:keyed]
+        rows.append(parse_floats(fields[keyed:], error))
+    if rows:
+        return keys, np.array(rows)
+    try:
+        return keys, np.empty((0, dim))
+    except ValueError:      # a negative dim, or dim * 8 bytes past numpy's limit
+        raise error(f"dim={dim} is out of range") from None
+
+
+def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
+              sep: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """The bulk path: `count` lines of `data` from offset `at`, each an
+    optional key and `dim` integer tokens joined by `sep`. Returns the
+    offset past the last line, the keys as int64 (empty unless `keyed`) and
+    the (count, dim) float64 rows, or None unless every token is an
+    optional `-` and 1-15 ASCII digits, every line ends in LF and holds
+    `keyed + dim` tokens, each separated by exactly one `sep`.
+
+    The matrix is allocated once the first block has read full-width lines,
+    and only if the bytes left can hold `count` of them (two bytes a field
+    at least), so a header's `dim` or `count` alone allocates nothing;
+    blocks are converted in place into it, and no temporary is sized by
+    the whole matrix."""
+    fields = dim + keyed
+    if (dim < 1 or count < 1 or 2 * fields * count > len(data) - at
+            or data.count(b"\n", at) < count):
+        return None
+    rows = None
+    done = 0
+    while done < count:
+        # whole lines of about _BLOCK bytes, or one longer line, and none
+        # past the count-th
+        end = (data.rfind(b"\n", at, at + _BLOCK) + 1
+               or data.find(b"\n", at) + 1)
+        text = np.frombuffer(data, np.uint8, end - at, at)
+        if data.count(b"\n", at, end) > count - done:
+            text = text[:np.flatnonzero(text == _LF)[count - done - 1] + 1]
+            end = at + len(text)
+        values = _int_block(text, fields, sep[0])
+        if values is None:
+            return None
+        if rows is None:
+            rows = np.empty((count, dim))
+            keys = np.empty(count if keyed else 0, dtype=np.int64)
+        lines = len(values)
+        rows[done:done + lines] = values[:, keyed:]
+        if keyed:
+            keys[done:done + lines] = values[:, 0]
+        done += lines
+        at = end
+    return at, keys, rows
+
+
+def _int_block(text: np.ndarray, fields: int, sep: int) -> np.ndarray | None:
+    """The (lines, fields) values of `text`, whole LF-ended lines of bytes,
+    or None unless each line is `fields` tokens of the bulk rule."""
+    digits = text - _ZERO
+    delim = text == sep
+    delim |= text == _LF
+    minus = text == _MINUS
+    if not (delim | minus | (digits < 10)).all():
+        return None
+    ends = np.flatnonzero(delim)        # token i spans starts[i]:ends[i]
+    lines, extra = divmod(len(ends), fields)
+    line_end = text[ends] == _LF
+    if (extra or np.count_nonzero(line_end) != lines
+            or not line_end[fields - 1::fields].all()):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    negative = minus[starts]            # a minus sign opens its token ...
+    if np.count_nonzero(negative) != np.count_nonzero(minus):
+        return None                     # ... and stands nowhere else
+    width = ends - starts - negative    # digits per token
+    longest = int(width.max())
+    if width.min() < 1 or longest > _BULK_DIGITS:
+        return None
+    at = ends - 1                       # each token's last digit
+    values = digits[at].astype(np.float64)
+    for back in range(1, longest):
+        at -= 1
+        digit = digits.take(at, mode="clip")
+        digit *= width > back           # past a token's first digit: 0
+        values += digit * 10.0 ** back
+    np.negative(values, out=values, where=negative)    # "-0" reads as -0.0
+    return values.reshape(lines, fields)
+
+
+def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a feature file back into (labels, feature matrix)."""
+    data = Path(path).read_bytes()
+    head = data.find(b"\n") + 1
+    header = _HEADER.fullmatch(data[:max(head - 1, 0)].decode("ascii",
+                                                               "replace"))
+    # a dim of 20 digits or more is left to parse_ints' digit rule
+    dim = int(header[1]) if header and len(header[1]) < 20 else 0
+    # with no final LF, the bulk path would leave out the last line
+    bulk = data.endswith(b"\n") and _int_rows(
+        data, head, data.count(b"\n", head), dim, True, b",")
+    if bulk:
+        return bulk[1:]
+    return _read_fields(data)
+
+
+def _read_fields(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """`read_feature_file` on the per-field path."""
+    # non-ASCII bytes decode to U+FFFD, which no numeric field accepts
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
+                          errors="replace") as fh:
+        header = _HEADER.fullmatch(fh.readline().strip())
+        if header is None:
+            raise FeatureFileError(
+                f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
+        dim = parse_ints([header[1]], FeatureFileError)[0]
+        if dim < 1:
+            raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
+        labels, X = parse_rows((s for s in map(str.strip, fh) if s), dim,
+                               ",", FeatureFileError)
+    return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X

@@ -61,7 +61,12 @@ def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndar
     if params.kind == "linear":
         return a @ b.T
     if params.kind == "polynomial":
-        return (params.gamma * (a @ b.T) + params.coef0) ** params.degree
+        # in place: the ufuncs and values of (gamma * (a @ b.T) + coef0)
+        # ** degree, so the same bits, with no temporary of K's size
+        K = a @ b.T
+        K *= params.gamma
+        K += params.coef0
+        return np.power(K, params.degree, out=K)
     sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
           - 2.0 * (a @ b.T))
     return np.exp(-params.gamma * np.maximum(sq, 0.0))

@@ -5,9 +5,11 @@ session by the `rwrl` commands.
 """
 
 import contextlib
+import importlib
 import io
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +29,16 @@ from rwrl.features import (
     DIRECTIONS,
     extract_contour,
     extract_features,
-    read_feature_file,
 )
 from rwrl.knn import knn_predict_batch, knn_train
-from rwrl.raster import DARK_INK, decode_image, ink, normalize_digit
+from rwrl.raster import (
+    DARK_INK,
+    decode_image,
+    encode_pgm,
+    ink,
+    normalize_digit,
+)
+from rwrl.reader import read_feature_file
 from rwrl.svm import KernelParams, svm_predict_batch, svm_train
 
 from oracle_utils import (
@@ -220,6 +228,64 @@ def test_end_to_end_learning(corpus):
     assert len(fold_acc) == 3
     assert spread < 0.05, fold_acc
     assert elapsed < 300, elapsed
+
+
+# Floors of `eval --cv 3 --seed 1` accuracy on a warped 100-per-class
+# corpus. Seeds 1-5 scored SVM 0.932-0.945 and k-NN 0.926-0.940: each floor
+# is that minimum less twice that range, rounded down. With the features of
+# the 25 central windows zeroed, seeds 1-8 scored at most 0.876 (SVM) and
+# 0.866 (k-NN), below both. The test runs seed 6, which set no floor.
+WARPED_FLOORS = {"svm": 0.90, "knn": 0.89}
+
+
+def warped_corpus(root: Path, seed: int) -> Path:
+    """The feature file of a warped 100-per-class corpus: `rwrl synth`
+    pages, each distorted in file order by perfbench's `scans.distort`, with
+    one `default_rng(seed)`, onto a P5 page of 64-128 px, then `rwrl
+    preprocess` and `rwrl extract`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        distort = importlib.import_module("perfbench.scans").distort
+    finally:
+        sys.path.pop(0)
+    raw, pages, norm = root / "raw", root / "pages", root / "norm"
+    features = root / "features.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["synth", str(raw), "--per-class", "100",
+                         "--seed", str(seed)]) == 0
+        rng = np.random.default_rng(seed)
+        for path, label in scan_dataset(raw).entries:
+            page = distort(decode_image(path.read_bytes()),
+                           int(rng.integers(64, 129)), rng)
+            out = pages / str(label) / (path.stem + ".pgm")
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_bytes(encode_pgm(page))
+        assert cli_main(["preprocess", str(pages), str(norm)]) == 0
+        assert cli_main(["extract", str(norm), str(features)]) == 0
+    return features
+
+
+def cv_accuracy(features: Path, out_dir: Path, classifier: str) -> float:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli_main(["eval", str(features), str(out_dir), "--cv", "3",
+                         "--seed", "1", "--classifier", classifier]) == 0
+    return float(stdout.getvalue().splitlines()[-1].split()[1])
+
+
+def test_warped_accuracy_floor(tmp_path):
+    """On warped scans, where accuracy is not saturated, each classifier
+    keeps its floor: a change that costs features or classifiers accuracy
+    can fail here, where clean pages score 1.0000."""
+    features = warped_corpus(tmp_path, seed=6)
+    accuracy = {clf: cv_accuracy(features, tmp_path / clf, clf)
+                for clf in WARPED_FLOORS}
+    report("warped-accuracy-floor",
+           all(accuracy[clf] >= floor for clf, floor in WARPED_FLOORS.items()),
+           ", ".join(f"{clf} {accuracy[clf]:.4f} vs floor {floor}"
+                     for clf, floor in WARPED_FLOORS.items()))
+    for clf, floor in WARPED_FLOORS.items():
+        assert accuracy[clf] >= floor, (clf, accuracy)
 
 
 def test_determinism(tmp_path):

@@ -14,8 +14,9 @@ import pytest
 import rwrl
 from rwrl import dataset
 from rwrl.cli import CHUNK, build_parser, main
-from rwrl.features import read_feature_file, write_feature_file
+from rwrl.features import write_feature_file
 from rwrl.raster import encode_pgm
+from rwrl.reader import read_feature_file
 
 from test_raster import make_bmp
 
@@ -571,18 +572,20 @@ def test_worker_failure_exits_2(tmp_path, monkeypatch, capsys, case, error):
 
 
 # the rwrl layers each command loads, besides cli and errors: only the
-# image commands load raster, and no command loads the csv module
+# image commands load raster, only the table readers load reader (extract
+# writes a feature file and never compiles it), and no command loads the
+# csv module
 _LOADED = {
     "help": set(),
     "synth": {"dataset", "pcg", "raster"},
     "preprocess": {"dataset", "raster"},
     "extract": {"dataset", "features", "raster"},
-    "eval-svm": {"features", "evaluate", "pcg", "svm"},
-    "eval-knn": {"features", "evaluate", "knn", "pcg"},
-    "train-svm": {"features", "model_io", "svm", "knn"},
-    "train-knn": {"features", "model_io", "svm", "knn"},
-    "predict": {"features", "model_io", "svm", "knn"},
-    "report": {"features", "evaluate"},
+    "eval-svm": {"features", "evaluate", "pcg", "reader", "svm"},
+    "eval-knn": {"features", "evaluate", "knn", "pcg", "reader"},
+    "train-svm": {"features", "model_io", "reader", "svm", "knn"},
+    "train-knn": {"features", "model_io", "reader", "svm", "knn"},
+    "predict": {"features", "model_io", "reader", "svm", "knn"},
+    "report": {"features", "evaluate", "reader"},
 }
 
 

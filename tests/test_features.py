@@ -19,11 +19,11 @@ from rwrl.features import (
     extract_contour,
     extract_features,
     format_rows,
-    read_feature_file,
     scale_features,
     write_feature_file,
 )
 from rwrl.knn import knn_predict_batch, knn_train
+from rwrl.reader import read_feature_file
 from rwrl.svm import (
     KernelParams,
     svm_decision_table,

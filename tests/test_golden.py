@@ -15,9 +15,9 @@ import numpy as np
 
 from rwrl.cli import main
 from rwrl.evaluate import holdout_split
-from rwrl.features import read_feature_file
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.model_io import model_save
+from rwrl.reader import read_feature_file
 from rwrl.svm import KernelParams, svm_predict_batch, svm_train
 
 GOLDEN = {

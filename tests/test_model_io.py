@@ -342,6 +342,19 @@ def assert_models_equal(a, b):
         assert np.array_equal(m.coefficients, n.coefficients)
 
 
+@pytest.mark.parametrize("make", [_knn_bytes, _svm_bytes])
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r", b"\x0b", b"\x0c",
+                                      b"\x1c", b"\x1d", b"\x1e"])
+def test_records_end_where_str_splitlines_ends_a_line(make, line_end):
+    # the loader reads records from bytes, with the line ends of
+    # str.splitlines(): "\r\n" is one, and one more after `end` is data
+    data = make()
+    assert_models_equal(model_load(data.replace(b"\n", line_end)),
+                        model_load(data))
+    with pytest.raises(CorruptModelError, match="after the end marker"):
+        model_load(data.replace(b"\n", line_end) + line_end)
+
+
 def _two_class_svm():
     X, y = small_problem(seed=2)
     return svm_train(X[:16], y[:16], KernelParams("linear"))

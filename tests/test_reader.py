@@ -1,0 +1,206 @@
+"""The bulk path of `rwrl.reader` against its per-field path.
+
+Rows of short integers are read in bulk (`reader._int_rows`); any other
+rows field by field. Both must read the same bytes to the same arrays, bit
+for bit, or raise the same error: each case here runs once as it is and
+once with the bulk path switched off, on a feature file, a k-NN pool and
+an SVM pool.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rwrl import model_io, reader
+from rwrl.errors import FeatureFileError, RwrlError
+from rwrl.features import write_feature_file
+from rwrl.model_io import model_load
+from rwrl.reader import read_feature_file
+
+KINDS = ("features", "knn", "svm")
+
+
+def _tokens(rng, n: int) -> list[str]:
+    """n integer tokens of the bulk rule: small, negative, `-0`, leading
+    zeros, and 15 digits, the longest the bulk path takes."""
+    kind = rng.integers(0, 6, n)
+    value = rng.integers(0, 4000, n)
+    wide = rng.integers(10 ** 14, 10 ** 15, n)
+    return [("0", str(v), f"-{v}", "-0", f"00{v}", f"-{w}" if v % 2 else
+             str(w))[k] for k, v, w in zip(kind.tolist(), value.tolist(),
+                                          wide.tolist())]
+
+
+def _rows(rng, count: int, dim: int, keyed: bool) -> list[list[str]]:
+    return [_tokens(rng, dim + keyed) for _ in range(count)]
+
+
+def _text(rows, sep: str) -> bytes:
+    return "".join(sep.join(row) + "\n" for row in rows).encode()
+
+
+def _model(kind: str, count: int, dim: int, pool: bytes) -> bytes:
+    """A model file whose pool lines are `pool`, declared as `count` rows."""
+    if kind == "knn":
+        head, tail = b"#rwrl-knn-v2\nk 1\n", (
+            b"labels " + b" ".join([b"0"] * count) + b"\nend\n")
+    else:
+        head = (b"#rwrl-svm-v3\nkernel polynomial degree=3 gamma=0.5 "
+                b"coef0=1.0 C=1.0\n")
+        tail = b"machine 0 1 nsv=1 bias=0.25\n0 -1.5\nend\n"
+    stats = b" ".join([b"0"] * dim) + b"\n", b" ".join([b"1"] * dim) + b"\n"
+    return (head + b"classes 0 1\ndim %d\nmean " % dim + stats[0] + b"std "
+            + stats[1] + b"pool %d\n" % count + pool + tail)
+
+
+def _read(kind: str, rows_text: bytes, count: int, dim: int, tmp_path):
+    """What the reader of `kind` returns for these pool or feature rows:
+    each array as (dtype, shape, bytes), or the error class and message."""
+    try:
+        if kind == "features":
+            path = tmp_path / "rows.txt"
+            path.write_bytes(b"#rwrl-v1,dim=%d\n" % dim + rows_text)
+            arrays = read_feature_file(path)
+        else:
+            model = model_load(_model(kind, count, dim, rows_text))
+            arrays = (model.pool, model.mean, model.std)
+    except RwrlError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture
+def paths(monkeypatch, tmp_path):
+    """`read(kind, rows, count, dim)`: what each path reads, (bulk run
+    first, per-field), and whether the bulk path took the rows."""
+    taken = []
+
+    def spy(*args):
+        result = bulk(*args)
+        taken.append(result is not None)
+        return result
+
+    bulk = reader._int_rows
+
+    def read(kind, rows_text, count, dim):
+        taken.clear()
+        for module in (reader, model_io):
+            monkeypatch.setattr(module, "_int_rows", spy)
+        first = _read(kind, rows_text, count, dim, tmp_path)
+        for module in (reader, model_io):
+            monkeypatch.setattr(module, "_int_rows", lambda *args: None)
+        return first, _read(kind, rows_text, count, dim, tmp_path), any(taken)
+    return read
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_rows_read_in_bulk_as_field_by_field(paths, kind, seed):
+    rng = np.random.default_rng([31, seed])
+    dim = int(rng.choice([1, 2, 5, 196]))
+    count = int(rng.choice([1, 2, 7, 300]))
+    keyed = kind == "features"
+    rows = _rows(rng, count, dim, keyed)
+    sep = "," if keyed else " "
+    bulk, per_field, taken = paths(kind, _text(rows, sep), count, dim)
+    assert taken and isinstance(bulk, list)
+    assert bulk == per_field
+
+
+def test_minus_zero_reads_as_negative_zero(paths):
+    rows_text = b"-0,-0,007,-000000000000001\n0,123456789012345,-0,5\n"
+    bulk, per_field, taken = paths("features", rows_text, 2, 3)
+    assert taken and bulk == per_field
+    labels, X = (np.frombuffer(data, dtype).reshape(shape)
+                 for dtype, shape, data in bulk)
+    assert labels.tolist() == [0, 0]
+    assert X.tolist() == [[-0.0, 7.0, -1.0], [123456789012345.0, -0.0, 5.0]]
+    assert np.signbit(X[:, :2]).tolist() == [[True, False], [False, True]]
+
+
+def _edit_token(rows, sep, new):
+    rows = [list(row) for row in rows]
+    rows[-1][1] = new
+    return _text(rows, sep)
+
+
+# each edit of well-formed rows that leaves the bulk rule, made in the last
+# row, so that the bulk path has read blocks before it: rows, separator ->
+# the bytes
+FALL_BACK = {
+    "crlf": lambda rows, sep: _text(rows, sep).replace(b"\n", b"\r\n"),
+    "blank-line": lambda rows, sep: _text(rows[:-1], sep) + b"\n"
+    + _text(rows[-1:], sep),
+    "trailing-space": lambda rows, sep: _text(rows, sep)[:-1] + b" \n",
+    "plus": lambda rows, sep: _edit_token(rows, sep, "+3"),
+    "point-five": lambda rows, sep: _edit_token(rows, sep, ".5"),
+    "exponent": lambda rows, sep: _edit_token(rows, sep, "1e5"),
+    "16-digits": lambda rows, sep: _edit_token(rows, sep, "1234567890123456"),
+    "minus-inside": lambda rows, sep: _edit_token(rows, sep, "1-2"),
+    "lone-minus": lambda rows, sep: _edit_token(rows, sep, "-"),
+    "empty-field": lambda rows, sep: _edit_token(rows, sep, ""),
+    "short-row": lambda rows, sep: _text([*rows[:-1], rows[-1][:-1]], sep),
+    "long-row": lambda rows, sep: _text([*rows[:-1], rows[-1] + ["4"]], sep),
+    "non-ascii": lambda rows, sep: _edit_token(rows, sep, "1١"),
+    "no-final-lf": lambda rows, sep: _text(rows, sep)[:-1],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("edit", sorted(FALL_BACK))
+def test_other_rows_fall_back_to_the_same_outcome(paths, kind, edit):
+    rng = np.random.default_rng(37)
+    keyed = kind == "features"
+    sep = "," if keyed else " "
+    rows = _rows(rng, 40, 196, keyed)
+    bulk, per_field, taken = paths(kind, FALL_BACK[edit](rows, sep), 40, 196)
+    assert not taken
+    assert bulk == per_field
+
+
+def test_bulk_read_holds_the_matrix_once(tmp_path):
+    # 6000 x 196 integer rows, the paper's protocol: no list of per-row
+    # arrays, no stacked copy and no temporary of the matrix's size
+    rng = np.random.default_rng(41)
+    X = rng.integers(0, 4000, size=(6000, 196)) * (rng.random((6000, 196))
+                                                    < 0.6)
+    path = tmp_path / "features.txt"
+    write_feature_file(path, rng.integers(0, 10, 6000), X)
+    del X
+    tracemalloc.start()
+    try:
+        _, read = read_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= read.nbytes + path.stat().st_size + 2 ** 20
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim, short_rows", [(2 ** 59, 2), (50_000, 49_999)],
+                         ids=["dim-2^59", "wide-first-row"])
+def test_short_rows_allocate_nothing_of_dim_size(tmp_path, kind, dim,
+                                                 short_rows):
+    # a header's dim over short rows, or one full-width row and then more
+    # rows than the file could hold at full width: the guard refuses both
+    # before any matrix is allocated
+    keyed = kind == "features"
+    first = b"" if dim > 2 ** 20 else b" ".join([b"1"] * (dim + keyed)) + b"\n"
+    rows = first + b"0 1 2\n" * short_rows
+    count = rows.count(b"\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(RwrlError, match="fields, expected"):
+            if keyed:
+                path = tmp_path / "rows.txt"
+                path.write_bytes(b"#rwrl-v1,dim=%d\n" % dim
+                                 + rows.replace(b" ", b","))
+                read_feature_file(path)
+            else:
+                model_load(_model(kind, count, 3, rows).replace(
+                    b"dim 3\n", b"dim %d\n" % dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -237,6 +237,18 @@ class TestKernels:
         a = np.array([[1.0, 0.0]])
         assert kernel_matrix(p, a, a)[0, 0] == 4.0  # (1*1 + 1)^2
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 7])
+    @pytest.mark.parametrize("gamma, coef0", [(1 / 196, 1.0), (0.37, -2.5)])
+    def test_polynomial_in_place_equals_the_expression(self, degree, gamma,
+                                                       coef0):
+        # kernel_matrix builds K in place, with the ufuncs of this
+        # expression: the bits must be the same
+        rng = np.random.default_rng(1331)
+        a, b = rng.normal(size=(40, 196)), rng.normal(size=(30, 196))
+        p = KernelParams("polynomial", degree=degree, gamma=gamma, coef0=coef0)
+        expected = (gamma * (a @ b.T) + coef0) ** degree
+        assert kernel_matrix(p, a, b).tobytes() == expected.tobytes()
+
     def test_rbf_diagonal_is_one(self):
         p = KernelParams("rbf", gamma=0.7)
         a = np.random.default_rng(0).normal(size=(5, 3))
