@@ -1,13 +1,14 @@
 """Exception hierarchy for the rwrl toolkit, the flag bounds and names
 that `rwrl.cli` parses with before numpy loads, and the digit bound of
-every integer field that rwrl reads (`raster` and `svm` export them too).
-It imports nothing."""
+every integer field that rwrl reads (`raster` and `svm` export them too)
+and how much of a field a message quotes. It imports nothing."""
 
 MAX_SIGMA = 64              # px; smoothing time and memory grow with sigma
 DARK_INK = "dark-ink"
 LIGHT_INK = "light-ink"
 MAX_DEGREE = 2 ** 63 - 1    # model files hold int64 integers
 PGM_MAX_DIGITS = 4300       # per integer field, leading zeros counted
+MAX_QUOTE = 32              # characters of a field or line in a message
 
 
 class RwrlError(Exception):

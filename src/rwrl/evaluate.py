@@ -23,7 +23,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .features import _int_labels, write_csv
-from .reader import parse_ints
+from .reader import Lines, parse_ints
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,8 @@ def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
 
 
 def read_confusion_csv(path) -> ConfusionMatrix:
-    # text mode reads LF, CRLF and CR line ends; str.splitlines() would
-    # also split at form feeds and other separators
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh]
+    rows = [line.split(",") for line in
+            Lines(Path(path).read_bytes(), UnknownLabelError)]
     if not rows or rows[0][:1] != ["class"]:
         raise UnknownLabelError("not a confusion matrix CSV")
     classes = parse_ints(rows[0][1:], UnknownLabelError)

@@ -1,7 +1,7 @@
 """Versioned line-oriented text serialization for trained models.
 
 SVM files start with ``#rwrl-svm-v3``, k-NN files with ``#rwrl-knn-v2``;
-another version of either, such as ``#rwrl-svm-v2``, is a version mismatch.
+another version tag alone, such as ``#rwrl-svm-v2``, is a version mismatch.
 After ``kernel <kind> degree= gamma= coef0= C=`` (SVM) or ``k K`` (k-NN),
 both hold ``classes``, ``dim``, then ``mean``, ``std``, ``pool P`` and P
 raw training rows, all rows in the feature file's row format: the k-NN
@@ -13,31 +13,27 @@ rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
 ``machine`` line stand in the writer's order, each once. Every value reads
 back exactly, and a loaded model z-scores its pool as a trained one does,
 so it predicts bit-identically. The loader reads the file record by record
-from a byte offset; pool rows of short integers, as integer features
-write them, are read in bulk by `reader._int_rows`, and every other row
-field by field.
+through `reader.Lines`, with the line ends and ASCII rule of every rwrl
+table; pool rows of short integers, as integer features write them, are
+read in bulk by `reader._int_rows`, and every other row field by field.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 
-from .errors import CorruptModelError, VersionMismatchError
+from .errors import MAX_QUOTE, CorruptModelError, VersionMismatchError
 from .features import format_rows
 from .knn import KnnModel
-from .reader import _int_rows, parse_floats, parse_ints, parse_rows
+from .reader import Lines, _int_rows, parse_floats, parse_ints, parse_rows
 from .svm import BinaryMachine, KernelParams, SvmModel
 
 SVM_VERSION = "#rwrl-svm-v3"
 KNN_VERSION = "#rwrl-knn-v2"
 _END = "end"
-# a line and the ASCII line end of str.splitlines() after it, if any
-_LINE = re.compile(
-    rb"([^\n\r\x0b\x0c\x1c-\x1e]*)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e])?")
 
 
 def model_save(model) -> bytes:
@@ -126,22 +122,8 @@ def _check_knn(k: int, classes, pool_size: int, labels) -> None:
         raise CorruptModelError("sample label outside the class list")
 
 
-class _Reader:
-    """A model file's records, one line each, read from a byte offset. A
-    line ends where `str.splitlines` ends one."""
-
-    def __init__(self, data: bytes):
-        if not data.isascii():
-            raise CorruptModelError("model file is not ASCII text")
-        self.data = data
-        self.at = 0
-
-    def next(self) -> str:
-        if self.at >= len(self.data):
-            raise CorruptModelError("model file ends prematurely")
-        line = _LINE.match(self.data, self.at)
-        self.at = line.end()
-        return line[1].decode("ascii")
+class _Reader(Lines):
+    """A model file's records, one line each."""
 
     def expect(self, key: str) -> list[str]:
         fields = self.next().split()
@@ -178,8 +160,8 @@ class _Reader:
             if bulk is not None:
                 self.at, _, rows = bulk
                 return [], rows
-        lines = [self.next() for _ in range(count)]
-        return parse_rows(lines, dim, None, CorruptModelError, keyed)
+        return parse_rows((self.next() for _ in range(count)), count,
+                          len(self.data), dim, None, CorruptModelError, keyed)
 
     def end(self) -> None:
         if self.next().strip() != _END:
@@ -190,14 +172,15 @@ class _Reader:
 
 def model_load(data: bytes):
     """Deserialize bytes written by model_save."""
-    reader = _Reader(data)
+    reader = _Reader(data, CorruptModelError)
     header = reader.next().strip()
     if header == SVM_VERSION:
         return _load_svm(reader)
     if header == KNN_VERSION:
         return _load_knn(reader)
-    if header.startswith("#rwrl-svm-v") or header.startswith("#rwrl-knn-v"):
-        raise VersionMismatchError(f"unsupported model version {header!r}")
+    if header[:11] in ("#rwrl-svm-v", "#rwrl-knn-v") and header[11:].isdigit():
+        raise VersionMismatchError(
+            f"unsupported model version {header!r:.{MAX_QUOTE}}")
     raise CorruptModelError("unrecognized model header")
 
 

@@ -1,11 +1,13 @@
-"""The field rules of every rwrl text table, and the feature file reader.
+"""The line and field rules of every rwrl table, and the feature file reader.
 
-Integer and float fields of feature, model and confusion files follow
-`parse_ints` and `parse_floats`. Rows of numbers are read by `parse_rows`,
-field by field, except rows whose fields are all integers of at most 15
-digits, LF-ended and joined by one separator byte: those are read in bulk
-(`_int_rows`), a block of lines per numpy pass, straight into one matrix,
-with the values `float()` gives. Any other input goes field by field.
+Feature, model and confusion files are read through `Lines`: a line ends
+at LF, CRLF or CR, and a file that is not ASCII raises the table's error
+class. Fields follow `parse_ints` and `parse_floats`, and no message
+quotes more than MAX_QUOTE characters of one. Rows of numbers go into one
+matrix with the values `float()` gives: in bulk (`_int_rows`), a block of
+lines per numpy pass, if all fields are integers of at most 15 digits,
+LF-ended and joined by one separator byte, else field by field
+(`parse_rows`).
 
 Only the commands that read a table (train, predict, eval, report) import
 this module; `extract` writes feature files and never compiles it.
@@ -13,15 +15,15 @@ this module; `extract` writes feature files and never compiles it.
 
 from __future__ import annotations
 
-import io
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .errors import PGM_MAX_DIGITS, FeatureFileError
+from .errors import MAX_QUOTE, PGM_MAX_DIGITS, FeatureFileError
 from .features import FEATURE_FILE_VERSION
 
+_LINE = re.compile(rb"([^\n\r]*)(?:\r\n?|\n)?")  # a line and its line end
 _HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
 _INTEGER = re.compile("(-?)0*([0-9]+)")  # sign, digits past leading zeros
 _FLOAT_BYTES = b"0123456789.e+-"
@@ -35,6 +37,27 @@ _BLOCK = 1 << 14
 _LF, _MINUS, _ZERO = 10, ord("-"), np.uint8(ord("0"))
 
 
+class Lines:
+    """A table's lines from byte offset `at` of `data`, without line ends;
+    bytes that are not ASCII, or `next` past the end, raise `error`."""
+
+    def __init__(self, data: bytes, error: type[Exception]):
+        if not data.isascii():
+            raise error("the file is not ASCII text")
+        self.data, self.at, self.error = data, 0, error
+
+    def __iter__(self):
+        while self.at < len(self.data):
+            yield self.next()
+
+    def next(self) -> str:
+        if self.at >= len(self.data):
+            raise self.error("the file ends prematurely")
+        line = _LINE.match(self.data, self.at)
+        self.at = line.end()
+        return line[1].decode("ascii")
+
+
 def parse_ints(fields, error: type[Exception]) -> list[int]:
     """Decimal integers that fit int64, the rule of every integer field in
     feature, model and confusion files: ASCII digits after an optional
@@ -45,7 +68,7 @@ def parse_ints(fields, error: type[Exception]) -> list[int]:
     for field in fields:
         match = _INTEGER.fullmatch(field)
         if match is None:
-            raise error(f"non-integer field {field!r}")
+            raise error(f"non-integer field {field!r:.{MAX_QUOTE}}")
         sign, digits = match.groups()
         if len(field) - len(sign) > PGM_MAX_DIGITS or len(digits) > 19:
             raise error("integer field out of range")
@@ -62,8 +85,7 @@ def parse_floats(fields, error: type[Exception]) -> np.ndarray:
     `.5` and `1e5` load while `1_0`, ` 2`, `1E5`, `inf` or `0x1p3` raises
     `error`. `format_rows` writes nothing else."""
     # one byte-set test per line: a regex per field costs 20x more
-    text = "".join(fields).encode("ascii", "replace")
-    if text.translate(None, _FLOAT_BYTES):
+    if "".join(fields).encode().translate(None, _FLOAT_BYTES):
         raise error("field outside the float rule [-+.e0-9]")
     try:
         values = np.fromiter(map(float, fields), np.float64, len(fields))
@@ -74,23 +96,26 @@ def parse_floats(fields, error: type[Exception]) -> np.ndarray:
     return values
 
 
-def parse_rows(lines, dim: int, sep: str | None, error: type[Exception],
-               keyed: bool = True) -> tuple[list[str], np.ndarray]:
-    """The key field and `dim` floats of each line split at `sep` (None:
-    whitespace), or the floats alone unless `keyed`: the per-field path,
-    for rows the bulk path does not take. Returns the keys and a
-    (lines, dim) array, built from one array per line: nothing sized by
-    `dim` is allocated before a line of that width is read."""
-    keys, rows = [], []
+def parse_rows(lines, count: int, size: int, dim: int, sep: str | None,
+               error: type[Exception], keyed: bool = True
+               ) -> tuple[list[str], np.ndarray]:
+    """The key field and `dim` floats of each of at most `count` lines, of
+    `size` bytes at most, split at `sep` (None: whitespace), or the floats
+    alone unless `keyed`: the per-field path. Returns the keys and a
+    (lines, dim) matrix, allocated once a line is read at full width and no
+    larger than `count` rows or `size` bytes hold (two bytes a float)."""
+    keys, rows, n = [], None, 0
     for n, line in enumerate(lines, start=1):
         fields = line.split(sep)
         if len(fields) != dim + keyed:
             raise error(f"row {n} has {len(fields)} fields, "
                         f"expected {dim + keyed}")
         keys += fields[:keyed]
-        rows.append(parse_floats(fields[keyed:], error))
-    if rows:
-        return keys, np.array(rows)
+        if rows is None:
+            rows = np.empty((min(count, (size + 1) // max(2 * dim, 1)), dim))
+        rows[n - 1] = parse_floats(fields[keyed:], error)
+    if rows is not None:
+        return keys, rows[:n]
     try:
         return keys, np.empty((0, dim))
     except ValueError:      # a negative dim, or dim * 8 bytes past numpy's limit
@@ -179,32 +204,22 @@ def _int_block(text: np.ndarray, fields: int, sep: int) -> np.ndarray | None:
 
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a feature file back into (labels, feature matrix)."""
-    data = Path(path).read_bytes()
-    head = data.find(b"\n") + 1
-    header = _HEADER.fullmatch(data[:max(head - 1, 0)].decode("ascii",
-                                                               "replace"))
-    # a dim of 20 digits or more is left to parse_ints' digit rule
-    dim = int(header[1]) if header and len(header[1]) < 20 else 0
-    # with no final LF, the bulk path would leave out the last line
-    bulk = data.endswith(b"\n") and _int_rows(
-        data, head, data.count(b"\n", head), dim, True, b",")
+    lines = Lines(Path(path).read_bytes(), FeatureFileError)
+    header = _HEADER.fullmatch(lines.next().strip())
+    if header is None:
+        raise FeatureFileError(
+            f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
+    dim = parse_ints([header[1]], FeatureFileError)[0]
+    if dim < 1:
+        raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
+    data, at = lines.data, lines.at
+    # the lines left: one per line end, and one more if none ends the file
+    count = data.count(b"\n", at) + (not data.endswith((b"\n", b"\r")))
+    if b"\r" in data:          # CR line ends, not counting CRLF twice
+        count += data.count(b"\r", at) - data.count(b"\r\n", at)
+    bulk = _int_rows(data, at, count, dim, True, b",")
     if bulk:
         return bulk[1:]
-    return _read_fields(data)
-
-
-def _read_fields(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """`read_feature_file` on the per-field path."""
-    # non-ASCII bytes decode to U+FFFD, which no numeric field accepts
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
-                          errors="replace") as fh:
-        header = _HEADER.fullmatch(fh.readline().strip())
-        if header is None:
-            raise FeatureFileError(
-                f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
-        dim = parse_ints([header[1]], FeatureFileError)[0]
-        if dim < 1:
-            raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
-        labels, X = parse_rows((s for s in map(str.strip, fh) if s), dim,
-                               ",", FeatureFileError)
+    labels, X = parse_rows((s for s in map(str.strip, lines) if s), count,
+                           len(data), dim, ",", FeatureFileError)
     return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X

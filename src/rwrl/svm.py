@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (MAX_DEGREE, ConvergenceError, NonFiniteKernelError,
-                     SingleClassError)
+from .errors import (MAX_DEGREE, MAX_QUOTE, ConvergenceError,
+                     NonFiniteKernelError, SingleClassError)
 from .features import probe_rows, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
@@ -33,7 +33,7 @@ class KernelParams:
 
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "rbf"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise ValueError(f"unknown kernel kind {self.kind!r:.{MAX_QUOTE}}")
         if not (1 <= self.degree <= MAX_DEGREE and self.degree % 1 == 0):
             raise ValueError(f"degree must be an integer in 1..{MAX_DEGREE}")
         # as the CLI flags and the model file's float rule: finite values,

@@ -854,6 +854,34 @@ def test_malformed_input_exit2(tmp_path, monkeypatch, capsys, name, text,
     assert "error: " in capsys.readouterr().err
 
 
+KNN = ("#rwrl-knn-v2\nk 1\nclasses 0\ndim 2\nmean 0.0 0.0\nstd 1.0 1.0\n"
+       "pool 1\n1 2\nlabels 0\nend\n")
+
+
+@pytest.mark.parametrize("name, text, argv, error", [
+    ("f.txt", "#rwrl-v1,dim=2\n" + "1" * 200_000 + "x,1,2\n",
+     ["train", "f.txt", "m"], "FeatureFileError"),
+    ("m.txt", KNN.replace("v2", "v2 " + "x" * 100_000),
+     ["predict", "m.txt", "f.txt", "p.csv"], "CorruptModelError"),
+    ("m.txt", KNN.replace("v2", "v" + "9" * 100_000),
+     ["predict", "m.txt", "f.txt", "p.csv"], "VersionMismatchError"),
+    ("m.txt", "#rwrl-svm-v3\nkernel " + "x" * 100_000 + " degree=3 "
+              "gamma=0.5 coef0=0.0 C=1.0\n" + KNN.split("\n", 2)[2],
+     ["predict", "m.txt", "f.txt", "p.csv"], "CorruptModelError"),
+    ("c.csv", "class,0,1\n0,1,0\n1,0," + "9" * 100_000 + "x\n",
+     ["report", "c.csv", "out"], "UnknownLabelError"),
+], ids=["feature-label", "model-header", "model-version", "kernel-kind",
+        "confusion-count"])
+def test_error_messages_quote_a_bounded_part_of_a_field(
+        tmp_path, monkeypatch, capsys, name, text, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text(FEATURES)
+    (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}: " in err and len(err) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "f.txt", "m.txt"],
     ["predict", "m.txt", "f.txt", "p.csv"],

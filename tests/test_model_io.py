@@ -64,6 +64,24 @@ def test_wrong_version_tag():
         model_load(bumped)
 
 
+@pytest.mark.parametrize("tag, error", [
+    (b" #rwrl-knn-v7 ", VersionMismatchError),
+    (b"#rwrl-svm-v" + b"9" * 100_000, VersionMismatchError),
+    (b"#rwrl-knn-v2 " + b"x" * 100_000, CorruptModelError),
+    (b"#rwrl-svm-v3 x", CorruptModelError),
+    (b"#rwrl-svm-v", CorruptModelError),
+    (b"#rwrl-knn-v2x", CorruptModelError),
+    (b"#rwrl-svm-v-2", CorruptModelError),
+    (b"#rwrl-svm-V2", CorruptModelError),
+], ids=["padded", "long-version", "long-tail", "space-tail", "no-digits",
+        "letter-tail", "minus", "upper-case"])
+def test_only_an_exact_version_tag_is_a_version_mismatch(tag, error):
+    data = re.sub(rb"^[^\n]*", tag, _knn_bytes())
+    with pytest.raises(error) as exc:
+        model_load(data)
+    assert type(exc.value) is error and len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
 def test_svm_pool_roundtrip_is_exact(kind):
     X, y = small_problem(seed=4)
@@ -340,19 +358,6 @@ def assert_models_equal(a, b):
         assert (m.first, m.second, m.bias) == (n.first, n.second, n.bias)
         assert np.array_equal(m.pool_index, n.pool_index)
         assert np.array_equal(m.coefficients, n.coefficients)
-
-
-@pytest.mark.parametrize("make", [_knn_bytes, _svm_bytes])
-@pytest.mark.parametrize("line_end", [b"\r\n", b"\r", b"\x0b", b"\x0c",
-                                      b"\x1c", b"\x1d", b"\x1e"])
-def test_records_end_where_str_splitlines_ends_a_line(make, line_end):
-    # the loader reads records from bytes, with the line ends of
-    # str.splitlines(): "\r\n" is one, and one more after `end` is data
-    data = make()
-    assert_models_equal(model_load(data.replace(b"\n", line_end)),
-                        model_load(data))
-    with pytest.raises(CorruptModelError, match="after the end marker"):
-        model_load(data.replace(b"\n", line_end) + line_end)
 
 
 def _two_class_svm():

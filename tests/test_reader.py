@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from rwrl import model_io, reader
-from rwrl.errors import FeatureFileError, RwrlError
+from rwrl.errors import (CorruptModelError, FeatureFileError, RwrlError,
+                         UnknownLabelError)
+from rwrl.evaluate import confusion, read_confusion_csv, write_confusion_csv
 from rwrl.features import write_feature_file
-from rwrl.model_io import model_load
+from rwrl.knn import knn_train
+from rwrl.model_io import model_load, model_save
 from rwrl.reader import read_feature_file
+from rwrl.svm import KernelParams, svm_train
 
 KINDS = ("features", "knn", "svm")
 
@@ -159,6 +163,16 @@ def test_other_rows_fall_back_to_the_same_outcome(paths, kind, edit):
     assert bulk == per_field
 
 
+def _traced_peak(path) -> tuple[int, np.ndarray]:
+    """The tracemalloc peak of reading the feature file at `path`, and X."""
+    tracemalloc.start()
+    try:
+        _, X = read_feature_file(path)
+        return tracemalloc.get_traced_memory()[1], X
+    finally:
+        tracemalloc.stop()
+
+
 def test_bulk_read_holds_the_matrix_once(tmp_path):
     # 6000 x 196 integer rows, the paper's protocol: no list of per-row
     # arrays, no stacked copy and no temporary of the matrix's size
@@ -168,12 +182,18 @@ def test_bulk_read_holds_the_matrix_once(tmp_path):
     path = tmp_path / "features.txt"
     write_feature_file(path, rng.integers(0, 10, 6000), X)
     del X
-    tracemalloc.start()
-    try:
-        _, read = read_feature_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, read = _traced_peak(path)
+    assert peak <= read.nbytes + path.stat().st_size + 2 ** 20
+
+
+def test_per_field_read_holds_the_matrix_once(tmp_path):
+    # 2000 x 196 float rows go field by field, each row written into one
+    # matrix: no list of per-row arrays and no stacked copy
+    rng = np.random.default_rng(43)
+    path = tmp_path / "features.txt"
+    write_feature_file(path, rng.integers(0, 10, 2000),
+                       rng.random((2000, 196)))
+    peak, read = _traced_peak(path)
     assert peak <= read.nbytes + path.stat().st_size + 2 ** 20
 
 
@@ -204,3 +224,70 @@ def test_short_rows_allocate_nothing_of_dim_size(tmp_path, kind, dim,
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def _problem(integer: bool):
+    """30 rows of 6 features in 3 classes, integers or not."""
+    rng = np.random.default_rng(47)
+    y = np.repeat(np.arange(3), 10)
+    X = rng.integers(0, 50, (30, 6)) + 100 * y[:, None]
+    return (X if integer else X + rng.random(X.shape)), y
+
+
+def _read_features(path):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in read_feature_file(path)]
+
+
+def _read_model(path):
+    return model_save(model_load(path.read_bytes()))   # exact round trip
+
+
+def _read_confusion(path):
+    cm = read_confusion_csv(path)
+    return cm.classes, cm.counts.tolist()
+
+
+# every table rwrl reads: its error class, its writer and its reader
+TABLES = {
+    "features-integer": (FeatureFileError, lambda path: write_feature_file(
+        path, *_problem(True)[::-1]), _read_features),
+    "features-float": (FeatureFileError, lambda path: write_feature_file(
+        path, *_problem(False)[::-1]), _read_features),
+    "knn": (CorruptModelError, lambda path: path.write_bytes(model_save(
+        knn_train(*_problem(True), k=3))), _read_model),
+    "svm": (CorruptModelError, lambda path: path.write_bytes(model_save(
+        svm_train(*_problem(False), KernelParams("linear")))), _read_model),
+    "confusion": (UnknownLabelError, lambda path: write_confusion_csv(
+        path, confusion([0, 0, 1, 4, 4], [0, 1, 1, 4, 0], [0, 1, 4])),
+        _read_confusion),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("edit", [
+    b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "non-ascii",
+], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "non-ascii"])
+def test_every_table_ends_its_lines_at_lf_crlf_or_cr(tmp_path, table, edit):
+    # one line rule for all tables (rwrl.reader.Lines): CRLF and CR read as
+    # LF, the other line ends of str.splitlines() end no line, and a file
+    # that is not ASCII is refused, each with the table's own error class
+    error, write, read = TABLES[table]
+    path = tmp_path / "table"
+    write(path)
+    lf = path.read_bytes()
+    expected = read(path)
+    if edit in (b"\r\n", b"\r"):
+        path.write_bytes(lf.replace(b"\n", edit))
+        assert read(path) == expected
+        if error is CorruptModelError:     # one more line end is data
+            path.write_bytes(lf.replace(b"\n", edit) + edit)
+            with pytest.raises(error, match="after the end marker"):
+                read(path)
+        return
+    # a non-ASCII byte where stripping might hide it: before a line end
+    path.write_bytes(lf[:-1] + b"\xa0\n" if edit == "non-ascii"
+                     else lf.replace(b"\n", edit))
+    with pytest.raises(error) as exc:
+        read(path)
+    assert type(exc.value) is error
