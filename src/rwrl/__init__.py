@@ -19,13 +19,13 @@ _LAYERS = {
     "evaluate": ("ClassMetrics", "ConfusionMatrix", "OverallMetrics",
                  "class_metrics", "confusion", "holdout_split",
                  "overall_metrics", "score_folds", "stratified_kfold"),
-    "features": ("extract_contour", "extract_features", "scale_features",
-                 "write_feature_file"),
+    "features": ("extract_contour", "extract_features"),
     "knn": ("KnnModel", "knn_predict_batch", "knn_train"),
     "model_io": ("model_load", "model_save"),
     "raster": ("binarize", "decode_image", "encode_pgm", "gaussian_smooth",
                "ink", "normalize_digit", "otsu_threshold"),
     "reader": ("read_feature_file",),
+    "rows": ("scale_features", "write_feature_file"),
     "svm": ("KernelParams", "SvmModel", "kernel_matrix", "svm_predict_batch",
             "svm_train"),
 }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import math
 import sys
@@ -174,8 +175,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import features  # loaded before the workers fork, not in each one
     from .dataset import scan_dataset
-    from .features import write_feature_file
+    from .rows import write_feature_file
     entries = scan_dataset(args.in_dir).entries
     passed = _run_images(_extract_chunk, [(str(p),) for p, _ in entries],
                          args.jobs)
@@ -217,17 +219,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .features import write_csv
-    from .knn import knn_predict_batch
-    from .model_io import model_load
+    from .model_io import model_kind, model_load
     from .reader import read_feature_file
-    from .svm import SvmModel, svm_predict_batch
+    from .rows import write_csv
     model = model_load(Path(args.model).read_bytes())
     y, X = read_feature_file(args.features)
     if not len(y):
         raise EmptyDataError("feature file holds no rows to predict")
-    predict = (svm_predict_batch if isinstance(model, SvmModel)
-               else knn_predict_batch)
+    # the loaded model's own classifier module, already imported by the load
+    if model_kind(model) == "svm":
+        from .svm import svm_predict_batch as predict
+    else:
+        from .knn import knn_predict_batch as predict
     predicted = predict(model, X)
     write_csv(args.out_csv, itertools.chain(
         [("index", "true", "predicted")], zip(itertools.count(), y, predicted)))
@@ -246,8 +249,8 @@ def _write_reports(out_dir, cm):
 
 def cmd_eval(args) -> int:
     from . import evaluate
-    from .features import write_csv
     from .reader import read_feature_file
+    from .rows import write_csv
     fit, predict = _classifier(args)
     y, X = read_feature_file(args.features)
 
@@ -402,7 +405,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # At exit CPython runs a full collection over every tracked object,
+        # some 22k of them from numpy's import alone, though a command leaves
+        # no garbage cycle worth freeing. Frozen objects are out of its
+        # reach. Not os._exit: that skips atexit handlers and the flush of
+        # stdout and stderr (the forked workers do end in os._exit).
+        gc.freeze()
 
 
 if __name__ == "__main__":

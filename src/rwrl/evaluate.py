@@ -22,8 +22,8 @@ from .errors import (
     TooFewSamplesError,
     UnknownLabelError,
 )
-from .features import _int_labels, write_csv
 from .reader import Lines, parse_ints
+from .rows import _int_labels, write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def write_reports(out_dir, cm: ConfusionMatrix,
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
     """A matrix that read_confusion_csv would refuse raises
     UnknownLabelError before the file is opened; classes and counts follow
-    `features._int_labels`' rule."""
+    `rows._int_labels`' rule."""
     classes = _int_labels(cm.classes, UnknownLabelError).tolist()
     counts = _int_labels(cm.counts, UnknownLabelError)
     _check_counts(classes, counts)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyModelError, FeatureFileError, TooFewSamplesError
-from .features import probe_rows, scale_features, training_rows
+from .rows import probe_rows, scale_features, training_rows
 
 # Bound on a chunk's (rows, n) block, and separately on its refine slab.
 CHUNK_BYTES = 1 << 20

@@ -10,39 +10,52 @@ and in training order, as LIBSVM's model shares them. Last come a
 ``labels`` line (k-NN) or, per class pair in ``combinations(classes, 2)``
 order, ``machine a b nsv=M bias=B`` and M ``pool-index coefficient``
 rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
-``machine`` line stand in the writer's order, each once. Every value reads
+``machine`` line stand in the writer's order, each once, and every record
+after the version line joins its fields with single spaces. Every value reads
 back exactly, and a loaded model z-scores its pool as a trained one does,
 so it predicts bit-identically. The loader reads the file record by record
 through `reader.Lines`, with the line ends and ASCII rule of every rwrl
 table; pool rows of short integers, as integer features write them, are
 read in bulk by `reader._int_rows`, and every other row field by field.
+
+Only the classifier module of the model kind saved or loaded is imported:
+a program that saves or loads k-NN models never compiles `svm`, and the
+other way round.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 
 from .errors import MAX_QUOTE, CorruptModelError, VersionMismatchError
-from .features import format_rows
-from .knn import KnnModel
 from .reader import Lines, _int_rows, parse_floats, parse_ints, parse_rows
-from .svm import BinaryMachine, KernelParams, SvmModel
+from .rows import format_rows
 
 SVM_VERSION = "#rwrl-svm-v3"
 KNN_VERSION = "#rwrl-knn-v2"
 _END = "end"
 
 
+def model_kind(model) -> str:
+    """The kind of a model: svm for an SvmModel, knn for a KnnModel.
+    Neither module is imported: only a loaded one can have made the model."""
+    for kind, name in (("svm", "SvmModel"), ("knn", "KnnModel")):
+        module = sys.modules.get(f"{__package__}.{kind}")
+        if module is not None and isinstance(model, getattr(module, name)):
+            return kind
+    raise TypeError(f"not an rwrl model: {type(model).__name__}")
+
+
 def model_save(model) -> bytes:
     """Serialize an SvmModel or KnnModel to bytes. A model that breaks a
     rule model_load checks raises CorruptModelError instead."""
-    if not isinstance(model, (SvmModel, KnnModel)):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+    kind = model_kind(model)
     _check_header(model.classes, model.mean, model.std, model.pool)
-    if isinstance(model, SvmModel):
+    if kind == "svm":
         _check_machines(model.classes, len(model.pool), model.machines)
         p = _check_kernel(*astuple(model.params))
         head = [SVM_VERSION, f"kernel {p.kind} degree={p.degree} "
@@ -72,9 +85,10 @@ def model_save(model) -> bytes:
 # before either builds anything. The loader's record and field syntax, and
 # format_rows' refusal of a non-finite row, cover the rest.
 
-def _check_kernel(kind, degree, gamma, coef0, C) -> KernelParams:
+def _check_kernel(kind, degree, gamma, coef0, C):
     """KernelParams' own rule, with gamma resolved: the parameters as the
     int and floats that a kernel line holds."""
+    from .svm import KernelParams
     if gamma is None:
         raise CorruptModelError("bad kernel parameters: gamma is unresolved")
     try:
@@ -126,9 +140,13 @@ class _Reader(Lines):
     """A model file's records, one line each."""
 
     def expect(self, key: str) -> list[str]:
-        fields = self.next().split()
-        if not fields or fields[0] != key:
+        line = self.next()
+        fields = line.split(" ")
+        if fields[0] != key:
             raise CorruptModelError(f"expected {key!r} record")
+        if fields != line.split():     # an empty field, or another blank
+            raise CorruptModelError(
+                f"{key} record: fields are not joined by single spaces")
         return fields[1:]
 
     def integer(self, key: str) -> int:
@@ -161,10 +179,10 @@ class _Reader(Lines):
                 self.at, _, rows = bulk
                 return [], rows
         return parse_rows((self.next() for _ in range(count)), count,
-                          len(self.data), dim, None, CorruptModelError, keyed)
+                          len(self.data), dim, " ", CorruptModelError, keyed)
 
     def end(self) -> None:
-        if self.next().strip() != _END:
+        if self.next() != _END:
             raise CorruptModelError("missing end marker")
         if self.at != len(self.data):
             raise CorruptModelError("data after the end marker")
@@ -192,7 +210,8 @@ def _values(fields, keys) -> list[str]:
     return [f.partition("=")[2] for f in fields]
 
 
-def _load_svm(reader: _Reader) -> SvmModel:
+def _load_svm(reader: _Reader):
+    from .svm import BinaryMachine, SvmModel
     fields = reader.expect("kernel")
     degree, *floats = _values(fields[1:], ("degree", "gamma", "coef0", "C"))
     params = _check_kernel(fields[0], parse_ints([degree], CorruptModelError)[0],
@@ -215,7 +234,8 @@ def _load_svm(reader: _Reader) -> SvmModel:
     return SvmModel(classes, params, mean, std, pool, machines)
 
 
-def _load_knn(reader: _Reader) -> KnnModel:
+def _load_knn(reader: _Reader):
+    from .knn import KnnModel
     k = reader.integer("k")
     classes, mean, std, pool = reader.header()
     labels = np.array(parse_ints(reader.expect("labels"), CorruptModelError),

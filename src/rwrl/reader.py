@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MAX_QUOTE, PGM_MAX_DIGITS, FeatureFileError
-from .features import FEATURE_FILE_VERSION
+from .rows import FEATURE_FILE_VERSION
 
 _LINE = re.compile(rb"([^\n\r]*)(?:\r\n?|\n)?")  # a line and its line end
 _HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
@@ -96,11 +96,11 @@ def parse_floats(fields, error: type[Exception]) -> np.ndarray:
     return values
 
 
-def parse_rows(lines, count: int, size: int, dim: int, sep: str | None,
+def parse_rows(lines, count: int, size: int, dim: int, sep: str,
                error: type[Exception], keyed: bool = True
                ) -> tuple[list[str], np.ndarray]:
     """The key field and `dim` floats of each of at most `count` lines, of
-    `size` bytes at most, split at `sep` (None: whitespace), or the floats
+    `size` bytes at most, split at `sep`, or the floats
     alone unless `keyed`: the per-field path. Returns the keys and a
     (lines, dim) matrix, allocated once a line is read at full width and no
     larger than `count` rows or `size` bytes hold (two bytes a float)."""
@@ -137,8 +137,7 @@ def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
     blocks are converted in place into it, and no temporary is sized by
     the whole matrix."""
     fields = dim + keyed
-    if (dim < 1 or count < 1 or 2 * fields * count > len(data) - at
-            or data.count(b"\n", at) < count):
+    if dim < 1 or count < 1 or 2 * fields * count > len(data) - at:
         return None
     rows = None
     done = 0
@@ -147,6 +146,8 @@ def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
         # past the count-th
         end = (data.rfind(b"\n", at, at + _BLOCK) + 1
                or data.find(b"\n", at) + 1)
+        if not end:         # fewer than `count` LF-ended lines
+            return None
         text = np.frombuffer(data, np.uint8, end - at, at)
         if data.count(b"\n", at, end) > count - done:
             text = text[:np.flatnonzero(text == _LF)[count - done - 1] + 1]

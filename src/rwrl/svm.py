@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (MAX_DEGREE, MAX_QUOTE, ConvergenceError,
                      NonFiniteKernelError, SingleClassError)
-from .features import probe_rows, scale_features, training_rows
+from .rows import probe_rows, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
@@ -124,15 +124,15 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float
     converged = False
     for _ in range(SMO_MAX_ITER_FACTOR * n):
         up, low = beta < ub, beta > lb
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        gap = score[i] - np.min(score, where=low, initial=np.inf)
+        i = int(np.where(up, score, -np.inf).argmax())
+        gap = score[i] - np.where(low, score, np.inf).min()
         if gap < SMO_TOLERANCE:
             converged = True
             break
         b = score[i] - score
         a = diag[i] + diag - 2.0 * K[i]
         a = np.where(a > 0, a, SMO_TAU)
-        j = int(np.argmax(np.where(low & (b > 0), b * b / a, -np.inf)))
+        j = int(np.where(low & (b > 0), b * b / a, -np.inf).argmax())
         # largest step that keeps both coefficients inside their box
         room_i, room_j = ub[i] - beta[i], beta[j] - lb[j]
         t = min(b[j] / a[j], room_i, room_j)
@@ -182,6 +182,7 @@ def svm_train(features, labels, params: KernelParams | None = None,
                 f"kernel matrix of classes {a} and {b} is not finite "
                 "(the kernel parameters overflow)")
         beta, bias, converged = _smo(gram, sub_y, params.C)
+        del sub, gram   # before the next pair's: one Gram matrix at a time
         if not converged:
             raise ConvergenceError(
                 f"SMO for classes {a} and {b} stopped at the iteration cap "

@@ -14,9 +14,9 @@ import pytest
 import rwrl
 from rwrl import dataset
 from rwrl.cli import CHUNK, build_parser, main
-from rwrl.features import write_feature_file
 from rwrl.raster import encode_pgm
 from rwrl.reader import read_feature_file
+from rwrl.rows import write_feature_file
 
 from test_raster import make_bmp
 
@@ -441,11 +441,15 @@ def test_directories_named_like_images_skipped(tmp_path, capsys):
     assert "wrote 20 feature rows" in out
 
 
-def _rwrl_subprocess(script, *args):
+def _rwrl_env() -> dict[str, str]:
+    """The environment with this rwrl first on PYTHONPATH."""
     path = [str(Path(rwrl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _rwrl_subprocess(script, *args):
     return subprocess.run([sys.executable, "-c", script, *map(str, args)],
-                          env=env, capture_output=True, text=True)
+                          env=_rwrl_env(), capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -572,30 +576,34 @@ def test_worker_failure_exits_2(tmp_path, monkeypatch, capsys, case, error):
 
 
 # the rwrl layers each command loads, besides cli and errors: only the
-# image commands load raster, only the table readers load reader (extract
-# writes a feature file and never compiles it), and no command loads the
-# csv module
+# image commands load raster, only extract loads features, only the table
+# readers load reader (extract writes a feature file and never compiles
+# it), a command of one classifier never loads the other, and no command
+# loads the csv module
 _LOADED = {
     "help": set(),
     "synth": {"dataset", "pcg", "raster"},
     "preprocess": {"dataset", "raster"},
-    "extract": {"dataset", "features", "raster"},
-    "eval-svm": {"features", "evaluate", "pcg", "reader", "svm"},
-    "eval-knn": {"features", "evaluate", "knn", "pcg", "reader"},
-    "train-svm": {"features", "model_io", "reader", "svm", "knn"},
-    "train-knn": {"features", "model_io", "reader", "svm", "knn"},
-    "predict": {"features", "model_io", "reader", "svm", "knn"},
-    "report": {"features", "evaluate", "reader"},
+    "extract": {"dataset", "features", "raster", "rows"},
+    "eval-svm": {"evaluate", "pcg", "reader", "rows", "svm"},
+    "eval-knn": {"evaluate", "knn", "pcg", "reader", "rows"},
+    "train-svm": {"model_io", "reader", "rows", "svm"},
+    "train-knn": {"knn", "model_io", "reader", "rows"},
+    "predict": {"model_io", "reader", "rows", "svm"},
+    "predict-knn": {"knn", "model_io", "reader", "rows"},
+    "report": {"evaluate", "reader", "rows"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(_LOADED))
 def test_command_loads_only_its_layers(corpus, tmp_path, command):
     features, out = corpus / "features.txt", tmp_path
-    if command in ("predict", "report"):
+    if command in ("predict", "predict-knn", "report"):
         assert main(["eval", str(features), str(out / "ev"),
                      "--holdout", "4"]) == 0
         assert main(["train", str(features), str(out / "m.txt")]) == 0
+        assert main(["train", str(features), str(out / "k.txt"),
+                     "--classifier", "knn"]) == 0
     argv = {
         "help": ["--help"],
         "synth": ["synth", out / "raw", "--per-class", "1", "--jobs", "1"],
@@ -607,6 +615,7 @@ def test_command_loads_only_its_layers(corpus, tmp_path, command):
         "train-svm": ["train", features, out / "s.txt"],
         "train-knn": ["train", features, out / "k.txt", "--classifier", "knn"],
         "predict": ["predict", out / "m.txt", features, out / "p.csv"],
+        "predict-knn": ["predict", out / "k.txt", features, out / "p.csv"],
         "report": ["report", out / "ev" / "confusion.csv", out / "r"],
     }[command]
     script = """
@@ -649,6 +658,48 @@ except SystemExit as exc:
 """
     result = _rwrl_subprocess(script, *argv)
     assert result.stdout.split()[-2:] == [str(code), "False"], result.stderr
+
+
+_EXIT_CASES = {
+    "train-svm": ["train", "features.txt", "out.txt"],
+    "train-knn": ["train", "features.txt", "out.txt", "--classifier", "knn"],
+    "predict-svm": ["predict", "svm.txt", "features.txt", "out.csv"],
+    "predict-knn": ["predict", "knn.txt", "features.txt", "out.csv"],
+    "error": ["predict", "missing.txt", "features.txt", "out.csv"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+def test_script_exit_matches_main(corpus, tmp_path, monkeypatch, capsys,
+                                  case):
+    """`python -m rwrl.cli`, which ends through `entry`, gives the exit
+    code, stdout, stderr and files of an in-process `main`."""
+    argv = _EXIT_CASES[case]
+    for run in ("main", "script"):
+        (tmp_path / run).mkdir()
+        shutil.copy(corpus / "features.txt", tmp_path / run)
+    monkeypatch.chdir(tmp_path / "main")
+    monkeypatch.setenv("COLUMNS", "80")     # --help wraps at the same width
+    assert main(["train", "features.txt", "svm.txt"]) == 0
+    assert main(["train", "features.txt", "knn.txt", "--classifier", "knn"]) == 0
+    for model in ("svm.txt", "knn.txt"):
+        shutil.copy(model, tmp_path / "script")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    env = _rwrl_env()
+    env.pop("PYTHONUNBUFFERED", None)   # block-buffered, as pipes default to
+    result = subprocess.run([sys.executable, "-m", "rwrl.cli", *argv],
+                            cwd=tmp_path / "script", env=env,
+                            capture_output=True, text=True)
+    assert code == {"error": 2}.get(case, 0)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, captured.out, captured.err)
+    assert _tree_bytes(tmp_path / "script") == _tree_bytes(tmp_path / "main")
 
 
 def test_import_rwrl_loads_layers_on_use():

@@ -18,12 +18,10 @@ from rwrl.features import (
     Direction,
     extract_contour,
     extract_features,
-    format_rows,
-    scale_features,
-    write_feature_file,
 )
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.reader import read_feature_file
+from rwrl.rows import format_rows, scale_features, write_feature_file
 from rwrl.svm import (
     KernelParams,
     svm_decision_table,

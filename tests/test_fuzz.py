@@ -25,11 +25,11 @@ from rwrl.evaluate import (
     write_confusion_csv,
     write_reports,
 )
-from rwrl.features import write_feature_file
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
 from rwrl.raster import DARK_INK, decode_image, encode_pgm
 from rwrl.reader import read_feature_file
+from rwrl.rows import write_feature_file
 from rwrl.svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 
 from oracle_utils import encode_pgm_ascii, read_pgm_reference

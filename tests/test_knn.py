@@ -11,9 +11,9 @@ from rwrl.errors import (
     FeatureFileError,
     TooFewSamplesError,
 )
-from rwrl.features import scale_features, write_feature_file
 from rwrl.knn import CHUNK_BYTES, KnnModel, knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
+from rwrl.rows import scale_features, write_feature_file
 
 
 def test_k1_returns_exact_match():

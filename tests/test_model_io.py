@@ -344,6 +344,51 @@ def test_float_spellings_load_as_float_reads_them(field):
         assert loaded(model_load(mutated)) == float(spelling), spelling
 
 
+def _int_knn_bytes():
+    X, y = small_problem(seed=2)
+    return model_save(knn_train(np.rint(X), y, k=3))
+
+
+# a record of each kind after the version line: group 1 is the line
+RECORDS = {
+    "kernel": (_svm_bytes, rb"\n(kernel [^\n]*)"),
+    "classes": (_knn_bytes, rb"\n(classes [^\n]*)"),
+    "mean": (_svm_bytes, rb"\n(mean [^\n]*)"),
+    "float-pool-row": (_svm_bytes, rb"\npool \d+\n([^\n]*)"),
+    "int-pool-row": (_int_knn_bytes, rb"\npool \d+\n([^\n]*)"),
+    "machine": (_svm_bytes, rb"\n(machine [^\n]*)"),
+    "machine-row": (_svm_bytes, rb"bias=\S+\n([^\n]*)"),
+    "labels": (_knn_bytes, rb"\n(labels [^\n]*)"),
+    "end": (_knn_bytes, rb"\n(end)\n\Z"),
+}
+BLANKS = {"tab": b"\t", "x0b": b"\x0b", "x0c": b"\x0c", "x1c": b"\x1c",
+          "x1d": b"\x1d", "x1e": b"\x1e", "x1f": b"\x1f", "two-spaces": b"  "}
+SPOILS = {
+    **{f"{name}-between": lambda line, b=blank: line.replace(b" ", b, 1)
+       for name, blank in BLANKS.items()},
+    "space-leading": lambda line: b" " + line,
+    "space-trailing": lambda line: line + b" ",
+    "tab-leading": lambda line: b"\t" + line,
+    "tab-trailing": lambda line: line + b"\t",
+}
+
+
+@pytest.mark.parametrize("record, spoil", [
+    (record, spoil) for record in RECORDS for spoil in SPOILS
+    if record != "end" or not spoil.endswith("-between")])
+def test_fields_are_joined_by_single_spaces(record, spoil):
+    # as model_save writes them: any other blank between, before or after
+    # the fields of a record is corrupt
+    make, pattern = RECORDS[record]
+    data = make()
+    line = re.search(pattern, data)
+    mutated = (data[:line.start(1)] + SPOILS[spoil](line[1])
+               + data[line.end(1):])
+    assert model_load(data) and mutated != data
+    with pytest.raises(CorruptModelError):
+        model_load(mutated)
+
+
 def assert_models_equal(a, b):
     assert type(a) is type(b)
     assert a.classes == b.classes

@@ -16,10 +16,10 @@ from rwrl import model_io, reader
 from rwrl.errors import (CorruptModelError, FeatureFileError, RwrlError,
                          UnknownLabelError)
 from rwrl.evaluate import confusion, read_confusion_csv, write_confusion_csv
-from rwrl.features import write_feature_file
 from rwrl.knn import knn_train
 from rwrl.model_io import model_load, model_save
 from rwrl.reader import read_feature_file
+from rwrl.rows import write_feature_file
 from rwrl.svm import KernelParams, svm_train
 
 KINDS = ("features", "knn", "svm")

@@ -10,7 +10,7 @@ from rwrl.errors import (
     NonFiniteKernelError,
     SingleClassError,
 )
-from rwrl.features import scale_features
+from rwrl.rows import scale_features
 from rwrl.svm import (
     SMO_TOLERANCE,
     BinaryMachine,
@@ -159,6 +159,23 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes
+
+    def test_one_gram_matrix_at_a_time(self):
+        # three classes of 400 two-column rows: each pair's 800x800 Gram
+        # matrix (5 MB) dwarfs X (19 KB), so a pair's rows and Gram matrix
+        # kept alive while the next pair's are built would double the peak
+        rng = np.random.default_rng(0)
+        X = (np.repeat([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]], 400, axis=0)
+             + rng.normal(size=(1200, 2)))
+        y = np.repeat([0, 1, 2], 400)
+        gram_bytes = 800 * 800 * X.itemsize
+        tracemalloc.start()
+        try:
+            svm_train(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * gram_bytes
 
     def test_non_finite_kernel_rejected(self):
         X = np.vstack([np.eye(3), -np.eye(3)])
