@@ -14,9 +14,8 @@ rows (SVM), then ``end``. The ``key=value`` fields of a ``kernel`` or
 after the version line joins its fields with single spaces. Every value reads
 back exactly, and a loaded model z-scores its pool as a trained one does,
 so it predicts bit-identically. The loader reads the file record by record
-through `reader.Lines`, with the line ends and ASCII rule of every rwrl
-table; pool rows of short integers, as integer features write them, are
-read in bulk by `reader._int_rows`, and every other row field by field.
+through `reader.Lines`, with the line, row and ASCII rules of every rwrl
+table: `Lines.rows` reads the pool and each machine block.
 
 Only the classifier module of the model kind saved or loaded is imported:
 a program that saves or loads k-NN models never compiles `svm`, and the
@@ -32,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import MAX_QUOTE, CorruptModelError, VersionMismatchError
-from .reader import Lines, _int_rows, parse_floats, parse_ints, parse_rows
+from .reader import Lines, parse_floats, parse_ints
 from .rows import format_rows
 
 SVM_VERSION = "#rwrl-svm-v3"
@@ -162,24 +161,9 @@ class _Reader(Lines):
         dim = self.integer("dim")
         mean = parse_floats(self.expect("mean"), CorruptModelError)
         std = parse_floats(self.expect("std"), CorruptModelError)
-        _, pool = self.rows(self.integer("pool"), dim, keyed=False)
+        _, pool = self.rows(self.integer("pool"), dim, " ", keyed=False)
         _check_header(classes, mean, std, pool)
         return classes, mean, std, pool
-
-    def rows(self, count: int, dim: int, keyed: bool = True
-             ) -> tuple[list[str], np.ndarray]:
-        """`count` rows of `dim` floats, each after one key field if `keyed`:
-        the key fields and a (count, dim) array. Unkeyed rows of integers
-        are read in bulk when `_int_rows` takes them."""
-        if count < 0:
-            raise CorruptModelError(f"negative row count {count}")
-        if not keyed:
-            bulk = _int_rows(self.data, self.at, count, dim, False, b" ")
-            if bulk is not None:
-                self.at, _, rows = bulk
-                return [], rows
-        return parse_rows((self.next() for _ in range(count)), count,
-                          len(self.data), dim, " ", CorruptModelError, keyed)
 
     def end(self) -> None:
         if self.next() != _END:
@@ -226,8 +210,7 @@ def _load_svm(reader: _Reader):
         nsv, bias = _values(head[2:], ("nsv", "bias"))
         nsv = parse_ints([nsv], CorruptModelError)[0]
         bias = parse_floats([bias], CorruptModelError).item()
-        keys, coefs = reader.rows(nsv, 1)
-        index = np.array(parse_ints(keys, CorruptModelError), dtype=np.int64)
+        index, coefs = reader.rows(nsv, 1, " ", keyed=True)
         machines.append(BinaryMachine(*pair, index, coefs.ravel(), bias))
     reader.end()
     _check_machines(classes, len(pool), machines)

@@ -1,13 +1,14 @@
 """The line and field rules of every rwrl table, and the feature file reader.
 
-Feature, model and confusion files are read through `Lines`: a line ends
-at LF, CRLF or CR, and a file that is not ASCII raises the table's error
-class. Fields follow `parse_ints` and `parse_floats`, and no message
-quotes more than MAX_QUOTE characters of one. Rows of numbers go into one
-matrix with the values `float()` gives: in bulk (`_int_rows`), a block of
-lines per numpy pass, if all fields are integers of at most 15 digits,
-LF-ended and joined by one separator byte, else field by field
-(`parse_rows`).
+Feature, model and confusion files are read through `Lines`: a file that
+is not ASCII raises the table's error class, CRLF and CR line ends are
+made LF once, and a line is all that lies between two LFs: no blank is
+trimmed and no line is skipped. Fields follow `parse_ints` and
+`parse_floats`, and no message quotes more than MAX_QUOTE characters of
+one. `Lines.rows` reads rows of numbers into one matrix with the values
+`float()` gives: in bulk (`_bulk_rows`), a block of lines per numpy pass,
+if all fields are integers of at most 15 digits, LF-ended and joined by
+one separator byte, else field by field.
 
 Only the commands that read a table (train, predict, eval, report) import
 this module; `extract` writes feature files and never compiles it.
@@ -23,10 +24,10 @@ import numpy as np
 from .errors import MAX_QUOTE, PGM_MAX_DIGITS, FeatureFileError
 from .rows import FEATURE_FILE_VERSION
 
-_LINE = re.compile(rb"([^\n\r]*)(?:\r\n?|\n)?")  # a line and its line end
 _HEADER = re.compile(FEATURE_FILE_VERSION + ",dim=([0-9]+)")
 _INTEGER = re.compile("(-?)0*([0-9]+)")  # sign, digits past leading zeros
 _FLOAT_BYTES = b"0123456789.e+-"
+_INT_BYTES = b"0123456789-"
 
 # Bulk reading: 10**15 < 2**53, so float64 holds every integer of at most
 # 15 digits exactly and each partial sum below is exact. A block of about
@@ -38,12 +39,15 @@ _LF, _MINUS, _ZERO = 10, ord("-"), np.uint8(ord("0"))
 
 
 class Lines:
-    """A table's lines from byte offset `at` of `data`, without line ends;
-    bytes that are not ASCII, or `next` past the end, raise `error`."""
+    """A table's lines from byte offset `at` of `data`, its bytes with
+    CRLF and CR made LF, without line ends; bytes that are not ASCII, or
+    `next` past the end, raise `error`."""
 
     def __init__(self, data: bytes, error: type[Exception]):
         if not data.isascii():
             raise error("the file is not ASCII text")
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         self.data, self.at, self.error = data, 0, error
 
     def __iter__(self):
@@ -53,9 +57,42 @@ class Lines:
     def next(self) -> str:
         if self.at >= len(self.data):
             raise self.error("the file ends prematurely")
-        line = _LINE.match(self.data, self.at)
-        self.at = line.end()
-        return line[1].decode("ascii")
+        start = self.at
+        self.at = self.data.find(b"\n", start) + 1 or len(self.data)
+        return self.data[start:self.at].rstrip(b"\n").decode("ascii")
+
+    def rows(self, count: int, dim: int, sep: str, keyed: bool
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """The next `count` lines as rows of `dim` floats joined by `sep`,
+        each after an integer key field if `keyed`: the int64 keys (empty
+        unless `keyed`) and a (count, dim) matrix. Rows that `_bulk_rows`
+        takes are read in bulk; any others field by field into a matrix
+        allocated once a line is read at full width, no larger than the
+        file could hold (two bytes a float)."""
+        if count < 0:
+            raise self.error(f"negative row count {count}")
+        bulk = _bulk_rows(self.data, self.at, count, dim, keyed, sep.encode())
+        if bulk is not None:
+            self.at, keys, rows = bulk
+            return keys, rows
+        keys, rows = [], None
+        for n in range(count):
+            fields = self.next().split(sep)
+            if len(fields) != dim + keyed:
+                raise self.error(f"row {n + 1} has {len(fields)} fields, "
+                                 f"expected {dim + keyed}")
+            keys += fields[:keyed]
+            if rows is None:
+                rows = np.empty((min(count, (len(self.data) + 1)
+                                     // max(2 * dim, 1)), dim))
+            rows[n] = parse_floats(fields[keyed:], self.error)
+        keys = np.array(parse_ints(keys, self.error), dtype=np.int64)
+        if rows is not None:
+            return keys, rows
+        try:
+            return keys, np.empty((0, dim))
+        except ValueError:  # a negative dim, or dim * 8 bytes past numpy's limit
+            raise self.error(f"dim={dim} is out of range") from None
 
 
 def parse_ints(fields, error: type[Exception]) -> list[int]:
@@ -96,34 +133,8 @@ def parse_floats(fields, error: type[Exception]) -> np.ndarray:
     return values
 
 
-def parse_rows(lines, count: int, size: int, dim: int, sep: str,
-               error: type[Exception], keyed: bool = True
-               ) -> tuple[list[str], np.ndarray]:
-    """The key field and `dim` floats of each of at most `count` lines, of
-    `size` bytes at most, split at `sep`, or the floats
-    alone unless `keyed`: the per-field path. Returns the keys and a
-    (lines, dim) matrix, allocated once a line is read at full width and no
-    larger than `count` rows or `size` bytes hold (two bytes a float)."""
-    keys, rows, n = [], None, 0
-    for n, line in enumerate(lines, start=1):
-        fields = line.split(sep)
-        if len(fields) != dim + keyed:
-            raise error(f"row {n} has {len(fields)} fields, "
-                        f"expected {dim + keyed}")
-        keys += fields[:keyed]
-        if rows is None:
-            rows = np.empty((min(count, (size + 1) // max(2 * dim, 1)), dim))
-        rows[n - 1] = parse_floats(fields[keyed:], error)
-    if rows is not None:
-        return keys, rows[:n]
-    try:
-        return keys, np.empty((0, dim))
-    except ValueError:      # a negative dim, or dim * 8 bytes past numpy's limit
-        raise error(f"dim={dim} is out of range") from None
-
-
-def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
-              sep: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+def _bulk_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
+               sep: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     """The bulk path: `count` lines of `data` from offset `at`, each an
     optional key and `dim` integer tokens joined by `sep`. Returns the
     offset past the last line, the keys as int64 (empty unless `keyed`) and
@@ -139,6 +150,9 @@ def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
     fields = dim + keyed
     if dim < 1 or count < 1 or 2 * fields * count > len(data) - at:
         return None
+    # one byte-set test of the first line refuses float rows before numpy
+    if data[at:data.find(b"\n", at)].translate(None, _INT_BYTES + sep):
+        return None
     rows = None
     done = 0
     while done < count:
@@ -152,7 +166,7 @@ def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
         if data.count(b"\n", at, end) > count - done:
             text = text[:np.flatnonzero(text == _LF)[count - done - 1] + 1]
             end = at + len(text)
-        values = _int_block(text, fields, sep[0])
+        values = _bulk_block(text, fields, sep[0])
         if values is None:
             return None
         if rows is None:
@@ -167,7 +181,7 @@ def _int_rows(data: bytes, at: int, count: int, dim: int, keyed: bool,
     return at, keys, rows
 
 
-def _int_block(text: np.ndarray, fields: int, sep: int) -> np.ndarray | None:
+def _bulk_block(text: np.ndarray, fields: int, sep: int) -> np.ndarray | None:
     """The (lines, fields) values of `text`, whole LF-ended lines of bytes,
     or None unless each line is `fields` tokens of the bulk rule."""
     digits = text - _ZERO
@@ -206,7 +220,7 @@ def _int_block(text: np.ndarray, fields: int, sep: int) -> np.ndarray | None:
 def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a feature file back into (labels, feature matrix)."""
     lines = Lines(Path(path).read_bytes(), FeatureFileError)
-    header = _HEADER.fullmatch(lines.next().strip())
+    header = _HEADER.fullmatch(lines.next())
     if header is None:
         raise FeatureFileError(
             f"header is not {FEATURE_FILE_VERSION},dim=<digits>")
@@ -214,13 +228,6 @@ def read_feature_file(path) -> tuple[np.ndarray, np.ndarray]:
     if dim < 1:
         raise FeatureFileError(f"header declares dim={dim}, needs >= 1")
     data, at = lines.data, lines.at
-    # the lines left: one per line end, and one more if none ends the file
-    count = data.count(b"\n", at) + (not data.endswith((b"\n", b"\r")))
-    if b"\r" in data:          # CR line ends, not counting CRLF twice
-        count += data.count(b"\r", at) - data.count(b"\r\n", at)
-    bulk = _int_rows(data, at, count, dim, True, b",")
-    if bulk:
-        return bulk[1:]
-    labels, X = parse_rows((s for s in map(str.strip, lines) if s), count,
-                           len(data), dim, ",", FeatureFileError)
-    return np.array(parse_ints(labels, FeatureFileError), dtype=np.int64), X
+    # the lines left: one per LF, and one more if none ends the file
+    count = data.count(b"\n", at) + (at < len(data) and data[-1] != _LF)
+    return lines.rows(count, dim, ",", keyed=True)

@@ -526,6 +526,42 @@ print(" ".join(sorted(sys.modules)))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+def test_forked_workers_import_nothing_new(tmp_path):
+    # each worker logs, after each item, the modules it has imported since
+    # it was forked: none, so the parent's sys.modules, which the import
+    # tests here check, holds every module a forked command loads
+    script = """
+import sys
+from rwrl import dataset
+from rwrl.cli import main
+raw, norm, out, log = sys.argv[1:]
+serve = dataset._serve
+
+def logged(fn, *args):
+    forked = set(sys.modules)
+
+    def item(value):
+        result = fn(value)
+        with open(log, "a") as fh:
+            print(*sorted(set(sys.modules) - forked), file=fh)
+        return result
+    serve(item, *args)
+
+dataset._serve = logged
+dataset.usable_cpus = lambda: 2
+assert main(["synth", raw, "--per-class", "4", "--jobs", "2"]) == 0
+assert main(["preprocess", raw, norm, "--jobs", "2"]) == 0
+assert main(["extract", norm, out, "--jobs", "2"]) == 0
+"""
+    log = tmp_path / "worker-imports.txt"
+    result = _rwrl_subprocess(script, tmp_path / "raw", tmp_path / "norm",
+                              tmp_path / "features.txt", log)
+    assert result.returncode == 0, result.stderr
+    lines = log.read_text().splitlines()
+    assert len(lines) >= 6 and not any(lines), lines
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
 @pytest.mark.parametrize("case, error", [
     ("killed", "ChildProcessError: worker 1 ended before item 3: "
                "killed by SIGKILL"),

@@ -221,9 +221,9 @@ def test_feature_file_mutations_raise_only_rwrl_errors(tmp_path):
         labels, X = read_feature_file(path)
         assert np.isfinite(X).all() and len(labels) == len(X)
         # what loads obeys the integer and float rules, read from the text
-        # as the reader splits it: universal newlines, stripped lines
+        # as the reader splits it: universal newlines, no stripping
         text = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
-        for line in filter(None, map(str.strip, text.split("\n")[1:])):
+        for line in text.removesuffix("\n").split("\n")[1:]:
             label, *values = line.split(",")
             assert re.fullmatch("-?[0-9]+", label), line
             assert all(re.fullmatch("[-+.e0-9]+", v) for v in values), line

@@ -1,10 +1,10 @@
 """The bulk path of `rwrl.reader` against its per-field path.
 
-Rows of short integers are read in bulk (`reader._int_rows`); any other
-rows field by field. Both must read the same bytes to the same arrays, bit
-for bit, or raise the same error: each case here runs once as it is and
-once with the bulk path switched off, on a feature file, a k-NN pool and
-an SVM pool.
+`Lines.rows` reads rows of short integers in bulk (`reader._bulk_rows`);
+any other rows field by field. Both must read the same bytes to the same
+arrays, bit for bit, or raise the same error: each case here runs once as
+it is and once with the bulk path switched off, on a feature file, a k-NN
+pool and an SVM pool.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwrl import model_io, reader
+from rwrl import reader
 from rwrl.errors import (CorruptModelError, FeatureFileError, RwrlError,
                          UnknownLabelError)
 from rwrl.evaluate import confusion, read_confusion_csv, write_confusion_csv
@@ -85,15 +85,13 @@ def paths(monkeypatch, tmp_path):
         taken.append(result is not None)
         return result
 
-    bulk = reader._int_rows
+    bulk = reader._bulk_rows
 
     def read(kind, rows_text, count, dim):
         taken.clear()
-        for module in (reader, model_io):
-            monkeypatch.setattr(module, "_int_rows", spy)
+        monkeypatch.setattr(reader, "_bulk_rows", spy)
         first = _read(kind, rows_text, count, dim, tmp_path)
-        for module in (reader, model_io):
-            monkeypatch.setattr(module, "_int_rows", lambda *args: None)
+        monkeypatch.setattr(reader, "_bulk_rows", lambda *args: None)
         return first, _read(kind, rows_text, count, dim, tmp_path), any(taken)
     return read
 
@@ -110,6 +108,21 @@ def test_integer_rows_read_in_bulk_as_field_by_field(paths, kind, seed):
     bulk, per_field, taken = paths(kind, _text(rows, sep), count, dim)
     assert taken and isinstance(bulk, list)
     assert bulk == per_field
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_cr_line_ends_read_in_bulk_as_lf(paths, kind, end):
+    # Lines makes every line end LF once, so CRLF and CR copies of integer
+    # rows take the bulk path too
+    rng = np.random.default_rng(37)
+    keyed = kind == "features"
+    rows_text = _text(_rows(rng, 40, 196, keyed), "," if keyed else " ")
+    lf, _, _ = paths(kind, rows_text, 40, 196)
+    bulk, per_field, taken = paths(kind, rows_text.replace(b"\n", end),
+                                   40, 196)
+    assert taken and isinstance(bulk, list)
+    assert bulk == per_field == lf
 
 
 def test_minus_zero_reads_as_negative_zero(paths):
@@ -133,7 +146,6 @@ def _edit_token(rows, sep, new):
 # row, so that the bulk path has read blocks before it: rows, separator ->
 # the bytes
 FALL_BACK = {
-    "crlf": lambda rows, sep: _text(rows, sep).replace(b"\n", b"\r\n"),
     "blank-line": lambda rows, sep: _text(rows[:-1], sep) + b"\n"
     + _text(rows[-1:], sep),
     "trailing-space": lambda rows, sep: _text(rows, sep)[:-1] + b" \n",
@@ -173,17 +185,22 @@ def _traced_peak(path) -> tuple[int, np.ndarray]:
         tracemalloc.stop()
 
 
-def test_bulk_read_holds_the_matrix_once(tmp_path):
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_bulk_read_holds_the_matrix_once(tmp_path, end):
     # 6000 x 196 integer rows, the paper's protocol: no list of per-row
-    # arrays, no stacked copy and no temporary of the matrix's size
+    # arrays, no stacked copy and no temporary of the matrix's size. Of a
+    # CRLF copy, Lines makes one LF copy and drops the bytes read, so the
+    # matrix is read beside the LF bytes alone, as from the LF file
     rng = np.random.default_rng(41)
     X = rng.integers(0, 4000, size=(6000, 196)) * (rng.random((6000, 196))
                                                     < 0.6)
     path = tmp_path / "features.txt"
     write_feature_file(path, rng.integers(0, 10, 6000), X)
     del X
+    lf_size = path.stat().st_size
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
     peak, read = _traced_peak(path)
-    assert peak <= read.nbytes + path.stat().st_size + 2 ** 20
+    assert peak <= read.nbytes + lf_size + 2 ** 20
 
 
 def test_per_field_read_holds_the_matrix_once(tmp_path):
@@ -291,3 +308,22 @@ def test_every_table_ends_its_lines_at_lf_crlf_or_cr(tmp_path, table, edit):
     with pytest.raises(error) as exc:
         read(path)
     assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("value", ["3", "3.5"], ids=["integer", "float"])
+@pytest.mark.parametrize("text", [
+    "#rwrl-v1,dim=2\n0,1,{v}\n\n1,{v},4\n",
+    "#rwrl-v1,dim=2\n0,1,{v}\n1,{v},4\n\n",
+    "#rwrl-v1,dim=2\n0,1,{v}\n \n1,{v},4\n",
+    "#rwrl-v1,dim=2\n0,1,{v}\n\t1,{v},4\n",
+    "#rwrl-v1,dim=2\n0,1,{v}\n1,{v},4 \n",
+    "#rwrl-v1,dim=2 \n0,1,{v}\n1,{v},4\n",
+], ids=["blank-line", "blank-last-line", "whitespace-line", "leading-tab",
+        "trailing-space", "header-trailing-blank"])
+def test_feature_file_follows_the_table_rule(tmp_path, text, value):
+    # as in model and confusion files, no blank is trimmed from a line and
+    # no line is skipped: each of these is malformed
+    path = tmp_path / "features.txt"
+    path.write_text(text.format(v=value))
+    with pytest.raises(FeatureFileError):
+        read_feature_file(path)
