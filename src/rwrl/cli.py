@@ -191,27 +191,23 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _classifier(args):
-    """`fit(X, y)` and `predict(model, X)` of --classifier, importing only
-    that classifier's module."""
+def _fit(args):
+    """`fit(X, y)` of --classifier, importing only that classifier's
+    module; the model it returns predicts with `model.predict(X)`."""
     scale = not args.no_scale
     if args.classifier == "svm":
-        from .svm import KernelParams, svm_predict_batch, svm_train
-
-        def fit(X, y):
-            params = KernelParams(_KERNEL_NAMES[args.kernel], args.degree,
-                                  args.gamma, args.coef0, getattr(args, "C"))
-            return svm_train(X, y, params, scale=scale)
-        return fit, svm_predict_batch
-    from .knn import knn_predict_batch, knn_train
-    return (lambda X, y: knn_train(X, y, k=args.k, scale=scale),
-            knn_predict_batch)
+        from .svm import KernelParams, svm_train
+        params = KernelParams(_KERNEL_NAMES[args.kernel], args.degree,
+                              args.gamma, args.coef0, getattr(args, "C"))
+        return lambda X, y: svm_train(X, y, params, scale=scale)
+    from .knn import knn_train
+    return lambda X, y: knn_train(X, y, k=args.k, scale=scale)
 
 
 def cmd_train(args) -> int:
     from .model_io import model_save
     from .reader import read_feature_file
-    fit, _ = _classifier(args)
+    fit = _fit(args)
     y, X = read_feature_file(args.features)
     Path(args.model).write_bytes(model_save(fit(X, y)))
     print(f"trained {args.classifier} on {len(y)} samples -> {args.model}")
@@ -219,19 +215,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .model_io import model_kind, model_load
+    from .model_io import model_load
     from .reader import read_feature_file
     from .rows import write_csv
     model = model_load(Path(args.model).read_bytes())
     y, X = read_feature_file(args.features)
     if not len(y):
         raise EmptyDataError("feature file holds no rows to predict")
-    # the loaded model's own classifier module, already imported by the load
-    if model_kind(model) == "svm":
-        from .svm import svm_predict_batch as predict
-    else:
-        from .knn import knn_predict_batch as predict
-    predicted = predict(model, X)
+    predicted = model.predict(X)
     write_csv(args.out_csv, itertools.chain(
         [("index", "true", "predicted")], zip(itertools.count(), y, predicted)))
     accuracy = float((predicted == y).mean())
@@ -251,11 +242,11 @@ def cmd_eval(args) -> int:
     from . import evaluate
     from .reader import read_feature_file
     from .rows import write_csv
-    fit, predict = _classifier(args)
+    fit = _fit(args)
     y, X = read_feature_file(args.features)
 
     def fit_predict(train_X, train_y, test_X):
-        return predict(fit(train_X, train_y), test_X)
+        return fit(train_X, train_y).predict(test_X)
 
     folds = (evaluate.stratified_kfold(y, args.cv, args.seed)
              if args.cv is not None

@@ -21,6 +21,7 @@ PAIR_BYTES = 40
 
 @dataclass
 class KnnModel:
+    kind = "knn"                # the model file's kind; not a field
     k: int
     classes: list[int]
     mean: np.ndarray
@@ -36,6 +37,51 @@ class KnnModel:
     def dim(self) -> int:
         return len(self.mean)
 
+    def predict(self, features) -> np.ndarray:
+        """Majority label among the k nearest neighbors by Euclidean
+        distance, per row of a feature matrix; a single vector is one row.
+
+        Vote ties go to the class of the nearest tied neighbor; equal
+        distances rank the smaller label first, then the earlier sample.
+
+        Exact filter and refine: per chunk of rows one matrix product gives
+        approximate squared distances |q|² + |s|² − 2 q·s (the GEMM form of
+        brute-force k-NN, Garcia, Debreuve & Barlaud, CVPR-W 2008), and a
+        rounding bound keeps every sample that could be among the k nearest
+        or tie with them. Only those candidates get the exact distance
+        ``sqrt(((s - q) ** 2).sum())``, so the labels are the ones a full
+        distance matrix would give.
+        """
+        if self.pool.size == 0:
+            raise EmptyModelError("model holds no samples")
+        X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        probe_rows(self, X[:0])    # refuses a wrong dimension, rows or not
+        classes = np.asarray(self.classes, dtype=np.int64)
+        class_of = np.searchsorted(classes, self.labels)
+        S = self.samples
+        n = len(S)
+        k = min(self.k, n)
+        step = max(1, CHUNK_BYTES // (PAIR_BYTES * n))
+        out = np.empty(len(X), dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_norms = np.einsum("ij,ij->i", S, S)
+        for start in range(0, len(X), step):
+            # z-scored per chunk: no copy of all rows lives through the loop
+            rows = probe_rows(self, X[start:start + step])
+            with np.errstate(over="ignore", invalid="ignore"):
+                nearest = class_of[
+                    _k_nearest(rows, S, s_norms, self.labels, k)]
+            counts = (nearest[:, :, None]
+                      == np.arange(len(classes))).sum(axis=1)
+            # argmax takes the nearest neighbor among those of a top-voted class
+            first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
+            out[start:start + step] = classes[
+                nearest[np.arange(len(rows)), first]]
+        return out
+
+
+knn_predict_batch = KnnModel.predict
+
 
 def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
     X, y, classes, mean, std = training_rows(features, labels, scale)
@@ -44,46 +90,6 @@ def knn_train(features, labels, k: int = 3, scale: bool = True) -> KnnModel:
     if k > len(X):
         raise TooFewSamplesError(f"k={k} exceeds the {len(X)} training samples")
     return KnnModel(k, classes, mean, std, X, y)
-
-
-def knn_predict_batch(model: KnnModel, features) -> np.ndarray:
-    """Majority label among the k nearest neighbors by Euclidean distance,
-    per row of a feature matrix; a single vector is one row.
-
-    Vote ties go to the class of the nearest tied neighbor; equal distances
-    rank the smaller label first, then the earlier sample.
-
-    Exact filter and refine: per chunk of rows one matrix product gives
-    approximate squared distances |q|² + |s|² − 2 q·s (the GEMM form of
-    brute-force k-NN, Garcia, Debreuve & Barlaud, CVPR-W 2008), and a
-    rounding bound keeps every sample that could be among the k nearest or
-    tie with them. Only those candidates get the exact distance
-    ``sqrt(((s - q) ** 2).sum())``, so the labels are the ones a full
-    distance matrix would give.
-    """
-    if model.pool.size == 0:
-        raise EmptyModelError("model holds no samples")
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    probe_rows(model, X[:0])    # refuses a wrong dimension, rows or not
-    classes = np.asarray(model.classes, dtype=np.int64)
-    class_of = np.searchsorted(classes, model.labels)
-    S = model.samples
-    n = len(S)
-    k = min(model.k, n)
-    step = max(1, CHUNK_BYTES // (PAIR_BYTES * n))
-    out = np.empty(len(X), dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_norms = np.einsum("ij,ij->i", S, S)
-    for start in range(0, len(X), step):
-        # z-scored per chunk: no copy of all rows lives through the loop
-        rows = probe_rows(model, X[start:start + step])
-        with np.errstate(over="ignore", invalid="ignore"):
-            nearest = class_of[_k_nearest(rows, S, s_norms, model.labels, k)]
-        counts = (nearest[:, :, None] == np.arange(len(classes))).sum(axis=1)
-        # argmax takes the nearest neighbor among those of a top-voted class
-        first = np.take_along_axis(counts, nearest, axis=1).argmax(axis=1)
-        out[start:start + step] = classes[nearest[np.arange(len(rows)), first]]
-    return out
 
 
 def _k_nearest(Q: np.ndarray, S: np.ndarray, s_norms: np.ndarray,

@@ -17,14 +17,15 @@ so it predicts bit-identically. The loader reads the file record by record
 through `reader.Lines`, with the line, row and ASCII rules of every rwrl
 table: `Lines.rows` reads the pool and each machine block.
 
-Only the classifier module of the model kind saved or loaded is imported:
-a program that saves or loads k-NN models never compiles `svm`, and the
-other way round.
+A model class names its kind, which `model_save` reads (`SvmModel.kind`
+is "svm", `KnnModel.kind` "knn"), and predicts with its own `predict`, so
+no caller maps a model to its classifier module. `model_load` imports only
+the classifier module of the kind it reads: a program that saves or loads
+k-NN models never compiles `svm`, and the other way round.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import astuple
 from itertools import combinations
 
@@ -39,20 +40,12 @@ KNN_VERSION = "#rwrl-knn-v2"
 _END = "end"
 
 
-def model_kind(model) -> str:
-    """The kind of a model: svm for an SvmModel, knn for a KnnModel.
-    Neither module is imported: only a loaded one can have made the model."""
-    for kind, name in (("svm", "SvmModel"), ("knn", "KnnModel")):
-        module = sys.modules.get(f"{__package__}.{kind}")
-        if module is not None and isinstance(model, getattr(module, name)):
-            return kind
-    raise TypeError(f"not an rwrl model: {type(model).__name__}")
-
-
 def model_save(model) -> bytes:
     """Serialize an SvmModel or KnnModel to bytes. A model that breaks a
     rule model_load checks raises CorruptModelError instead."""
-    kind = model_kind(model)
+    kind = getattr(type(model), "kind", None)
+    if kind not in ("svm", "knn"):
+        raise TypeError(f"not an rwrl model: {type(model).__name__}")
     _check_header(model.classes, model.mean, model.std, model.pool)
     if kind == "svm":
         _check_machines(model.classes, len(model.pool), model.machines)

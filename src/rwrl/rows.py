@@ -62,8 +62,14 @@ def training_rows(features, labels, scale: bool) -> tuple[
         raise DimensionMismatchError(f"{len(X)} rows but {labels.size} labels")
     y = _int_labels(labels, ValueError)
     if scale:
+        # std 16 columns at a time, as X.std(axis=0) would hold a copy of
+        # X. A one-column block sums pairwise, which rounds apart, so a
+        # one-column tail joins the block before it: the same bits
+        edges = [*range(0, max(X.shape[1] - 1, 1), 16), X.shape[1]]
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, std = X.mean(axis=0), X.std(axis=0)
+            mean = X.mean(axis=0)
+            std = np.concatenate([X[:, a:b].std(axis=0)
+                                  for a, b in zip(edges, edges[1:])])
         if not (np.isfinite(mean).all() and np.isfinite(std).all()):
             raise FeatureFileError(
                 "feature values overflow the scaling statistics")

@@ -86,6 +86,7 @@ class BinaryMachine:
 
 @dataclass
 class SvmModel:
+    kind = "svm"                # the model file's kind; not a field
     classes: list[int]
     params: KernelParams
     mean: np.ndarray
@@ -101,6 +102,15 @@ class SvmModel:
     @property
     def dim(self) -> int:
         return len(self.mean)
+
+    def predict(self, features) -> np.ndarray:
+        """Predicted labels for a feature matrix; a single vector is one row."""
+        votes, magnitude = svm_decision_table(self, features)
+        classes = np.array(self.classes, dtype=np.int64)
+        # most votes, then largest magnitude, then the smaller label
+        order = np.lexsort((np.broadcast_to(-classes, votes.shape), magnitude,
+                            votes), axis=-1)
+        return classes[order[:, -1]]
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float
@@ -219,12 +229,4 @@ def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarra
     return votes, magnitude
 
 
-def svm_predict_batch(model: SvmModel, features) -> np.ndarray:
-    """Predicted labels for a feature matrix; a single vector is one row."""
-    votes, magnitude = svm_decision_table(model, features)
-    classes = np.array(model.classes, dtype=np.int64)
-    # most votes, then largest magnitude, then the smaller label
-    order = np.lexsort((np.broadcast_to(-classes, votes.shape), magnitude,
-                        votes), axis=-1)
-    return classes[order[:, -1]]
-
+svm_predict_batch = SvmModel.predict

@@ -21,7 +21,12 @@ from rwrl.features import (
 )
 from rwrl.knn import knn_predict_batch, knn_train
 from rwrl.reader import read_feature_file
-from rwrl.rows import format_rows, scale_features, write_feature_file
+from rwrl.rows import (
+    format_rows,
+    scale_features,
+    training_rows,
+    write_feature_file,
+)
 from rwrl.svm import (
     KernelParams,
     svm_decision_table,
@@ -547,6 +552,45 @@ class TestClassifierInput:
             svm_train(X, y)
         with pytest.raises(error):
             knn_train(X, y, k=1)
+
+
+class TestTrainingStatistics:
+    """training_rows' mean and std are X.mean(axis=0) and X.std(axis=0) bit
+    for bit, and no copy of X is made for them."""
+
+    DRAWS = {
+        "normal": lambda rng, shape: rng.normal(scale=10, size=shape),
+        "integral": lambda rng, shape: np.round(
+            rng.normal(scale=50, size=shape)),
+        "counts": lambda rng, shape: rng.integers(
+            0, 4001, size=shape).astype(np.float64),
+    }
+
+    @pytest.mark.parametrize("values", sorted(DRAWS))
+    @pytest.mark.parametrize("rows", [1, 2, 7, 100, 1500])
+    def test_equal_numpy_bit_for_bit(self, rows, values):
+        # widths around each block edge, one-column tails included
+        rng = np.random.default_rng(rows)
+        for dim in [*range(1, 40), FEATURE_DIM]:
+            X = self.DRAWS[values](rng, (rows, dim))
+            _, _, _, mean, std = training_rows(
+                X, np.zeros(rows, dtype=np.int64), True)
+            assert mean.tobytes() == X.mean(axis=0).tobytes(), dim
+            assert std.tobytes() == X.std(axis=0).tobytes(), dim
+
+    def test_training_holds_no_copy_of_the_rows(self):
+        # X.std(axis=0) alone peaks at X.nbytes; k-NN training keeps X as it
+        # is given, so its peak is the statistics' own
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(2000, FEATURE_DIM))
+        y = np.repeat(np.arange(10), 200)
+        tracemalloc.start()
+        try:
+            knn_train(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
 
 
 class TestStacks:

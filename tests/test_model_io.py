@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from rwrl import model_io
 from rwrl.errors import CorruptModelError, VersionMismatchError
 from rwrl.knn import KnnModel, knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
-from rwrl.svm import KernelParams, svm_predict_batch, svm_train
+from rwrl.svm import KernelParams, SvmModel, svm_predict_batch, svm_train
 
 
 def small_problem(seed=0):
@@ -206,8 +207,36 @@ def test_non_text_is_corrupt():
 
 
 def test_unexpected_type_rejected():
-    with pytest.raises(TypeError):
-        model_save({"not": "a model"})
+    # KernelParams has a kind too, the kernel's
+    for thing in ({"not": "a model"}, object(), KernelParams()):
+        with pytest.raises(TypeError, match="not an rwrl model"):
+            model_save(thing)
+
+
+@pytest.mark.parametrize("kind, model_class, train, batch", [
+    ("svm", SvmModel, svm_train, svm_predict_batch),
+    ("knn", KnnModel, knn_train, knn_predict_batch),
+])
+def test_each_model_carries_its_kind_and_predict(kind, model_class, train,
+                                                 batch):
+    X, y = small_problem(seed=11)
+    model = train(X, y)
+    loaded = model_load(model_save(model))
+    probes = np.random.default_rng(12).uniform(-6, 6, size=(50, 6))
+    expected = batch(model, probes)
+    assert batch is model_class.predict
+    for m in (model, loaded):
+        assert type(m) is model_class and m.kind == kind
+        assert np.array_equal(m.predict(probes), expected)
+        assert np.array_equal(m.predict(probes[3]), expected[3:4])
+
+
+def test_kind_is_not_a_model_field():
+    # a field would change the constructors and the file format
+    assert [f.name for f in fields(SvmModel)] == [
+        "classes", "params", "mean", "std", "pool", "machines"]
+    assert [f.name for f in fields(KnnModel)] == [
+        "k", "classes", "mean", "std", "pool", "labels"]
 
 
 def _knn_bytes():
