@@ -2,7 +2,8 @@
 
 A classifier trains on a (rows, dim) float64 matrix with one int64 label
 per row (`training_rows`, `_int_labels`) and predicts rows z-scored with
-its training statistics (`probe_rows`, `scale_features`). Tables are
+its training statistics (`probe_rows`, `probe_chunks`, `scale_features`),
+on a grid of 2^-16 so that their products are exact. Tables are
 written as LF-ended ASCII lines of comma-joined fields (`write_csv`), with
 numbers formatted so that `reader` reads them back exactly (`format_rows`);
 a feature file is such a table under a `#rwrl-v1,dim=N` header
@@ -27,10 +28,21 @@ from .errors import (
 )
 
 FEATURE_FILE_VERSION = "#rwrl-v1"
+# z-scores are multiples of GRID: a product of two is a multiple of 2^-32,
+# which float64 holds exactly below 2^21, so dot products, norms and
+# |q|² + |s|² − 2 q·s of rows whose norms sum below sqrt(2^21) are exact,
+# whatever order the BLAS kernel sums in
+GRID = 2.0 ** -16
+# bound on the float64 block of one chunk of probe rows (`probe_chunks`)
+CHUNK_BYTES = 1 << 20
 
 
 def scale_features(values, mean, std) -> np.ndarray:
-    """Z-score with training statistics; zero-variance dimensions map to 0."""
+    """Z-score with training statistics, rounded to the nearest multiple of
+    GRID (half to even); zero-variance dimensions map to 0. A value of
+    magnitude 2^36 or more is already on the grid and is left as it is, as
+    are NaN and infinities. The rounding works in place, so the result is
+    all the memory it takes."""
     v = np.asarray(values, dtype=np.float64)
     m = np.asarray(mean, dtype=np.float64)
     s = np.asarray(std, dtype=np.float64)
@@ -44,6 +56,13 @@ def scale_features(values, mean, std) -> np.ndarray:
         out = v - m
         out /= s
     np.copyto(out, 0.0, where=~(s > 0))
+    if -2.0 ** 36 < out.min(initial=0) and out.max(initial=0) < 2.0 ** 36:
+        small = True
+    else:   # NaN or a value of 2^36 or more, which 1 / GRID may overflow
+        small = np.abs(out) < 2.0 ** 36
+    np.multiply(out, 1 / GRID, out=out, where=small)
+    np.rint(out, out=out, where=small)
+    np.multiply(out, GRID, out=out, where=small)
     return out
 
 
@@ -101,6 +120,18 @@ def probe_rows(model, features) -> np.ndarray:
         raise DimensionMismatchError(
             f"model expects {model.dim} features, got {X.shape[1:]}")
     return scale_features(X, model.mean, model.std)
+
+
+def probe_chunks(model, features, row_bytes: int, predict) -> np.ndarray:
+    """`predict` of `probe_rows(model, features)`, a chunk of rows at a time,
+    concatenated; each chunk is freed before the next is made. A chunk has
+    at most CHUNK_BYTES // row_bytes rows (at least one), `row_bytes` being
+    what `predict` holds per row. No row makes one empty chunk, so a wrong
+    width raises all the same."""
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return np.concatenate([predict(probe_rows(model, X[start:start + step]))
+                           for start in range(0, max(len(X), 1), step)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """One-vs-one kernel SVM trained with sequential minimal optimization.
 
 One binary C-SVC is trained per unordered class pair on z-scored features;
-prediction lets every machine vote and breaks vote ties by summed decision
-magnitude, then by the smaller label. Kernel evaluations are cached as a
-dense Gram matrix per binary problem.
+prediction lets every machine vote by the sign of its decision, and a vote
+tie goes to the class appearing first, the smaller label, as in LIBSVM
+(Chang & Lin, ACM TIST 2011, §7). Kernel evaluations are cached as a dense
+Gram matrix per binary problem.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import (MAX_DEGREE, MAX_QUOTE, ConvergenceError,
                      NonFiniteKernelError, SingleClassError)
-from .rows import probe_rows, scale_features, training_rows
+from .rows import probe_chunks, scale_features, training_rows
 
 SMO_TOLERANCE = 1e-3        # stop once the KKT violation gap is below this
 SMO_TAU = 1e-12             # curvature used where K_ii + K_jj - 2 K_ij <= 0
@@ -104,13 +105,10 @@ class SvmModel:
         return len(self.mean)
 
     def predict(self, features) -> np.ndarray:
-        """Predicted labels for a feature matrix; a single vector is one row."""
-        votes, magnitude = svm_decision_table(self, features)
-        classes = np.array(self.classes, dtype=np.int64)
-        # most votes, then largest magnitude, then the smaller label
-        order = np.lexsort((np.broadcast_to(-classes, votes.shape), magnitude,
-                            votes), axis=-1)
-        return classes[order[:, -1]]
+        """Predicted labels for a feature matrix; a single vector is one row:
+        the class of most votes, the first of the sorted classes on a tie."""
+        votes = svm_decision_table(self, features)
+        return np.array(self.classes, dtype=np.int64)[votes.argmax(axis=1)]
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float
@@ -181,8 +179,6 @@ def svm_train(features, labels, params: KernelParams | None = None,
     used = np.zeros(len(X), dtype=bool)     # support vector of some machine
     for a, b in combinations(classes, 2):
         rows = np.flatnonzero((y == a) | (y == b))
-        # one gather as both operands: numpy computes a @ a.T on one buffer
-        # with a symmetric kernel; two gathers take GEMM, which rounds apart
         sub = scale_features(X[rows], mean, std)
         sub_y = np.where(y[rows] == a, 1.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -207,26 +203,31 @@ def svm_train(features, labels, params: KernelParams | None = None,
     return SvmModel(classes, params, mean, std, X[used], machines)
 
 
-def svm_decision_table(model: SvmModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """Votes (n, K) and summed winning decision magnitudes (n, K) for a
-    feature matrix; a single vector is one row."""
-    Xs = probe_rows(model, features)
+def svm_decision_table(model: SvmModel, features) -> np.ndarray:
+    """Votes (n, K) for a feature matrix; a single vector is one row. A
+    machine votes for its first class when its decision is >= 0."""
     index = {c: k for k, c in enumerate(model.classes)}
-    rows = np.arange(len(Xs))
-    votes = np.zeros((len(Xs), len(model.classes)), dtype=np.int64)
-    magnitude = np.zeros_like(votes, dtype=np.float64)
-    for machine in model.machines:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = (kernel_matrix(model.params, Xs, machine.support_vectors)
-                 @ machine.coefficients + machine.bias)
-        if not np.isfinite(f).all():
-            raise NonFiniteKernelError(
-                f"decision of classes {machine.first} and {machine.second} "
-                "is not finite (the feature values overflow the kernel)")
-        winner = np.where(f >= 0, index[machine.first], index[machine.second])
-        votes[rows, winner] += 1
-        magnitude[rows, winner] += np.abs(f)
-    return votes, magnitude
+
+    def vote(Xs):
+        votes = np.zeros((len(Xs), len(model.classes)), dtype=np.int64)
+        rows = np.arange(len(Xs))
+        for machine in model.machines:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = (kernel_matrix(model.params, Xs, machine.support_vectors)
+                     @ machine.coefficients + machine.bias)
+            if not np.isfinite(f).all():
+                raise NonFiniteKernelError(
+                    f"decision of classes {machine.first} and "
+                    f"{machine.second} is not finite (the feature values "
+                    "overflow the kernel)")
+            votes[rows, np.where(f >= 0, index[machine.first],
+                                 index[machine.second])] += 1
+        return votes
+
+    # a chunk holds its z-scored rows and one machine's kernel rows
+    width = model.dim + max((len(m.coefficients) for m in model.machines),
+                            default=0)
+    return probe_chunks(model, features, 8 * width, vote)
 
 
 svm_predict_batch = SvmModel.predict

@@ -511,10 +511,8 @@ class TestClassifierInput:
     def test_single_vector_is_one_row(self):
         svm = svm_train(self.X, self.y, KernelParams("linear"))
         knn = knn_train(self.X, self.y, k=1)
-        votes, magnitude = svm_decision_table(svm, self.X[3])
-        expected = svm_decision_table(svm, self.X[3:])
-        assert np.array_equal(votes, expected[0])
-        assert np.array_equal(magnitude, expected[1])
+        assert np.array_equal(svm_decision_table(svm, self.X[3]),
+                              svm_decision_table(svm, self.X[3:]))
         assert svm_predict_batch(svm, self.X[3]).tolist() == [1]
         assert knn_predict_batch(knn, self.X[3]).tolist() == [1]
 

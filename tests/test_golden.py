@@ -5,14 +5,29 @@ a `synth --jobs 2` tree, the feature file that `preprocess`/`extract` at
 `--jobs 2` derive from it, SVM and k-NN model files trained on those
 features, and the predictions of both classifiers on those rows, on
 midpoints of two rows, and on tie-heavy integer data. Any change that
-alters one output byte of these paths fails here. The digests were recorded on x86-64 with numpy's
-bundled OpenBLAS; float rounding in BLAS kernels may differ elsewhere.
+alters one output byte of these paths fails here.
+
+The digests were recorded on x86-64 with numpy's bundled OpenBLAS. They
+hold under each OpenBLAS kernel that
+`test_digests_hold_on_every_openblas_kernel` selects, as z-scores on
+`rows.GRID` make every product the classifiers sum exact in any order.
+They are not yet portable across numpy's own SIMD loops: with its AVX-512
+loops off (`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`),
+`np.power` in the polynomial kernel rounds otherwise and `svm_model`
+moves; ROADMAP keeps that open.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import rwrl
 from rwrl.cli import main
 from rwrl.evaluate import holdout_split
 from rwrl.knn import knn_predict_batch, knn_train
@@ -26,17 +41,17 @@ GOLDEN = {
     "features":
         "60ef3e511800e7a3af777dba52fd172bfdcb1510c49c811172069a7475e1a8cd",
     "svm_model":
-        "44838886c2ae0139f7f32d33209353945ad70936ea3f3933851b5e5db94efe9c",
+        "32ee62ec827cf189d01ae878f23444642505d34246f2905a7a01b8cf3ad6a72d",
     "svm_predict":
         "f5faf11846431f0dd15813fabf9731ede75425f69e57545acb44a8b1785f15c8",
     "knn_model":
         "040c88e65ff88b03c1f74a30e570c138491e68c5bb069604cd2bfc88d7561a49",
     "knn_predict":
-        "9e7ec7d4c7d0464497dbc0c5e265e3152f561e95c6f487a16ff11563c1a61e0f",
+        "f0c7976cf0b3a861a84ceb4995464320ca144c5ada34497b03610f062aaf6478",
     "knn_ties":
         "00c0324c26e50edc8d9dee95e0f52dafc5babd2eb9e3eabfeb53fdc72ef57c9d",
     "svm_ties":
-        "6911e7a6add68c63dc23c20f220a83e1c8a85739c603fa82982553278b852190",
+        "eb91345731df3b9f2ac8daba59bc655e5af0fc825584dec687e633f468cb2792",
     "eval_reports":
         "599daabd5aa1164b03fe6e17d0c4681fb84a7fd19127477e1c3a5122a147334d",
 }
@@ -103,3 +118,29 @@ def golden_digests(tmp_path) -> dict[str, str]:
 def test_outputs_match_golden_digests(tmp_path, capsys):
     assert golden_digests(tmp_path) == GOLDEN
     capsys.readouterr()
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return {flag for line in fh if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("coretype, flag", [
+    ("Haswell", "avx2"), ("Sandybridge", "avx"), ("Prescott", None)])
+def test_digests_hold_on_every_openblas_kernel(coretype, flag, tmp_path):
+    if flag is not None and flag not in _cpu_flags():
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} needs the CPU flag {flag}, "
+                    "which /proc/cpuinfo does not list")
+    script = ("import json, pathlib, sys; from test_golden import "
+              "golden_digests; print(json.dumps(golden_digests("
+              "pathlib.Path(sys.argv[1]))))")
+    paths = [str(Path(__file__).parent), str(Path(rwrl.__file__).parents[1])]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == GOLDEN

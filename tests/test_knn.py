@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwrl import knn
+from rwrl import knn, rows
 from rwrl.cli import main
 from rwrl.errors import (
     DimensionMismatchError,
@@ -13,7 +13,7 @@ from rwrl.errors import (
 )
 from rwrl.knn import CHUNK_BYTES, KnnModel, knn_predict_batch, knn_train
 from rwrl.model_io import model_load, model_save
-from rwrl.rows import scale_features, write_feature_file
+from rwrl.rows import probe_rows, scale_features, write_feature_file
 
 
 def test_k1_returns_exact_match():
@@ -104,7 +104,7 @@ def test_dimension_mismatch():
 
 def reference_predict(model, vector) -> int:
     """Per-row k-NN vote: nearest-first among tied classes."""
-    v = (np.asarray(vector, dtype=np.float64) - model.mean) / model.std
+    v = probe_rows(model, vector)
     dist = np.sqrt(((model.samples - v) ** 2).sum(axis=1))
     top = model.labels[np.lexsort((model.labels, dist))[:model.k]]
     counts = {label: int((top == label).sum()) for label in top}
@@ -213,11 +213,52 @@ def test_chunk_and_slab_boundaries_match_reference(monkeypatch):
     X = rng.integers(0, 3, size=(30, 6)).astype(np.float64)
     y = rng.integers(0, 4, size=30)
     probes = rng.integers(0, 3, size=(50, 6))
-    # chunks of 7 rows; refine slabs of 87 candidates, fewer than the
-    # 210 (row, sample) pairs of a chunk, all candidates at k = n
-    monkeypatch.setattr(knn, "CHUNK_BYTES", 7 * knn.PAIR_BYTES * 30)
+    probes[::3] *= 1000     # most beyond EXACT_NORM: the reference path
+    # chunks of 7 rows at 40 bytes per (row, sample) pair; reference slabs
+    # of 7 samples, fewer than the 30 of the pool
+    monkeypatch.setattr(rows, "CHUNK_BYTES", 7 * 40 * 30)
+    monkeypatch.setattr(knn, "CHUNK_BYTES", 7 * 8 * 6)
     for k in (1, 4, 30):
         assert_matches_reference(X, y, probes, k)
+
+
+def test_bound_edge_splits_exact_and_reference_paths(monkeypatch):
+    # the largest pool row has norm 1000, so |q| + 1000 is just below the
+    # bound for each first probe and at or above it for each second: 1448
+    # on the grid, and 2^16 times that for integer rows, as the pool's are
+    X = np.array([[1000.0, 0, 0], [0, 600, 0], [3, 0, 1], [-2, 1, 0]])
+    y = np.array([2, 0, 3, 1])
+    edge = knn.EXACT_NORM * 2 ** 16 - 1000
+    referenced = []
+
+    def spy(q, S):
+        referenced.append(q.tolist())
+        return reference_squares(q, S)
+
+    reference_squares = knn._reference_squares
+    monkeypatch.setattr(knn, "_reference_squares", spy)
+    for probes in ([[-447.984375, 0, 0], [-448.015625, 0, 0]],
+                   [[1 - edge, 0, 0], [-edge, 0, 0]]):
+        probes = np.array(probes)
+        for k in range(1, 5):
+            referenced.clear()
+            assert_matches_reference(X, y, probes, k)
+            assert referenced == [probes[1].tolist()]
+
+
+def test_labels_do_not_depend_on_the_batch():
+    # midpoints of feature-shaped rows around ten class prototypes
+    rng = np.random.default_rng(26)
+    centers = rng.integers(0, 20, size=(10, 196))
+    y = rng.integers(0, 10, size=300)
+    X = np.maximum(0, centers[y] + rng.integers(-6, 7, size=(300, 196)))
+    probes = (X[:100] + X[rng.permutation(300)[:100]]) / 2
+    model = knn_train(X, y, k=3)
+    whole = knn_predict_batch(model, probes)
+    for batch in (1, 2, 33):
+        parts = [knn_predict_batch(model, probes[a:a + batch])
+                 for a in range(0, len(probes), batch)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e153, 1e-160, 1e-310])

@@ -10,7 +10,7 @@ from rwrl.errors import (
     NonFiniteKernelError,
     SingleClassError,
 )
-from rwrl.rows import scale_features
+from rwrl.rows import CHUNK_BYTES, scale_features
 from rwrl.svm import (
     SMO_TOLERANCE,
     BinaryMachine,
@@ -40,6 +40,14 @@ def ten_class_blobs(n_per_class=6, seed=0):
         X.append(center + rng.normal(scale=0.3, size=(n_per_class, 5)))
         y.extend([label] * n_per_class)
     return np.vstack(X), np.array(y)
+
+
+def feature_shaped(rng, n):
+    """n rows of 196 non-negative integer cells around ten class
+    prototypes, and their labels."""
+    centers = rng.integers(0, 20, size=(10, 196))
+    y = rng.integers(0, 10, size=n)
+    return np.maximum(0, centers[y] + rng.integers(-6, 7, size=(n, 196))), y
 
 
 class TestTraining:
@@ -204,7 +212,7 @@ class TestPrediction:
     def test_vote_counts_sum(self):
         X, y = ten_class_blobs(seed=8)
         model = svm_train(X, y, KernelParams("polynomial"))
-        votes, _ = svm_decision_table(model, X[17:18])
+        votes = svm_decision_table(model, X[17:18])
         assert votes[0].sum() == 45
         assert svm_predict_batch(model, X[17])[0] == y[17]
 
@@ -220,27 +228,53 @@ class TestPrediction:
                          np.ones(2), np.eye(2), machines)
         probes = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         decisions = [[0.0, -1.0, 1.0], [-0.5, 1.5, 3.5], [1.25, -0.75, 0.25]]
-        # a machine votes `first` when f >= 0, else `second`; the class it
-        # votes for adds |f|, summed in machine order
+        # a machine votes `first` when f >= 0, else `second`
         votes = np.zeros((3, 3), dtype=np.int64)
-        magnitude = np.zeros((3, 3))
         for machine, row_f in zip(machines, decisions):
             for row, f in enumerate(row_f):
                 winner = machine.first if f >= 0 else machine.second
                 votes[row, winner] += 1
-                magnitude[row, winner] += abs(f)
         assert votes.tolist() == [[1, 1, 1], [1, 1, 1], [2, 1, 0]]
-        got_votes, got_magnitude = svm_decision_table(model, probes)
+        got_votes = svm_decision_table(model, probes)
         assert got_votes.tolist() == votes.tolist()
-        assert got_magnitude.tolist() == magnitude.tolist()
-        # equal votes: the largest magnitude wins
-        assert svm_predict_batch(model, probes).tolist() == [1, 0, 0]
+        # equal votes: the class appearing first, the smaller label
+        assert svm_predict_batch(model, probes).tolist() == [0, 0, 0]
 
     def test_dimension_mismatch(self):
         model = svm_train(SEPARABLE_X, SEPARABLE_Y,
                           KernelParams("linear"))
         with pytest.raises(DimensionMismatchError):
             svm_predict_batch(model, np.zeros(5))
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_votes_do_not_depend_on_the_batch(self, kind):
+        # midpoints of two rows sit near the machines' decision boundaries
+        rng = np.random.default_rng(28)
+        X, y = feature_shaped(rng, 300)
+        probes = (X[:100] + X[rng.permutation(300)[:100]]) / 2
+        model = svm_train(X, y, KernelParams(kind))
+        whole = svm_decision_table(model, probes)
+        for batch in (1, 2, 33):
+            parts = [svm_decision_table(model, probes[a:a + batch])
+                     for a in range(0, len(probes), batch)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("kind, chunks", [
+        ("linear", 1.25), ("polynomial", 1.25), ("rbf", 2)])
+    def test_peak_memory_stays_within_its_chunks(self, kind, chunks):
+        # rows are z-scored a chunk at a time: no copy of all 1000 (1.5 MB);
+        # the RBF kernel holds temporaries of its kernel rows besides
+        rng = np.random.default_rng(29)
+        X, y = feature_shaped(rng, 300)
+        model = svm_train(X, y, KernelParams(kind))
+        probes = feature_shaped(rng, 1000)[0].astype(np.float64)
+        tracemalloc.start()
+        try:
+            svm_predict_batch(model, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunks * CHUNK_BYTES
 
 
 class TestKernels:
@@ -265,6 +299,18 @@ class TestKernels:
         p = KernelParams("polynomial", degree=degree, gamma=gamma, coef0=coef0)
         expected = (gamma * (a @ b.T) + coef0) ** degree
         assert kernel_matrix(p, a, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_row_alone_equals_its_row_of_the_matrix(self, kind):
+        # z-scores on the grid make every product exact in any summation
+        # order, so the shape of the product cannot change a bit
+        X, _ = feature_shaped(np.random.default_rng(27), 600)
+        Z = scale_features(X, X.mean(axis=0), X.std(axis=0))
+        p = KernelParams(kind, gamma=1 / 196)
+        K = kernel_matrix(p, Z, Z)
+        for i in (0, 1, 37, 599):
+            alone = kernel_matrix(p, Z[i:i + 1], Z)[0]
+            assert alone.tobytes() == K[i].tobytes()
 
     def test_rbf_diagonal_is_one(self):
         p = KernelParams("rbf", gamma=0.7)
