@@ -3,8 +3,9 @@
 One binary C-SVC is trained per unordered class pair on z-scored features;
 prediction lets every machine vote by the sign of its decision, and a vote
 tie goes to the class appearing first, the smaller label, as in LIBSVM
-(Chang & Lin, ACM TIST 2011, §7). Kernel evaluations are cached as a dense
-Gram matrix per binary problem.
+(Chang & Lin, ACM TIST 2011, §4-7). Training caches a Gram matrix per
+pair; a chunk of probe rows takes one kernel against the support-vector
+pool, and each decision sums it left to right over the pool rows.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class BinaryMachine:
     pool_index: np.ndarray            # (m,) support vectors' rows of the pool
     coefficients: np.ndarray          # (m,) beta_k = y_k alpha_k, nonzero
     bias: float
-    support_vectors: np.ndarray = field(init=False, repr=False)  # z-scored
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @property
+    def support_vectors(self) -> np.ndarray:    # read by perfbench's replay
+        return self.samples[self.pool_index]    # z-scored, gathered per call
 
 
 @dataclass
@@ -96,9 +101,12 @@ class SvmModel:
     machines: list[BinaryMachine]
 
     def __post_init__(self):    # z-score the pool once, for every machine
-        scaled = scale_features(self.pool, self.mean, self.std)
-        for machine in self.machines:
-            machine.support_vectors = scaled[machine.pool_index]
+        self.samples = scale_features(self.pool, self.mean, self.std)
+        self.weights = np.zeros((len(self.pool), len(self.machines)))
+        for m, machine in enumerate(self.machines):     # beta in column m
+            np.add.at(self.weights[:, m], machine.pool_index,
+                      machine.coefficients)
+            machine.samples = self.samples
 
     @property
     def dim(self) -> int:
@@ -203,30 +211,35 @@ def svm_train(features, labels, params: KernelParams | None = None,
     return SvmModel(classes, params, mean, std, X[used], machines)
 
 
+def _decisions(model: SvmModel, Z: np.ndarray) -> np.ndarray:
+    """(rows, machines) decisions: one pool kernel, summed left to right
+    over the pool rows by einsum's own loop (BLAS `K @ W` sums 1 row
+    otherwise than many), plus each bias."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = kernel_matrix(model.params, Z, model.samples)
+        F = np.einsum("rp,pm->rm", K, model.weights)
+        F += [machine.bias for machine in model.machines]
+    if not np.isfinite(F).all():    # W's zeros make inf NaN in every machine
+        raise NonFiniteKernelError(
+            "a decision is not finite (the feature values overflow the kernel)")
+    return F
+
+
 def svm_decision_table(model: SvmModel, features) -> np.ndarray:
     """Votes (n, K) for a feature matrix; a single vector is one row. A
     machine votes for its first class when its decision is >= 0."""
     index = {c: k for k, c in enumerate(model.classes)}
 
-    def vote(Xs):
-        votes = np.zeros((len(Xs), len(model.classes)), dtype=np.int64)
-        rows = np.arange(len(Xs))
-        for machine in model.machines:
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = (kernel_matrix(model.params, Xs, machine.support_vectors)
-                     @ machine.coefficients + machine.bias)
-            if not np.isfinite(f).all():
-                raise NonFiniteKernelError(
-                    f"decision of classes {machine.first} and "
-                    f"{machine.second} is not finite (the feature values "
-                    "overflow the kernel)")
+    def vote(Z):
+        votes = np.zeros((len(Z), len(model.classes)), dtype=np.int64)
+        rows = np.arange(len(Z))
+        for machine, f in zip(model.machines, _decisions(model, Z).T):
             votes[rows, np.where(f >= 0, index[machine.first],
                                  index[machine.second])] += 1
         return votes
 
-    # a chunk holds its z-scored rows and one machine's kernel rows
-    width = model.dim + max((len(m.coefficients) for m in model.machines),
-                            default=0)
+    # a chunk's z-scored rows, decisions and pool kernel (three for RBF)
+    width = model.dim + 3 * len(model.pool) + len(model.machines)
     return probe_chunks(model, features, 8 * width, vote)
 
 

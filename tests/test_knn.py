@@ -150,39 +150,53 @@ def test_equidistant_samples_on_a_sphere_match_reference():
         assert_matches_reference(X, y, probe[None, :], k)
 
 
+def assert_near_ties(X, probes):
+    """The premise of a near-tie test: on the grid (scale=False), the
+    samples are distinct and no two lie at one distance from a probe."""
+    Z = scale_features(X, np.zeros(X.shape[1]), np.ones(X.shape[1]))
+    assert len(np.unique(Z, axis=0)) == len(Z)
+    for q in scale_features(probes, np.zeros(X.shape[1]), np.ones(X.shape[1])):
+        squares = ((Z - q) ** 2).sum(axis=1)    # exact on the grid
+        assert (np.diff(np.sort(squares)) > 0).all()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e3])
-def test_samples_a_few_ulp_apart_match_reference(scale):
-    # distances differ in the last bits only, far below the filter's bound
+def test_samples_a_few_grid_steps_apart_match_reference(scale):
+    # on a line through the probe, samples one grid step apart per
+    # coordinate; their mirror images, one step off in the first
+    # coordinate, lie less than 2^-16 apart in squared distance from them.
+    # The probe's norm is below EXACT_NORM at scale 1 and above it at 1e3
+    g = rows.GRID
     rng = np.random.default_rng(21)
-    probe = rng.normal(size=8) * scale
-    direction = rng.normal(size=8)
-    X = probe + direction * (1 + np.arange(-2, 3)[:, None] * 2.0 ** -52)
-    X = np.vstack([X, probe + (X - probe)[::-1] * (1 + 2.0 ** -52)])
+    probe = np.rint(rng.normal(size=8) * scale / g) * g
+    direction = np.rint(rng.normal(size=8) / g) * g
+    step = np.sign(direction) * g * np.arange(-2, 3)[:, None]
+    X = np.vstack([probe + direction + step,
+                   probe - direction - step + np.eye(8)[0] * g])
     y = rng.integers(0, 3, size=len(X))
-    probes = np.vstack([probe, probe + direction * 2.0 ** -51])
+    probes = np.vstack([probe, probe + np.sign(direction) * g])
+    assert_near_ties(X, probes)
     for k in (1, 2, 5, len(X)):
         assert_matches_reference(X, y, probes, k)
 
 
-@pytest.mark.parametrize("regime", ["shell", "subnormal"])
-def test_near_ties_where_the_bound_decides_match_reference(regime):
-    # samples on a thin shell around a probe of large norm put the distance
-    # gaps near the rounding error of |q|² + |s|² − 2 q·s; small integers
-    # times 2^-540 or less make the squares underflow
+def test_near_ties_where_the_bound_decides_match_reference():
+    # samples on a thin shell around a probe whose norm falls on either
+    # side of EXACT_NORM (47 of the 200 draws inside), a few grid steps
+    # apart in radius: squared distances as close as 90 * 2^-32. The grid
+    # rounds a value below 2^-17 to 0, so no square can underflow
+    g = rows.GRID
     rng = np.random.default_rng(25)
     for _ in range(200):
-        d, n = int(rng.integers(1, 30)), int(rng.integers(2, 40))
+        d, n = int(rng.integers(2, 30)), int(rng.integers(2, 40))
         k = int(rng.integers(1, min(n, 4) + 1))
-        if regime == "shell":
-            probes = rng.normal(size=(1, d)) * 10.0 ** rng.integers(2, 6)
-            off = rng.normal(size=(n, d))
-            off /= np.linalg.norm(off, axis=1, keepdims=True)
-            gap = rng.integers(0, 50, size=(n, 1)) * 10.0 ** -rng.integers(6, 14)
-            X = probes + off * (1 + gap)
-        else:
-            unit = 2.0 ** -int(rng.integers(530, 545))
-            X = rng.integers(0, 40, size=(n, d)) * unit
-            probes = rng.integers(0, 40, size=(5, d)) * unit
+        probes = np.rint(rng.normal(size=(1, d))
+                         * 10.0 ** rng.integers(2, 6) / g) * g
+        off = rng.normal(size=(n, d))
+        off /= np.linalg.norm(off, axis=1, keepdims=True)
+        X = probes + np.rint(off * (1 + rng.integers(0, 50, size=(n, 1)) * g)
+                             / g) * g
+        assert_near_ties(X, probes)
         assert_matches_reference(X, rng.integers(0, 3, size=n), probes, k)
 
 

@@ -92,12 +92,14 @@ def test_svm_pool_roundtrip_is_exact(kind):
     assert len(restored.machines) == len(model.machines)
     for trained, loaded in zip(model.machines, restored.machines):
         assert (loaded.first, loaded.second) == (trained.first, trained.second)
-        assert np.array_equal(loaded.support_vectors, trained.support_vectors)
+        assert np.array_equal(restored.samples[loaded.pool_index],
+                              model.samples[trained.pool_index])
         assert np.array_equal(loaded.coefficients, trained.coefficients)
         assert loaded.bias == trained.bias
     assert np.array_equal(restored.pool, model.pool)
     # each support vector is written once, however many machines share it
-    stored = np.vstack([m.support_vectors for m in model.machines])
+    stored = model.samples[np.concatenate([m.pool_index
+                                           for m in model.machines])]
     pool = int(re.search(rb"\npool (\d+)\n", data).group(1))
     assert pool == len(np.unique(stored, axis=0))
 

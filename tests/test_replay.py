@@ -3,7 +3,9 @@
 The replay (`perfbench/traced.py`) is the one caller of `svm_train(seed=)`,
 `BinaryMachine.support_vectors`, `dataset.Manifest` and
 `write_manifest_csv`, and it predicts through `svm_predict_batch` and
-`knn_predict_batch`. These tests keep those names working in tier-1, where
+`knn_predict_batch`. No other test reads `support_vectors`, a property
+that gathers a machine's rows of the model's z-scored pool only for the
+replay's counts. These tests keep those names working in tier-1, where
 the benchmark's own replay does not run.
 """
 

@@ -16,6 +16,7 @@ from rwrl.svm import (
     BinaryMachine,
     KernelParams,
     SvmModel,
+    _decisions,
     _smo,
     kernel_matrix,
     svm_decision_table,
@@ -92,7 +93,8 @@ class TestTraining:
                           KernelParams("linear", C=10.0))
         machine = model.machines[0]
         Xs = scale_features(SEPARABLE_X, model.mean, model.std)
-        decisions = (kernel_matrix(model.params, Xs, machine.support_vectors)
+        decisions = (kernel_matrix(model.params, Xs,
+                                   model.samples[machine.pool_index])
                      @ machine.coefficients + machine.bias)
         signed = np.where(SEPARABLE_Y == machine.first, 1.0, -1.0) * decisions
         assert (signed >= 1.0 - 1e-3).all()
@@ -131,11 +133,11 @@ class TestTraining:
             mask = (y == machine.first) | (y == machine.second)
             rows = Xs[mask]
             sign = np.where(y[mask] == machine.first, 1.0, -1.0)
-            matches = (rows[:, None, :] == machine.support_vectors[None]).all(-1)
+            vectors = model.samples[machine.pool_index]
+            matches = (rows[:, None, :] == vectors[None]).all(-1)
             assert (matches.sum(axis=0) == 1).all()
             alpha = np.abs(matches.astype(float) @ machine.coefficients)
-            margin = sign * (kernel_matrix(model.params, rows,
-                                           machine.support_vectors)
+            margin = sign * (kernel_matrix(model.params, rows, vectors)
                              @ machine.coefficients + machine.bias)
             at_zero, at_c = alpha == 0, alpha == C
             free = ~at_zero & ~at_c
@@ -258,6 +260,43 @@ class TestPrediction:
             parts = [svm_decision_table(model, probes[a:a + batch])
                      for a in range(0, len(probes), batch)]
             assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_decisions_sum_left_to_right_over_the_pool(self, kind):
+        # einsum's order is no numpy contract: a numpy that sums otherwise
+        # fails here rather than move votes silently
+        rng = np.random.default_rng(30)
+        X, y = feature_shaped(rng, 300)
+        probes = (X[:70] + X[rng.permutation(300)[:70]]) / 2
+        model = svm_train(X, y, KernelParams(kind))
+        Z = scale_features(probes, model.mean, model.std)
+        bias = np.array([machine.bias for machine in model.machines])
+        for batch in (1, 2, 33, len(Z)):
+            for a in range(0, len(Z), batch):
+                K = kernel_matrix(model.params, Z[a:a + batch], model.samples)
+                f = np.zeros((len(K), len(model.machines)))
+                for p, w in enumerate(model.weights):
+                    f = f + K[:, p:p + 1] * w
+                assert np.array_equal(_decisions(model, Z[a:a + batch]),
+                                      f + bias)
+
+    def test_overflow_blames_no_machine_without_its_support_vector(self):
+        # the probe overflows the linear kernel against pool row 2 alone,
+        # a support vector of the machines (0, 2) and (1, 2) only; its
+        # 0 * inf in machine (0, 1) must not put the blame there
+        machines = [
+            BinaryMachine(0, 1, np.array([0, 1]), np.array([1.0, -1.0]), 0.0),
+            BinaryMachine(0, 2, np.array([0, 2]), np.array([1.0, -1.0]), 0.0),
+            BinaryMachine(1, 2, np.array([1, 2]), np.array([1.0, -1.0]), 0.0),
+        ]
+        pool = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]])
+        model = SvmModel([0, 1, 2], KernelParams("linear"), np.zeros(2),
+                         np.ones(2), pool, machines)
+        with pytest.raises(NonFiniteKernelError,
+                           match="classes [01] and 2 |overflow the kernel"
+                           ) as exc:
+            svm_predict_batch(model, np.array([[1.0, 0.0], [1e200, 0.0]]))
+        assert "classes 0 and 1" not in str(exc.value)
 
     @pytest.mark.parametrize("kind, chunks", [
         ("linear", 1.25), ("polynomial", 1.25), ("rbf", 2)])
