@@ -16,9 +16,11 @@ band sums are combined with weights 8/4/2/1 from the center outward.
 49 windows x 4 directions gives a 196-dimensional integer feature vector.
 It is computed from one table, built on first use from `Direction.step`,
 of the 94 scan lines of a window (16 rows, 16 columns, 31 + 31 diagonals)
-padded with a background pixel: one run-length recurrence covers them all,
-with int8 bits and runs (<= 16), int16 weighted line sums (<= 16 * 16 * 8)
-and int64 window sums.
+padded with a background pixel. One run-length counter walks the 16 steps
+of every line of every window, forward and then backward, and adds each
+step's weighted count to the line sums at once, so no table of runs is
+kept: a step holds int8 bits and counts (<= 16), the lines int16 weighted
+sums (<= 16 * 16 * 8), and the windows int64 sums.
 
 `extract_contour` and `extract_features` also take a (..., 64, 64) stack:
 page i of the result is bit for bit that of page i alone.
@@ -85,7 +87,7 @@ def _scan_lines() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                   for line in lines.values()]
     by_step = np.array(table).T
     weights = np.append(WEIGHT_MAP.ravel(), 0).astype(np.int16)[by_step]
-    return by_step, np.array(starts), weights
+    return by_step, np.array(starts), weights[:, :, None]
 
 
 def _features(windows: np.ndarray) -> np.ndarray:
@@ -94,14 +96,18 @@ def _features(windows: np.ndarray) -> np.ndarray:
     n = len(windows)
     flat = np.zeros((WINDOW_SIZE * WINDOW_SIZE + 1, n), dtype=np.int8)
     flat[:-1] = (windows != 0).reshape(n, -1).T
-    bits = flat[by_step]                       # (16 steps, 94 lines, n)
-    runs = -bits
-    for steps in (range(WINDOW_SIZE), range(WINDOW_SIZE - 1, -1, -1)):
-        acc = np.zeros(bits.shape[1:], dtype=np.int8)
-        for j in steps:
-            acc = (acc + 1) * bits[j]
-            runs[j] += acc
-    sums = np.einsum("jln,jl->ln", runs, weights)   # int16, no temporary
+    # the run through a pixel is F + B - 1, F and B the run lengths that
+    # end at it walking forward and backward: F - 1 on one pass, B on the
+    # other, so no table of runs is kept
+    sums = np.zeros((by_step.shape[1], n), dtype=np.int16)
+    steps = range(WINDOW_SIZE)
+    for forward in (True, False):
+        acc = np.zeros_like(sums, dtype=np.int8)
+        for j in steps if forward else reversed(steps):
+            bits = flat.take(by_step[j], axis=0)    # (94 lines, n)
+            acc += 1
+            acc *= bits
+            sums += weights[j] * (acc - bits if forward else acc)
     return np.add.reduceat(sums, starts, axis=0, dtype=np.int64).T
 
 

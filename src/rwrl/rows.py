@@ -194,11 +194,14 @@ def _as_rows(rows) -> tuple:
 
 def _format_row(row: np.ndarray, sep: str) -> str:
     # integers within 2**53 of 0, which float() keeps exact, join as they
-    # are. One row at a time and no numpy call but tolist(): a matrix-sized
-    # temporary, or a numpy function first used here, raises the peak RSS
-    values = row.tolist()
-    if (row.dtype.kind in "iu" and -2 ** 53 <= min(values, default=0)
-            and max(values, default=0) <= 2 ** 53):
-        return sep.join(map(str, values))
+    # are, and so does a float row of such integers alone, cast to int64
+    # (-0.0 as 0), as every model pool is float64. One row at a time: a
+    # matrix-sized temporary raises the peak RSS
+    kind = row.dtype.kind
+    if (kind in "iuf" and -2 ** 53 <= row.min(initial=0)
+            and row.max(initial=0) <= 2 ** 53):
+        ints = row if kind in "iu" else row.astype(np.int64)
+        if ints is row or (ints == row).all():
+            return sep.join([str(i) for i in ints.tolist()])
     return sep.join(str(int(f)) if f.is_integer() else repr(f)
-                    for f in map(float, values))
+                    for f in map(float, row.tolist()))

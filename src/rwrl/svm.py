@@ -58,8 +58,10 @@ def _finite(name: str, value, low: float) -> float:
     raise ValueError(f"{name} must be finite" + (" and > 0" if low == 0 else ""))
 
 
-def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = k(a_i, b_j)."""
+def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray,
+                  b_norms: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix K[i, j] = k(a_i, b_j). The RBF kernel takes |b_j|² from
+    `b_norms` when given, which must be `np.sum(b * b, axis=1)`."""
     if params.kind == "linear":
         return a @ b.T
     if params.kind == "polynomial":
@@ -69,8 +71,9 @@ def kernel_matrix(params: KernelParams, a: np.ndarray, b: np.ndarray) -> np.ndar
         K *= params.gamma
         K += params.coef0
         return np.power(K, params.degree, out=K)
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * (a @ b.T))
+    if b_norms is None:
+        b_norms = np.sum(b * b, axis=1)
+    sq = np.sum(a * a, axis=1)[:, None] + b_norms[None, :] - 2.0 * (a @ b.T)
     return np.exp(-params.gamma * np.maximum(sq, 0.0))
 
 
@@ -102,6 +105,10 @@ class SvmModel:
 
     def __post_init__(self):    # z-score the pool once, for every machine
         self.samples = scale_features(self.pool, self.mean, self.std)
+        # and the RBF kernel's |s|² of each row, which would otherwise be
+        # a (P, d) temporary per chunk of probe rows
+        self.norms = (np.sum(self.samples * self.samples, axis=1)
+                      if self.params.kind == "rbf" else None)
         self.weights = np.zeros((len(self.pool), len(self.machines)))
         for m, machine in enumerate(self.machines):     # beta in column m
             np.add.at(self.weights[:, m], machine.pool_index,
@@ -216,7 +223,7 @@ def _decisions(model: SvmModel, Z: np.ndarray) -> np.ndarray:
     over the pool rows by einsum's own loop (BLAS `K @ W` sums 1 row
     otherwise than many), plus each bias."""
     with np.errstate(over="ignore", invalid="ignore"):
-        K = kernel_matrix(model.params, Z, model.samples)
+        K = kernel_matrix(model.params, Z, model.samples, model.norms)
         F = np.einsum("rp,pm->rm", K, model.weights)
         F += [machine.bias for machine in model.machines]
     if not np.isfinite(F).all():    # W's zeros make inf NaN in every machine

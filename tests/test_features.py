@@ -16,6 +16,7 @@ from rwrl.features import (
     NUM_WINDOWS,
     WEIGHT_MAP,
     Direction,
+    _features,
     extract_contour,
     extract_features,
 )
@@ -616,6 +617,42 @@ class TestStacks:
             extract_features(np.ones((3, 64, 63), dtype=np.uint8))
 
 
+class TestWindowStacks:
+    """`_features` of a window stack, one window to more than a 16-page
+    chunk (784), against the brute-force oracle; density 1 is the
+    all-foreground worst case of the int16 line sums."""
+
+    @pytest.mark.parametrize("density", [0, 0.05, 0.3, 0.7, 1])
+    @pytest.mark.parametrize("size", [1, 2, 49, 784, 900])
+    def test_stack_matches_brute_force(self, size, density):
+        rng = np.random.default_rng([size, int(100 * density)])
+        windows = (rng.random((size, 16, 16)) < density).astype(np.uint8)
+        out = _features(windows)
+        assert out.shape == (size, 4) and out.dtype == np.int64
+        # the oracle takes about a millisecond a window: every window of
+        # a small stack, a seeded sample and both ends of a large one
+        checked = range(size) if size <= 49 else {
+            0, size - 1, *rng.choice(size, 30, replace=False).tolist()}
+        for i in checked:
+            assert out[i].tolist() == [brute_window_feature(windows[i], d)
+                                       for d in DIRECTIONS]
+
+    def test_chunk_peak_holds_no_run_table(self):
+        # a 16-page chunk is 784 windows: (16 steps, 94 lines, 784) int8
+        # tables of its bits and runs took 3.2-3.4 MiB
+        rng = np.random.default_rng(38)
+        contours = extract_contour(
+            (rng.random((16, 64, 64)) < 0.3).astype(np.uint8))
+        extract_features(contours)      # the scan-line table, built once
+        tracemalloc.start()
+        try:
+            extract_features(contours)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
+
+
 class TestFormatRows:
     """Integer rows within 2**53 of 0 are joined as they are; every row
     reads as the per-value rule writes it: digits for an integral float()
@@ -641,5 +678,18 @@ class TestFormatRows:
     ], ids=["floats", "int64-bounds", "1e300", "uint64", "bool", "int16",
             "random", "empty"])
     def test_paths_agree(self, row):
+        lines = list(format_rows(np.stack([row, row]), ",", ValueError))
+        assert lines == [self.per_value(row)] * 2
+
+    EDGES = [0.0, -0.0, 2.0 ** 53, -2.0 ** 53, 2.0 ** 53 + 2, 1e300, 0.5]
+
+    @pytest.mark.parametrize("row", [
+        *(np.array([v]) for v in EDGES), np.array(EDGES),
+        np.array(EDGES[:4] + [3.0]), np.array(EDGES[::-1]),
+        np.array([-0.0, 3.0, 2.0 ** 24], dtype=np.float32),
+        np.array([-0.0, 3.0, 0.5], dtype=np.float32)])
+    def test_float_rows_agree(self, row):
+        # a float row of integers within 2**53 joins as its int64 cast;
+        # one value past that, or not integral, keeps the per-value rule
         lines = list(format_rows(np.stack([row, row]), ",", ValueError))
         assert lines == [self.per_value(row)] * 2

@@ -298,14 +298,25 @@ class TestPrediction:
             svm_predict_batch(model, np.array([[1.0, 0.0], [1e200, 0.0]]))
         assert "classes 0 and 1" not in str(exc.value)
 
-    @pytest.mark.parametrize("kind, chunks", [
-        ("linear", 1.25), ("polynomial", 1.25), ("rbf", 2)])
-    def test_peak_memory_stays_within_its_chunks(self, kind, chunks):
+    @pytest.mark.parametrize("kind, pool, chunks", [
+        ("linear", 0, 1.25), ("polynomial", 0, 1.25), ("rbf", 0, 2),
+        ("rbf", 1500, 2)], ids=["linear-1.25", "polynomial-1.25", "rbf-2",
+                                "rbf-1500-pool-rows-2"])
+    def test_peak_memory_stays_within_its_chunks(self, kind, pool, chunks):
         # rows are z-scored a chunk at a time: no copy of all 1000 (1.5 MB);
-        # the RBF kernel holds temporaries of its kernel rows besides
+        # the RBF kernel holds temporaries of its kernel rows besides. It
+        # takes the pool's norms from the model: computed per chunk, they
+        # would hold a (pool, 196) temporary, 2.35 MB for 1500 rows
         rng = np.random.default_rng(29)
-        X, y = feature_shaped(rng, 300)
-        model = svm_train(X, y, KernelParams(kind))
+        if pool:
+            machine = BinaryMachine(0, 1, np.arange(pool),
+                                    rng.normal(size=pool), 0.0)
+            model = SvmModel([0, 1], KernelParams(kind, gamma=1 / 196),
+                             np.zeros(196), np.ones(196),
+                             rng.normal(size=(pool, 196)), [machine])
+        else:
+            X, y = feature_shaped(rng, 300)
+            model = svm_train(X, y, KernelParams(kind))
         probes = feature_shaped(rng, 1000)[0].astype(np.float64)
         tracemalloc.start()
         try:
